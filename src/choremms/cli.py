@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import algorithms, gen, mms, verify
-from .model import Model, load_instance, rank, validate
+from .model import Model, instance_costs, load_instance, parse_instance, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,11 +70,10 @@ class SystemExit_usage(Exception):
 def _cmd_validate(args) -> int:
     with open(args.instance) as fh:
         doc = json.load(fh)
-    costs = doc.get("costs", [])
-    problems = validate(costs)
+    problems = validate(instance_costs(doc))
     degenerate = []
     if not problems:
-        matrix = load_instance(args.instance)
+        matrix = parse_instance(doc)
         degenerate = [i + 1 for i in matrix.degenerate_agents()]
     _emit({"ok": not problems, "violations": problems, "degenerate_agents": degenerate})
     return EXIT_OK if not problems else EXIT_USAGE

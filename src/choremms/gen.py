@@ -14,12 +14,12 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algorithms import allocate
-from .mms import DEFAULT_CAP, MmsCapError, evaluate
+from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
 from .model import CostMatrix
 
 logger = logging.getLogger(__name__)
@@ -99,13 +99,37 @@ class BatchFailure:
     reason: str
 
 
-def _run_cell(spec: GenSpec, algorithm: str, seed: int, cap: int):
-    inst = generate(replace(spec, seed=seed))
-    t0 = time.perf_counter()
-    alloc = allocate(inst, algorithm, seed=seed)
-    report = evaluate(alloc, inst, cap=cap)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return (spec.label(), spec.n, spec.m, algorithm, seed, report.max_ratio, runtime_ms)
+def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str], cap: int):
+    """Every algorithm on one generated instance, as one (row, failure) pair
+    per algorithm in the given order.
+
+    The agents' shares are solved once, after the first allocation on the
+    instance succeeds, so an algorithm's own precondition error is still
+    reported ahead of a cap refusal. A refused solve is retried by each
+    later cell and fails the same way at once: the cap check precedes any
+    search. Each cell's runtime covers its own allocate and evaluate, plus
+    the solve it set off.
+    """
+    try:
+        inst = generate(replace(spec, seed=seed))
+    except ValueError as exc:
+        return [(None, BatchFailure(spec, alg, seed, str(exc))) for alg in algorithms]
+    table = None
+    out = []
+    for alg in algorithms:
+        t0 = time.perf_counter()
+        try:
+            alloc = allocate(inst, alg, seed=seed)
+            if table is None:
+                table = mms_table(inst, cap=cap)
+            report = evaluate(alloc, inst, cap=cap, table=table)
+        except (MmsCapError, ValueError) as exc:
+            out.append((None, BatchFailure(spec, alg, seed, str(exc))))
+            continue
+        runtime_ms = (time.perf_counter() - t0) * 1000.0
+        row = (spec.label(), spec.n, spec.m, alg, seed, report.max_ratio, runtime_ms)
+        out.append((row, None))
+    return out
 
 
 def run_batch(
@@ -117,42 +141,42 @@ def run_batch(
 ) -> tuple[list[tuple], list[BatchFailure]]:
     """Allocate + certify every (spec, algorithm, seed) cell.
 
-    Returns sorted result rows and the failures (cap violations, algorithm
-    preconditions) that were skipped; the batch never aborts on one cell.
+    The unit of work is one generated instance, a (spec, seed) pair, on
+    which every algorithm runs against one table of shares. Returns sorted
+    result rows and the failures (cap violations, algorithm preconditions)
+    that were skipped, in (spec, algorithm, seed) order; the batch never
+    aborts on one cell.
     """
-    cells = [
-        (spec, alg, spec.seed + k)
-        for spec in specs
-        for alg in algorithms
-        for k in range(seeds_per_spec)
-    ]
-    rows: list[tuple] = []
-    failures: list[BatchFailure] = []
+    instances = [(spec, spec.seed + k) for spec in specs for k in range(seeds_per_spec)]
 
-    def work(cell):
-        spec, alg, seed = cell
-        try:
-            return _run_cell(spec, alg, seed, cap), None
-        except (MmsCapError, ValueError) as exc:
-            return None, BatchFailure(spec, alg, seed, str(exc))
+    def work(instance):
+        spec, seed = instance
+        return _run_instance(spec, seed, algorithms, cap)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, cells))
+            per_instance = list(pool.map(work, instances))
     else:
-        outcomes = [work(c) for c in cells]
-    for row, failure in outcomes:
-        if failure is not None:
-            logger.warning(
-                "batch cell skipped (%s, %s, seed=%d): %s",
-                failure.spec.label(),
-                failure.algorithm,
-                failure.seed,
-                failure.reason,
-            )
-            failures.append(failure)
-        else:
-            rows.append(row)
+        per_instance = [work(i) for i in instances]
+    rows: list[tuple] = []
+    failures: list[BatchFailure] = []
+    # report in (spec, algorithm, seed) order, as one cell at a time would
+    for s in range(len(specs)):
+        of_spec = per_instance[s * seeds_per_spec : (s + 1) * seeds_per_spec]
+        for a in range(len(algorithms)):
+            for cells in of_spec:
+                row, failure = cells[a]
+                if failure is None:
+                    rows.append(row)
+                    continue
+                logger.warning(
+                    "batch cell skipped (%s, %s, seed=%d): %s",
+                    failure.spec.label(),
+                    failure.algorithm,
+                    failure.seed,
+                    failure.reason,
+                )
+                failures.append(failure)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     return rows, failures
 

@@ -11,7 +11,7 @@ capped; above the cap only the cheap lower/upper bounds are available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .model import Allocation, AgentEval, CostMatrix, EvalReport, ratio_of
 
@@ -157,24 +157,33 @@ def certify(
     tol: float = 0.0,
 ) -> list[bool]:
     """Per-agent check that bundle cost <= alpha * MMS (0/0 counts as 1)."""
-    results = []
-    for i in range(matrix.n):
-        cost = matrix.cost_of(i, allocation.bundles[i])
-        mms = mms_exact(matrix.row(i), matrix.n, cap=cap).value
-        results.append(ratio_of(cost, mms) <= alpha + tol)
-    return results
+    table = mms_table(matrix, cap=cap)
+    return [
+        ratio_of(matrix.cost_of(i, allocation.bundles[i]), table[i].value) <= alpha + tol
+        for i in range(matrix.n)
+    ]
 
 
 def evaluate(
-    allocation: Allocation, matrix: CostMatrix, cap: int = DEFAULT_CAP
+    allocation: Allocation,
+    matrix: CostMatrix,
+    cap: int = DEFAULT_CAP,
+    table: Optional[Sequence[MmsResult]] = None,
 ) -> EvalReport:
-    """Cost / exact MMS / ratio per agent, plus the max ratio."""
+    """Cost / exact MMS / ratio per agent, plus the max ratio.
+
+    `table` is `mms_table(matrix, cap)` when the caller already has it, so
+    several allocations of one instance share one set of shares; without it
+    the shares are solved here.
+    """
     problems = allocation.check_partition(matrix.m)
     if problems:
         raise ValueError("not a partition: " + "; ".join(problems))
+    if table is None:
+        table = mms_table(matrix, cap=cap)
     per_agent = []
     for i in range(matrix.n):
         cost = matrix.cost_of(i, allocation.bundles[i])
-        mms = mms_exact(matrix.row(i), matrix.n, cap=cap).value
+        mms = table[i].value
         per_agent.append(AgentEval(cost=cost, mms=mms, ratio=ratio_of(cost, mms)))
     return EvalReport(tuple(per_agent), max(a.ratio for a in per_agent))

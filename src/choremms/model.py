@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import Iterable, Sequence
 
 
@@ -82,11 +83,13 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
             )
             continue
         for j, c in enumerate(row):
-            if not isinstance(c, (int, float)):
+            # bool is an int subclass; identity tests are the cheapest way
+            # to refuse it on a loop that sees every entry of large files
+            if c is True or c is False or not isinstance(c, (int, float)):
                 problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
             elif c < 0:
                 problems.append(f"negative cost at ({i + 1},{j + 1})")
-            elif c != c:  # NaN
+            elif not isfinite(c):  # NaN or +inf
                 problems.append(f"non-finite cost at ({i + 1},{j + 1})")
     return problems
 
@@ -203,10 +206,21 @@ def load_instance(path: str) -> CostMatrix:
     return parse_instance(doc)
 
 
-def parse_instance(doc: dict) -> CostMatrix:
+def instance_costs(doc) -> list:
+    """The "costs" grid of a parsed instance document, checked for shape
+    only: the document must be an object and the grid a list of lists."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance must be a JSON object, not {type(doc).__name__}")
     costs = doc.get("costs")
     if costs is None:
         raise ValueError('instance is missing "costs"')
+    if not isinstance(costs, list) or not all(isinstance(row, list) for row in costs):
+        raise ValueError('instance "costs" must be a list of rows, each a list of costs')
+    return costs
+
+
+def parse_instance(doc: dict) -> CostMatrix:
+    costs = instance_costs(doc)
     problems = validate(costs)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))

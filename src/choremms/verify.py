@@ -18,14 +18,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algorithms import (
-    build_schedule,
-    divide_choose_3,
+    allocate,
     label_count,
     label_sets,
     randdecl,
     randdecl_expected_cost,
-    roundrobin,
-    seqpick,
 )
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 
@@ -57,15 +54,12 @@ def algorithm_runner(name: str, agent_order: Optional[Sequence[int]] = None):
 
     The callable consumes whatever matrix the checker hands it (true,
     surrogate, or misreported), which is exactly the reporting channel the
-    deviation search manipulates.
+    deviation search manipulates. It dispatches through `allocate`, so the
+    checkers see the same preconditions and m <= n bypass as the CLI.
     """
-    if name == "seqpick":
-        return lambda mat: seqpick(mat, build_schedule(mat.n, mat.m))
-    if name == "roundrobin":
-        return lambda mat: roundrobin(mat, agent_order)
-    if name == "dc3":
-        return divide_choose_3
-    raise ValueError(f"no deterministic runner for {name!r}")
+    if name not in ("seqpick", "roundrobin", "dc3"):
+        raise ValueError(f"no deterministic runner for {name!r}")
+    return lambda mat: allocate(mat, name, agent_order=agent_order)
 
 
 def _ranking_consistent(row: Sequence[float], order: Sequence[int]) -> bool:

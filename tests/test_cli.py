@@ -54,6 +54,34 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_non_finite_cost_is_rejected(capsys, tmp_path):
+    # 1e999 parses to infinity; the CLI must refuse it rather than print Infinity
+    path = tmp_path / "inf.json"
+    path.write_text('{"costs": [[1, 1e999], [1, 1]]}')
+    code, out, err = run(capsys, ["mms", "--instance", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "non-finite cost at (1,2)" in err
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ("[[1, 2], [2, 1]]", ["validate"]),  # top level is a list
+        ("[[1, 2], [2, 1]]", ["mms"]),
+        ('{"costs": 5}', ["validate"]),  # costs is not a list of lists
+        ('{"costs": 5}', ["allocate", "--alg", "seqpick"]),
+    ],
+)
+def test_malformed_instance_is_a_clean_error(capsys, tmp_path, text, command):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command + ["--instance", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mms_all_agents(capsys, instance):
     path = instance([[3, 1, 1, 1], [1, 1, 1, 1]])
     code, doc, _ = run_json(capsys, ["mms", "--instance", path])

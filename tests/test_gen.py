@@ -1,8 +1,14 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from choremms import mms
+from choremms.algorithms import allocate
 from choremms.gen import (
     CSV_COLUMNS,
+    BatchFailure,
     GenSpec,
     aggregate,
     generate,
@@ -12,6 +18,7 @@ from choremms.gen import (
     strip_runtime,
     write_csv,
 )
+from choremms.mms import MmsCapError, evaluate, mms_table
 from choremms.model import rankings
 
 
@@ -89,6 +96,72 @@ def test_run_batch_skips_bad_cells():
     assert len(rows) == 2
     assert len(failures) == 2
     assert all("n=3" in f.reason for f in failures)
+
+
+def test_run_batch_solves_each_share_once_per_instance(monkeypatch):
+    solved = []
+    real = mms.mms_exact
+
+    def counting(row, n, cap=mms.DEFAULT_CAP):
+        solved.append((tuple(row), n))
+        return real(row, n, cap=cap)
+
+    monkeypatch.setattr(mms, "mms_exact", counting)
+    specs = [GenSpec("uniform", n=3, m=7, seed=5), GenSpec("exponential", n=2, m=8, seed=6)]
+    rows, failures = run_batch(specs, ["seqpick", "randdecl", "roundrobin"], seeds_per_spec=2)
+    assert failures == [] and len(rows) == 3 * 2 * 2
+    assert len(solved) == (3 + 2) * 2  # agents x instances, not x algorithms too
+    assert len(set(solved)) == len(solved)
+
+
+def _cell_by_cell(specs, algorithms, seeds_per_spec, cap):
+    """The batch's contract, one allocate + evaluate per cell."""
+    rows, failures = [], []
+    for spec in specs:
+        for alg in algorithms:
+            for k in range(seeds_per_spec):
+                seed = spec.seed + k
+                try:
+                    inst = generate(replace(spec, seed=seed))
+                    report = evaluate(allocate(inst, alg, seed=seed), inst, cap=cap)
+                except (MmsCapError, ValueError) as exc:
+                    failures.append(BatchFailure(spec, alg, seed, str(exc)))
+                    continue
+                rows.append((spec.label(), spec.n, spec.m, alg, seed, report.max_ratio))
+    return sorted(rows), failures
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_batch_failures_match_cell_by_cell(caplog, workers):
+    # dc3 at n=2 fails its precondition; m=9 above cap=8 fails every cell that
+    # allocates, dc3 at n=3 included; the m=7 specs run clean
+    specs = [
+        GenSpec("uniform", n=2, m=7, seed=1),
+        GenSpec("correlated", n=3, m=9, seed=2),
+        GenSpec("uniform", n=2, m=9, seed=3),
+        GenSpec("exponential", n=3, m=7, seed=4),
+    ]
+    algorithms = ["dc3", "seqpick", "roundrobin", "randdecl"]
+    with caplog.at_level(logging.WARNING, logger="choremms.gen"):
+        rows, failures = run_batch(specs, algorithms, 2, cap=8, workers=workers)
+    want_rows, want_failures = _cell_by_cell(specs, algorithms, 2, cap=8)
+    assert [r[:6] for r in rows] == want_rows
+    assert failures == want_failures
+    assert {f.reason for f in failures} == {
+        "dc3 requires n=3 (got n=2)",
+        "9 items exceeds the exact-computation cap of 8; use mms_bounds",
+    }
+    assert [r.getMessage() for r in caplog.records] == [
+        f"batch cell skipped ({f.spec.label()}, {f.algorithm}, seed={f.seed}): {f.reason}"
+        for f in failures
+    ]
+
+
+def test_evaluate_with_precomputed_table_matches():
+    inst = generate(GenSpec("correlated", n=3, m=9, seed=21))
+    for alg in ("seqpick", "roundrobin", "dc3"):
+        alloc = allocate(inst, alg)
+        assert evaluate(alloc, inst, table=mms_table(inst)) == evaluate(alloc, inst)
 
 
 def test_csv_shape_and_rounding(tmp_path):

@@ -37,6 +37,28 @@ def test_validate_flags_empty():
     assert validate([[]]) != []
 
 
+def test_validate_flags_non_finite_cost():
+    problems = validate([[1, float("inf")], [float("nan"), 1]])
+    assert "non-finite cost at (1,2)" in problems
+    assert "non-finite cost at (2,1)" in problems
+    assert validate([[1, float("-inf")]]) == ["negative cost at (1,2)"]
+
+
+def test_validate_flags_boolean_cost():
+    assert validate([[1, True], [False, 1]]) == [
+        "non-numeric cost at (1,2)",
+        "non-numeric cost at (2,1)",
+    ]
+
+
+def test_parse_instance_rejects_malformed_documents():
+    with pytest.raises(ValueError, match="JSON object"):
+        parse_instance([[1, 2], [3, 4]])
+    for costs in (5, [1, 2], [[1, 2], 3], "12"):
+        with pytest.raises(ValueError, match="list of rows"):
+            parse_instance({"costs": costs})
+
+
 def test_from_rows_rejects_invalid():
     with pytest.raises(ValueError, match="negative"):
         CostMatrix.from_rows([[1, -2]])

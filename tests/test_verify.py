@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from choremms.algorithms import allocate
 from choremms.model import Allocation, CostMatrix, Model
 from choremms.verify import (
     algorithm_runner,
@@ -81,6 +82,16 @@ def test_roundrobin_is_manipulable_under_free_rankings():
     assert rep.profitable
     assert rep.truthful_cost == 8
     assert rep.best_deviation_cost == 7
+
+
+def test_runner_dispatches_like_allocate():
+    # m <= n: allocate's one-item-each bypass applies to the checkers too,
+    # instead of seqpick's "schedule needs m > n"
+    inst = CostMatrix.from_rows([[1, 2], [2, 1], [1, 1]])
+    runner = algorithm_runner("seqpick")
+    assert runner(inst) == allocate(inst, "seqpick")
+    for agent in range(3):
+        assert not sp_check_ordinal(runner, inst, agent, model=Model.ORDINAL).profitable
 
 
 def test_deviation_search_refuses_factorial_blowup():
