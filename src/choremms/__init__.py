@@ -21,7 +21,7 @@ from .algorithms import (
     seqpick,
 )
 from .gen import GenSpec, generate, run_batch
-from .mms import DEFAULT_CAP, MmsCapError, MmsResult, certify, evaluate, mms_bounds, mms_exact
+from .mms import DEFAULT_CAP, MmsCapError, MmsResult, evaluate, mms_bounds, mms_exact
 from .model import (
     Allocation,
     CostMatrix,

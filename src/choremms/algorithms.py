@@ -8,7 +8,9 @@ All of them take a cost matrix and return a partition of the items:
   - randdecl: every item lands on a uniformly random agent, then items that
     landed on an agent who had declared them "large" are pooled and dealt
     back out evenly;
-  - roundrobin: agents take turns picking their cheapest remaining item;
+  - roundrobin: agents take turns picking their cheapest remaining item
+    (seqpick and roundrobin share one engine, serial_pick, and differ only
+    in the pick sequence);
   - divide_choose_3: three fixed bundles built from agent 1's ranking,
     agents 2 and 3 choose in turn, agent 1 keeps the leftover.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +33,40 @@ from .model import Allocation, CostMatrix, Model, rank, rankings, surrogate_matr
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("seqpick", "randdecl", "roundrobin", "dc3")
+
+
+# --- serial picking ----------------------------------------------------------
+
+def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
+    """Serial dictatorship: each entry of `sequence` is an agent, who takes
+    its cheapest unassigned item, ties going to the lower index.
+
+    seqpick and roundrobin are this rule with different pick sequences. An
+    agent sorts the items still free at its first turn, once: items only
+    ever leave, so that order stays valid for its later turns. The sequence
+    must have at most m entries.
+    """
+    n, m = matrix.n, matrix.m
+    # one int object per item, shared by every agent's order
+    items = list(range(m))
+    free = bytearray(b"\x01") * m
+    orders: list[Optional[list[int]]] = [None] * n
+    pointers = [0] * n
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for i in sequence:
+        order = orders[i]
+        if order is None:
+            # a stable sort over ascending indices is the index tie-break
+            row = matrix.costs[i]
+            order = orders[i] = sorted(compress(items, free), key=row.__getitem__)
+        p = pointers[i]
+        while not free[order[p]]:
+            p += 1
+        j = order[p]
+        free[j] = 0
+        pointers[i] = p + 1
+        bundles[i].append(j)
+    return Allocation.from_lists(bundles)
 
 
 # --- sequential picking ----------------------------------------------------
@@ -141,15 +178,8 @@ def seqpick(matrix: CostMatrix, schedule: PickSchedule) -> Allocation:
             f"schedule for (n={schedule.n}, m={schedule.m}) does not match "
             f"instance (n={n}, m={m})"
         )
-    remaining = set(range(m))
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for i in reversed(range(n)):
-        row = matrix.row(i)
-        order = sorted(remaining, key=lambda j: (row[j], j))
-        take = order[: schedule.counts[i]]
-        bundles[i].update(take)
-        remaining.difference_update(take)
-    return Allocation.from_lists(bundles)
+    counts = schedule.counts
+    return serial_pick(matrix, [i for i in reversed(range(n)) for _ in range(counts[i])])
 
 
 # --- randomized declare-and-redistribute ------------------------------------
@@ -165,6 +195,21 @@ def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
     """Truthful labels: each agent's top-K items by cost (canonical ties)."""
     k = label_count(matrix.n, matrix.m)
     return tuple(frozenset(order[:k]) for order in rankings(matrix))
+
+
+def declared_labels(
+    matrix: CostMatrix, agent: int, declared: Optional[frozenset[int]] = None
+) -> list[frozenset[int]]:
+    """Every agent's declared label set: truthful, except that `agent`
+    declares `declared` when given, which must have the canonical size."""
+    labels = list(label_sets(matrix))
+    if declared is not None:
+        declared = frozenset(declared)
+        k = label_count(matrix.n, matrix.m)
+        if len(declared) != k:
+            raise ValueError(f"label override must have size {k}, got {len(declared)}")
+        labels[agent] = declared
+    return labels
 
 
 def randdecl(
@@ -186,15 +231,8 @@ def randdecl(
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl needs at least 2 agents")
-    labels = list(label_sets(matrix))
-    if label_override is not None:
-        agent, declared = label_override
-        declared = frozenset(declared)
-        if len(declared) != label_count(n, m):
-            raise ValueError(
-                f"label override must have size {label_count(n, m)}, got {len(declared)}"
-            )
-        labels[agent] = declared
+    agent, declared = label_override or (0, None)
+    labels = declared_labels(matrix, agent, declared)
     rng = np.random.default_rng(seed)
     landing = rng.integers(0, n, size=m)
     pooled = [j for j in range(m) if j in labels[landing[j]]]
@@ -224,14 +262,7 @@ def randdecl_expected_cost(
     b_j/n (b_j = how many agents declared j large).
     """
     n, m = matrix.n, matrix.m
-    labels = list(label_sets(matrix))
-    if label_override is not None:
-        declared = frozenset(label_override)
-        if len(declared) != label_count(n, m):
-            raise ValueError(
-                f"label override must have size {label_count(n, m)}, got {len(declared)}"
-            )
-        labels[agent] = declared
+    labels = declared_labels(matrix, agent, label_override)
     row = matrix.row(agent)
     mine = labels[agent]
     phase1 = sum(row[j] for j in range(m) if j not in mine) / n
@@ -248,17 +279,7 @@ def roundrobin(matrix: CostMatrix, agent_order: Optional[Sequence[int]] = None) 
     order = list(range(n)) if agent_order is None else list(agent_order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"agent order {order} is not a permutation of 0..{n - 1}")
-    remaining = set(range(m))
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    while remaining:
-        for i in order:
-            if not remaining:
-                break
-            row = matrix.row(i)
-            j = min(remaining, key=lambda t: (row[t], t))
-            bundles[i].add(j)
-            remaining.remove(j)
-    return Allocation.from_lists(bundles)
+    return serial_pick(matrix, [order[t % n] for t in range(m)])
 
 
 # --- divide and choose for three agents --------------------------------------

@@ -67,6 +67,15 @@ class SystemExit_usage(Exception):
     """Flag/validation problem: exits with code 1."""
 
 
+def _agents(agent, n: int) -> list[int]:
+    """The 0-indexed agents a 1-indexed --agent names: all when absent."""
+    if agent is None:
+        return list(range(n))
+    if not 1 <= agent <= n:
+        raise SystemExit_usage(f"--agent {agent} out of range 1..{n}")
+    return [agent - 1]
+
+
 def _cmd_validate(args) -> int:
     with open(args.instance) as fh:
         doc = json.load(fh)
@@ -81,11 +90,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_mms(args) -> int:
     matrix = load_instance(args.instance)
-    agents = [args.agent - 1] if args.agent else range(matrix.n)
     out = []
-    for i in agents:
-        if not 0 <= i < matrix.n:
-            raise SystemExit_usage(f"--agent {args.agent} out of range 1..{matrix.n}")
+    for i in _agents(args.agent, matrix.n):
         result = mms.mms_exact(matrix.row(i), matrix.n, cap=args.cap)
         out.append(
             {
@@ -134,10 +140,9 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_spcheck(args) -> int:
     matrix = load_instance(args.instance)
-    agents = [args.agent - 1] if args.agent else list(range(matrix.n))
     reports = []
     model = _MODELS[args.model]
-    for i in agents:
+    for i in _agents(args.agent, matrix.n):
         if args.alg == "randdecl":
             mode = "exact" if args.exact else "montecarlo"
             rep = verify.sp_check_randomized(matrix, i, mode=mode, trials=args.trials)

@@ -223,6 +223,8 @@ def aggregate(rows: Sequence[tuple]) -> dict[tuple, dict[str, float]]:
 def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     """Parse the eval config: {"specs": [...], "algorithms": [...],
     "seeds_per_spec": int}."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
     raw_specs = doc.get("specs")
     algorithms = doc.get("algorithms")
     seeds_per_spec = doc.get("seeds_per_spec", 1)
@@ -231,6 +233,8 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     field_names = {f for f in GenSpec.__dataclass_fields__}
     specs = []
     for entry in raw_specs:
+        if not isinstance(entry, dict):
+            raise ValueError(f"each spec must be a JSON object, not {type(entry).__name__}")
         unknown = set(entry) - field_names
         if unknown:
             raise ValueError(f"unknown spec fields {sorted(unknown)}")

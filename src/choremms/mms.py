@@ -149,21 +149,6 @@ def mms_table(matrix: CostMatrix, cap: int = DEFAULT_CAP) -> list[MmsResult]:
     return [mms_exact(matrix.row(i), matrix.n, cap=cap) for i in range(matrix.n)]
 
 
-def certify(
-    allocation: Allocation,
-    matrix: CostMatrix,
-    alpha: float,
-    cap: int = DEFAULT_CAP,
-    tol: float = 0.0,
-) -> list[bool]:
-    """Per-agent check that bundle cost <= alpha * MMS (0/0 counts as 1)."""
-    table = mms_table(matrix, cap=cap)
-    return [
-        ratio_of(matrix.cost_of(i, allocation.bundles[i]), table[i].value) <= alpha + tol
-        for i in range(matrix.n)
-    ]
-
-
 def evaluate(
     allocation: Allocation,
     matrix: CostMatrix,

@@ -107,15 +107,6 @@ def rankings(matrix: CostMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(rank(matrix, i) for i in range(matrix.n))
 
 
-def pick_order(row: Sequence[float]) -> list[int]:
-    """Items in ascending cost order with ascending-index tie-break.
-
-    This is the canonical greedy pick order for chores: cheapest first.
-    Note it is *not* simply the reversed ranking when ties are present.
-    """
-    return sorted(range(len(row)), key=lambda j: (row[j], j))
-
-
 def surrogate_matrix(orders: Sequence[Sequence[int]]) -> CostMatrix:
     """Rank-driven stand-in costs: the item at ranking position k costs m - k.
 
@@ -230,7 +221,3 @@ def parse_instance(doc: dict) -> CostMatrix:
     if "m" in doc and doc["m"] != matrix.m:
         raise ValueError(f'instance "m"={doc["m"]} but rows have {matrix.m} entries')
     return matrix
-
-
-def dump_instance(matrix: CostMatrix) -> dict:
-    return {"n": matrix.n, "m": matrix.m, "costs": [list(r) for r in matrix.costs]}

@@ -19,8 +19,8 @@ import numpy as np
 
 from .algorithms import (
     allocate,
+    declared_labels,
     label_count,
-    label_sets,
     randdecl,
     randdecl_expected_cost,
 )
@@ -180,12 +180,7 @@ def enum_expected_cost(
     places each pooled item on each agent with probability 1/n).
     """
     n, m = matrix.n, matrix.m
-    labels = list(label_sets(matrix))
-    if label_override is not None:
-        declared = frozenset(label_override)
-        if len(declared) != label_count(n, m):
-            raise ValueError("label override has the wrong size")
-        labels[agent] = declared
+    labels = declared_labels(matrix, agent, label_override)
     row = matrix.row(agent)
     total = 0.0
     count = 0

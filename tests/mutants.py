@@ -6,25 +6,20 @@ real algorithms means nothing.
 
 from __future__ import annotations
 
-from choremms.algorithms import build_schedule
-from choremms.model import Allocation, CostMatrix
+from choremms.algorithms import build_schedule, seqpick
+from choremms.model import Allocation, CostMatrix, rankings, surrogate_matrix
 from choremms.verify import enum_expected_cost
 
 
 def greedy_worst_seqpick(matrix: CostMatrix) -> Allocation:
     """seqpick with the greed inverted: every picker takes its most
-    expensive remaining items. Misreporting the ranking is obviously
-    profitable here."""
-    schedule = build_schedule(matrix.n, matrix.m)
-    remaining = set(range(matrix.m))
-    bundles: list[set[int]] = [set() for _ in range(matrix.n)]
-    for i in reversed(range(matrix.n)):
-        row = matrix.row(i)
-        order = sorted(remaining, key=lambda j: (-row[j], j))
-        take = order[: schedule.counts[i]]
-        bundles[i].update(take)
-        remaining.difference_update(take)
-    return Allocation.from_lists(bundles)
+    expensive remaining items, ties by ascending index. Misreporting the
+    ranking is obviously profitable here.
+
+    Surrogate costs built from the reversed rankings make the most
+    expensive item the cheapest, so plain seqpick picks in that order."""
+    worst_first = surrogate_matrix([order[::-1] for order in rankings(matrix)])
+    return seqpick(worst_first, build_schedule(matrix.n, matrix.m))
 
 
 def argmax_assigner(matrix: CostMatrix) -> Allocation:

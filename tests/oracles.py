@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own search code: the maxmin-share
 oracle enumerates every set partition via restricted-growth assignments and
-takes the min-max directly.
+takes the min-max directly, and the serial-pick oracle rescans every
+remaining item at every pick.
 """
 
 from __future__ import annotations
@@ -34,3 +35,16 @@ def mms_bruteforce(row: Sequence[float], n: int) -> float:
 
     rec(0, 0)
     return best
+
+
+def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[int], ...]:
+    """Bundles when each agent of `sequence` in turn takes the remaining
+    item that is smallest by (its cost, index)."""
+    costs = matrix.costs
+    remaining = set(range(len(costs[0])))
+    bundles: list[set[int]] = [set() for _ in costs]
+    for i in sequence:
+        j = min(remaining, key=lambda t: (costs[i][t], t))
+        bundles[i].add(j)
+        remaining.remove(j)
+    return tuple(frozenset(b) for b in bundles)

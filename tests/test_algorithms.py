@@ -98,17 +98,19 @@ def test_seqpick_schedule_mismatch():
 
 
 def test_seqpick_greedy_is_dominant():
-    # at each picker's turn, its greedy set is the cheapest same-size set
+    # at each picker's turn, the set seqpick gave it is the cheapest
+    # same-size set of the items still left
     rng = np.random.default_rng(42)
     for _ in range(40):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(n + 1, 7))
         inst = uniform_instance(rng, n, m)
         sched = build_schedule(n, m)
+        alloc = seqpick(inst, sched)
         remaining = set(range(m))
         for i in reversed(range(n)):
             row = inst.row(i)
-            take = sorted(remaining, key=lambda j: (row[j], j))[: sched.counts[i]]
+            take = alloc.bundles[i]
             greedy_cost = sum(row[j] for j in take)
             for alt in combinations(sorted(remaining), sched.counts[i]):
                 assert sum(row[j] for j in alt) >= greedy_cost - 1e-12
@@ -173,10 +175,19 @@ def test_randdecl_partition_and_reproducibility():
         assert sum(sizes) == m
 
 
-def test_randdecl_label_override_size_checked():
+@pytest.mark.parametrize(
+    "declare",
+    [
+        lambda inst, labels: randdecl(inst, 0, label_override=(0, labels)),
+        lambda inst, labels: randdecl_expected_cost(inst, 0, labels),
+        lambda inst, labels: enum_expected_cost(inst, 0, labels),
+    ],
+    ids=["randdecl", "randdecl_expected_cost", "enum_expected_cost"],
+)
+def test_randdecl_label_override_size_checked(declare):
     inst = CostMatrix.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
-    with pytest.raises(ValueError, match="size"):
-        randdecl(inst, 0, label_override=(0, frozenset({0})))
+    with pytest.raises(ValueError, match="^label override must have size 2, got 1$"):
+        declare(inst, frozenset({0}))
 
 
 def test_expected_cost_uniform_example():
@@ -252,6 +263,13 @@ def test_roundrobin_one_item_each_when_m_equals_n():
     inst = uniform_instance(rng, 4, 4)
     alloc = roundrobin(inst)
     assert all(len(b) == 1 for b in alloc.bundles)
+
+
+def test_pick_order_ties_ascending_index():
+    # four pickers on one shared row take its items in pick order:
+    # cheapest first, ties by ascending index
+    m = CostMatrix.from_rows([[3, 1, 1, 1]] * 4)
+    assert [sorted(b) for b in roundrobin(m).bundles] == [[1], [2], [3], [0]]
 
 
 def test_roundrobin_custom_order():

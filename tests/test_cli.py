@@ -101,6 +101,19 @@ def test_mms_single_agent_and_range_check(capsys, instance):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("command", ["mms", "spcheck"])
+@pytest.mark.parametrize("agent", ["0", "3", "-1"])
+def test_agent_out_of_range(capsys, instance, command, agent):
+    path = instance([[3, 1, 1, 1], [1, 1, 1, 1]])
+    argv = [command, "--instance", path, "--agent", agent]
+    if command == "spcheck":
+        argv += ["--alg", "roundrobin"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --agent {agent} out of range 1..2\n"
+
+
 def test_mms_cap_exceeded(capsys, instance):
     path = instance([list(range(1, 23)), list(range(1, 23))])
     code, _, err = run(capsys, ["mms", "--instance", path])
@@ -269,6 +282,18 @@ def test_eval_bad_config(capsys, tmp_path):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "config", [[{"specs": [], "algorithms": []}], {"specs": [3], "algorithms": []}]
+)
+def test_eval_config_not_an_object(capsys, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["eval", "--config", str(path), "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_1(capsys, instance):

@@ -216,6 +216,10 @@ def test_specs_from_config():
 def test_specs_from_config_errors():
     with pytest.raises(ValueError, match='"specs"'):
         specs_from_config({"algorithms": []})
+    with pytest.raises(ValueError, match="config must be a JSON object, not list"):
+        specs_from_config([{"specs": [], "algorithms": []}])
+    with pytest.raises(ValueError, match="each spec must be a JSON object, not list"):
+        specs_from_config({"specs": [["uniform", 2, 5]], "algorithms": []})
     with pytest.raises(ValueError, match="unknown spec fields"):
         specs_from_config(
             {

@@ -9,7 +9,6 @@ from choremms.model import (
     Model,
     load_instance,
     parse_instance,
-    pick_order,
     rank,
     rankings,
     ratio_of,
@@ -105,10 +104,6 @@ def test_rank_recovers_row_multiset():
 def test_rank_idempotent_on_sorted_row():
     m = CostMatrix.from_rows([[5, 4, 3, 2]])
     assert rank(m, 0) == (0, 1, 2, 3)
-
-
-def test_pick_order_ties_ascending_index():
-    assert pick_order([3, 1, 1, 1]) == [1, 2, 3, 0]
 
 
 def test_surrogate_matrix_encodes_rankings_only():
