@@ -20,6 +20,7 @@ no global generator.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -94,12 +95,15 @@ class PickSchedule:
         return sum(self.counts)
 
 
+@functools.lru_cache(maxsize=256)
 def build_schedule(n: int, m: int) -> PickSchedule:
     """Geometric pick schedule: 2 items for the first half of the agents,
     then sizes growing by (1 + K/n) per agent with K = 2*log2(m/n).
 
     Requires m > n; with m <= n a one-item-each allocation is already
-    optimal and seqpick is the wrong tool.
+    optimal and seqpick is the wrong tool. The schedule is a frozen value of
+    (n, m) alone, so it is built once per (n, m) and shared: a deviation
+    search runs seqpick thousands of times on one size.
     """
     if n < 1:
         raise ValueError("agent count must be >= 1")
@@ -197,6 +201,11 @@ def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(order[:k]) for order in rankings(matrix))
 
 
+def _check_label_size(declared: Sequence[int], k: int) -> None:
+    if len(declared) != k:
+        raise ValueError(f"label override must have size {k}, got {len(declared)}")
+
+
 def declared_labels(
     matrix: CostMatrix, agent: int, declared: Optional[frozenset[int]] = None
 ) -> list[frozenset[int]]:
@@ -205,9 +214,7 @@ def declared_labels(
     labels = list(label_sets(matrix))
     if declared is not None:
         declared = frozenset(declared)
-        k = label_count(matrix.n, matrix.m)
-        if len(declared) != k:
-            raise ValueError(f"label override must have size {k}, got {len(declared)}")
+        _check_label_size(declared, label_count(matrix.n, matrix.m))
         labels[agent] = declared
     return labels
 
@@ -215,7 +222,7 @@ def declared_labels(
 def randdecl(
     matrix: CostMatrix,
     seed: int,
-    label_override: Optional[tuple[int, frozenset[int]]] = None,
+    labels: Optional[Sequence[frozenset[int]]] = None,
 ) -> Allocation:
     """Random assignment, then even redistribution of declared-large items.
 
@@ -225,26 +232,33 @@ def randdecl(
     agent, so shares differ by at most one and each pooled item ends up with
     each agent with probability exactly 1/n. Fully reproducible from `seed`.
 
-    `label_override` replaces one agent's declared label set (it must still
-    have the canonical size); everyone else stays truthful.
+    `labels` is every agent's declared label set (default: the truthful
+    `label_sets`); each must have the canonical size. `declared_labels`
+    builds the profile in which one agent misreports.
     """
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl needs at least 2 agents")
-    agent, declared = label_override or (0, None)
-    labels = declared_labels(matrix, agent, declared)
+    if labels is None:
+        labels = label_sets(matrix)
+    elif len(labels) != n:
+        raise ValueError(f"label profile must have {n} sets, got {len(labels)}")
+    else:
+        k = label_count(n, m)
+        for declared in labels:
+            _check_label_size(declared, k)
     rng = np.random.default_rng(seed)
-    landing = rng.integers(0, n, size=m)
+    landing = rng.integers(0, n, size=m).tolist()
     pooled = [j for j in range(m) if j in labels[landing[j]]]
     bundles: list[set[int]] = [set() for _ in range(n)]
     pool_set = set(pooled)
     for j in range(m):
         if j not in pool_set:
-            bundles[int(landing[j])].add(j)
-    deal = rng.permutation(len(pooled))
+            bundles[landing[j]].add(j)
+    deal = rng.permutation(len(pooled)).tolist()
     start = int(rng.integers(0, n))
     for t, idx in enumerate(deal):
-        bundles[(start + t) % n].add(pooled[int(idx)])
+        bundles[(start + t) % n].add(pooled[idx])
     return Allocation.from_lists(bundles)
 
 

@@ -13,7 +13,8 @@ import io
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +64,13 @@ def generate(spec: GenSpec) -> CostMatrix:
     if spec.family == "fixture":
         from .verify import fixture_instances
 
-        return fixture_instances(spec.name)[spec.index]
+        instances = fixture_instances(spec.name)
+        if not 0 <= spec.index < len(instances):
+            raise ValueError(
+                f"fixture {spec.name!r} has instances 0..{len(instances) - 1}, "
+                f"not {spec.index}"
+            )
+        return instances[spec.index]
     if spec.n < 1 or spec.m < 1:
         raise ValueError("n and m must be >= 1")
     rng = np.random.default_rng(spec.seed)
@@ -230,13 +237,36 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     seeds_per_spec = doc.get("seeds_per_spec", 1)
     if not isinstance(raw_specs, list) or not isinstance(algorithms, list):
         raise ValueError('config needs "specs" and "algorithms" lists')
-    field_names = {f for f in GenSpec.__dataclass_fields__}
+    if not _is_int(seeds_per_spec) or seeds_per_spec < 1:
+        raise ValueError(f'"seeds_per_spec" must be an integer >= 1, got {seeds_per_spec!r}')
+    field_types = {f.name: f.type for f in fields(GenSpec)}
     specs = []
     for entry in raw_specs:
         if not isinstance(entry, dict):
             raise ValueError(f"each spec must be a JSON object, not {type(entry).__name__}")
-        unknown = set(entry) - field_names
+        unknown = set(entry) - set(field_types)
         if unknown:
             raise ValueError(f"unknown spec fields {sorted(unknown)}")
+        for name, value in entry.items():
+            kind, ok = _FIELD_CHECKS[field_types[name]]
+            if not ok(value):
+                raise ValueError(f'spec field "{name}" must be {kind}, got {value!r}')
         specs.append(GenSpec(**entry))
-    return specs, list(algorithms), int(seeds_per_spec)
+    return specs, list(algorithms), seeds_per_spec
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# what a config may give each GenSpec field, by its annotation; a bool is
+# no number here
+_FIELD_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_real),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}

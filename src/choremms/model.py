@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
+from numbers import Real
 from typing import Iterable, Sequence
 
 
@@ -83,9 +84,13 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
             )
             continue
         for j, c in enumerate(row):
-            # bool is an int subclass; identity tests are the cheapest way
-            # to refuse it on a loop that sees every entry of large files
-            if c is True or c is False or not isinstance(c, (int, float)):
+            # Any real number is a cost (numpy's too), but a bool is not,
+            # though it is an int subclass (np.bool_ is no Real). A JSON
+            # grid holds only ints and floats, so exact-type tests settle
+            # most entries first, on a loop that sees every entry of large
+            # files.
+            t = type(c)
+            if t is not float and t is not int and (t is bool or not isinstance(c, Real)):
                 problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
             elif c < 0:
                 problems.append(f"negative cost at ({i + 1},{j + 1})")

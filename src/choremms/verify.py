@@ -98,38 +98,34 @@ def sp_check_ordinal(
     truthful_matrix = (
         surrogate_matrix(true_orders) if model is Model.ORDINAL else matrix
     )
+    # Every misreport changes the agent's row alone: the other rows are
+    # shared, and the agent's reported row is the cache key.
+    base = truthful_matrix.costs
+    cache: dict[tuple[float, ...], float] = {}
 
-    cache: dict[tuple, float] = {}
+    def run_on(row: tuple[float, ...]) -> float:
+        if row not in cache:
+            alloc = algorithm(CostMatrix(base[:agent] + (row,) + base[agent + 1 :]))
+            cache[row] = sum(true_row[j] for j in alloc.bundles[agent])
+        return cache[row]
 
-    def run_on(reported: CostMatrix) -> float:
-        key = reported.costs
-        if key not in cache:
-            alloc = algorithm(reported)
-            cache[key] = sum(true_row[j] for j in alloc.bundles[agent])
-        return cache[key]
-
-    def with_agent_row(row: Sequence[float]) -> CostMatrix:
-        rows = [list(r) for r in matrix.costs]
-        rows[agent] = list(row)
-        return CostMatrix.from_rows(rows)
-
-    truthful_cost = run_on(truthful_matrix)
+    truthful_cost = run_on(base[agent])
     best = truthful_cost
     best_desc = "truthful"
 
     if model in (Model.ORDINAL, Model.CARDINAL):
-        sorted_costs = sorted(true_row, reverse=True)
+        # the value at ranking position k: the surrogate's m - k, or the
+        # agent's k-th largest true cost; both rows are already valid
+        values = (
+            [float(m - pos) for pos in range(m)]
+            if model is Model.ORDINAL
+            else sorted(true_row, reverse=True)
+        )
+        row = [0.0] * m
         for perm in permutations(range(m)):
-            if model is Model.ORDINAL:
-                orders = list(true_orders)
-                orders[agent] = perm
-                reported = surrogate_matrix(orders)
-            else:
-                row = [0.0] * m
-                for pos, j in enumerate(perm):
-                    row[j] = sorted_costs[pos]
-                reported = with_agent_row(row)
-            cost = run_on(reported)
+            for pos, j in enumerate(perm):
+                row[j] = values[pos]
+            cost = run_on(tuple(row))
             if cost < best:
                 best = cost
                 best_desc = f"ranking {tuple(j + 1 for j in perm)}"
@@ -141,7 +137,10 @@ def sp_check_ordinal(
                 row, true_orders[agent]
             ):
                 continue
-            cost = run_on(with_agent_row(row))
+            # factor x cost can overflow to inf: validate the whole report
+            rows = list(base)
+            rows[agent] = row
+            cost = run_on(CostMatrix.from_rows(rows).costs[agent])
             if cost < best:
                 best = cost
                 best_desc = f"grid factors {factors}"
@@ -204,13 +203,17 @@ def mc_expected_cost(
     trials: int = 10_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, stderr) of the agent's randdecl cost."""
-    override = None if label_override is None else (agent, frozenset(label_override))
+    """Monte-Carlo estimate (mean, stderr) of the agent's randdecl cost.
+
+    Trial t runs `randdecl` on the t-th seed drawn from `SeedSequence(seed)`,
+    with every agent's declared labels built once for all trials.
+    """
+    labels = declared_labels(matrix, agent, label_override)
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     row = matrix.row(agent)
     costs = np.empty(trials)
     for t in range(trials):
-        alloc = randdecl(matrix, int(seeds[t]), label_override=override)
+        alloc = randdecl(matrix, int(seeds[t]), labels=labels)
         costs[t] = sum(row[j] for j in alloc.bundles[agent])
     stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(costs.mean()), stderr

@@ -1,3 +1,4 @@
+import logging
 from itertools import combinations, product
 
 import numpy as np
@@ -64,6 +65,14 @@ def test_schedule_deficit_repair_recorded():
     s = build_schedule(2, 100)  # tiny n, huge m: formula cannot cover m
     assert s.repaired > 0
     assert sum(s.counts) == 100
+
+
+def test_schedule_built_once_per_size(caplog):
+    build_schedule.cache_clear()
+    with caplog.at_level(logging.INFO, logger="choremms.algorithms"):
+        first = build_schedule(2, 100)
+        assert build_schedule(2, 100) is first
+    assert len(caplog.records) == 1  # the repair is logged when first built
 
 
 # --- seqpick -----------------------------------------------------------------
@@ -178,7 +187,7 @@ def test_randdecl_partition_and_reproducibility():
 @pytest.mark.parametrize(
     "declare",
     [
-        lambda inst, labels: randdecl(inst, 0, label_override=(0, labels)),
+        lambda inst, labels: randdecl(inst, 0, labels=[labels, label_sets(inst)[1]]),
         lambda inst, labels: randdecl_expected_cost(inst, 0, labels),
         lambda inst, labels: enum_expected_cost(inst, 0, labels),
     ],
@@ -188,6 +197,12 @@ def test_randdecl_label_override_size_checked(declare):
     inst = CostMatrix.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
     with pytest.raises(ValueError, match="^label override must have size 2, got 1$"):
         declare(inst, frozenset({0}))
+
+
+def test_randdecl_label_profile_needs_one_set_per_agent():
+    inst = CostMatrix.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
+    with pytest.raises(ValueError, match="^label profile must have 2 sets, got 1$"):
+        randdecl(inst, 0, labels=label_sets(inst)[:1])
 
 
 def test_expected_cost_uniform_example():

@@ -237,6 +237,18 @@ def test_spcheck_randdecl_exact(capsys, instance):
     assert all(r["deviation"] == "truthful" for r in doc["reports"])
 
 
+def test_spcheck_grid_overflow_is_a_clean_error(capsys, instance):
+    # factor 2 on 1e308 overflows to inf: the grid report must be refused
+    path = instance([[1e308, 1, 1, 1], [1, 2, 3, 4]])
+    code, out, err = run(
+        capsys,
+        ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public", "--grid"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid cost matrix: non-finite cost at (1,1)\n"
+
+
 def test_witness_ordinal_det(capsys):
     code, doc, _ = run_json(capsys, ["witness", "ordinal-det"])
     assert code == 0
@@ -294,6 +306,30 @@ def test_eval_config_not_an_object(capsys, tmp_path, config):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, seeds_per_spec",
+    [
+        ({"n": "3"}, 1),
+        ({"seed": 1.5}, 1),
+        ({}, -2),
+        ({}, "2"),
+    ],
+)
+def test_eval_config_field_types(capsys, tmp_path, spec, seeds_per_spec):
+    config = {
+        "specs": [{"family": "uniform", "n": 3, "m": 5, "seed": 1, **spec}],
+        "algorithms": ["seqpick"],
+        "seeds_per_spec": seeds_per_spec,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["eval", "--config", str(path), "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be an integer" in err
 
 
 def test_usage_errors_exit_1(capsys, instance):

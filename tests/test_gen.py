@@ -53,6 +53,16 @@ def test_fixture_family():
     assert inst.row(0) == (1.0, 3.0, 1.0, 1.0)
 
 
+def test_fixture_index_out_of_range_is_a_skipped_cell():
+    for index in (3, -1):
+        spec = GenSpec("fixture", n=2, m=4, seed=0, name="cardinal_43", index=index)
+        reason = f"fixture 'cardinal_43' has instances 0..2, not {index}"
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            generate(spec)
+        rows, failures = run_batch([spec], ["seqpick"], seeds_per_spec=1)
+        assert rows == [] and [f.reason for f in failures] == [reason]
+
+
 def test_generate_determinism_and_seed_sensitivity():
     a = generate(GenSpec("uniform", n=3, m=5, seed=42))
     b = generate(GenSpec("uniform", n=3, m=5, seed=42))
@@ -227,3 +237,30 @@ def test_specs_from_config_errors():
                 "algorithms": [],
             }
         )
+    good = {"family": "uniform", "n": 2, "m": 5, "seed": 3}
+    for field, value, kind in [
+        ("n", "3", "an integer"),
+        ("m", True, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("index", None, "an integer"),
+        ("lo", "0", "a number"),
+        ("rho", False, "a number"),
+        ("family", 3, "a string"),
+        ("name", ["x"], "a string"),
+    ]:
+        with pytest.raises(ValueError, match=f'^spec field "{field}" must be {kind}, got '):
+            specs_from_config({"specs": [{**good, field: value}], "algorithms": []})
+    for seeds_per_spec in (-2, 0, "2", 1.0, True, None):
+        with pytest.raises(ValueError, match='^"seeds_per_spec" must be an integer >= 1, got '):
+            specs_from_config(
+                {"specs": [good], "algorithms": [], "seeds_per_spec": seeds_per_spec}
+            )
+    # ints are numbers, and numpy's count too
+    specs, _, seeds_per_spec = specs_from_config(
+        {
+            "specs": [{**good, "lo": 0, "hi": np.float64(2.5)}],
+            "algorithms": [],
+            "seeds_per_spec": np.int64(2),
+        }
+    )
+    assert (specs[0].lo, specs[0].hi, seeds_per_spec) == (0, 2.5, 2)

@@ -50,6 +50,30 @@ def test_validate_flags_boolean_cost():
     ]
 
 
+def test_validate_accepts_numpy_numbers():
+    grid = np.array([[3, 1, 1, 1], [2, 2, 1, 0]])
+    assert validate(grid) == []
+    assert validate(grid.astype(np.float32)) == []
+    assert validate([[np.int64(3), np.float64(1.5)], [np.uint8(2), 1]]) == []
+    assert CostMatrix.from_rows(grid).costs[0] == (3.0, 1.0, 1.0, 1.0)
+    assert validate([[np.int64(-1), np.float64("inf")]]) == [
+        "negative cost at (1,1)",
+        "non-finite cost at (1,2)",
+    ]
+
+
+def test_validate_flags_numpy_boolean_and_other_non_numbers():
+    assert validate([[np.True_, 1], [np.False_, 1]]) == [
+        "non-numeric cost at (1,1)",
+        "non-numeric cost at (2,1)",
+    ]
+    assert validate([["3", None, 1j]]) == [
+        "non-numeric cost at (1,1)",
+        "non-numeric cost at (1,2)",
+        "non-numeric cost at (1,3)",
+    ]
+
+
 def test_parse_instance_rejects_malformed_documents():
     with pytest.raises(ValueError, match="JSON object"):
         parse_instance([[1, 2], [3, 4]])
