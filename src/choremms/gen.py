@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import allocate
+from .algorithms import ALGORITHMS, allocate
 from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
 from .model import CostMatrix
 
@@ -252,6 +252,15 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
             if not ok(value):
                 raise ValueError(f'spec field "{name}" must be {kind}, got {value!r}')
         specs.append(GenSpec(**entry))
+    if not specs:
+        raise ValueError('"specs" must not be empty')
+    if not algorithms:
+        raise ValueError('"algorithms" must not be empty')
+    for k, name in enumerate(algorithms):
+        if name not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+        if name in algorithms[:k]:
+            raise ValueError(f"algorithm {name!r} is listed twice")
     return specs, list(algorithms), seeds_per_spec
 
 

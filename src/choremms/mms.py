@@ -4,8 +4,12 @@ An agent's maxmin share is the smallest achievable maximum bundle cost over
 all n-partitions of the items, measured with the agent's own cost row. The
 exact solver is a branch-and-bound over item-to-bundle assignments (items in
 descending cost order, duplicate-load symmetry skipped, incumbent seeded by
-a longest-processing-time greedy). Exact MMS is NP-hard, so item counts are
-capped; above the cap only the cheap lower/upper bounds are available.
+a longest-processing-time greedy). It cuts a node with the closed-bundle
+bound of bin completion (Korf, IJCAI 2009): a bundle that not even the
+smallest item fits under the incumbent is closed, and the items left must
+fit in the room the open bundles have below the incumbent. Exact MMS is
+NP-hard, so item counts are capped; above the cap only the cheap
+lower/upper bounds are available.
 """
 
 from __future__ import annotations
@@ -82,42 +86,70 @@ def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult
     lower = max(total / n, max(row))
     best_val, lpt_bundles = _lpt(items, row, n)
     costs = [row[j] for j in items]
+    last = len(items) - 1
+    smallest = costs[-1]
+    rest = costs + [0.0]  # rest[idx]: the cost of items[idx:]
+    for idx in range(last - 1, -1, -1):
+        rest[idx] += rest[idx + 1]
+    # Rounding margin of the bound below. Each sum it uses (a load, rest[idx],
+    # the room) adds at most m + n floats, with partial sums below about
+    # n * best_val, so it is off its exact value by less than (m + n) * n *
+    # best_val * 2**-53. The bound weighs a few such errors; margin allows
+    # sixteen, so it never cuts a node whose exact room would fit the rest.
+    margin = 8 * (m + n) * n * 2.0**-52
     assign = [0] * len(items)
     best_assign: list[int] | None = None
-    if best_val <= lower:
-        best_assign = None  # LPT already optimal, keep its bundles
     loads = [0.0] * n
     proven = False
 
-    def dfs(idx: int, cur_max: float) -> None:
+    def dfs(idx: int, cur_max: float, checked: float) -> None:
         nonlocal best_val, best_assign, proven
-        if proven:
-            return
-        if idx == len(items):
-            best_val = cur_max
-            best_assign = assign.copy()
-            if best_val <= lower:
-                proven = True
-            return
+        # Closed-bundle bound: a bundle is closed when even the smallest
+        # item lifts it to best_val, so the admission test below refuses it
+        # every item. A leaf under this node fits items[idx:] into the open
+        # bundles' room; without it, nothing here can become the incumbent.
+        # An item put in a bundle that stays open takes as much off the room
+        # as off the rest, so the bound runs only where a bundle has closed
+        # or best_val has dropped since it last ran at `checked` (0.0: run).
+        if checked != best_val:
+            room = 0.0
+            for load in loads:
+                if load + smallest >= best_val:
+                    continue  # closed
+                room += best_val - load
+            if room < rest[idx] - margin * best_val:
+                return
+            checked = best_val
         c = costs[idx]
-        seen: set[float] = set()
         for b in range(n):
             load = loads[b]
-            if load in seen:
+            if load in loads[:b]:
                 continue  # bundles with equal load are interchangeable
-            seen.add(load)
             new_load = load + c
             if new_load >= best_val:
                 continue
-            loads[b] = new_load
             assign[idx] = b
-            dfs(idx + 1, new_load if new_load > cur_max else cur_max)
+            if idx == last:
+                # the last item: each admissible bundle ends a leaf, which
+                # becomes the incumbent even when it only ties best_val
+                best_val = new_load if new_load > cur_max else cur_max
+                best_assign = assign.copy()
+                if best_val <= lower:
+                    proven = True
+                    return
+                continue
+            loads[b] = new_load
+            dfs(
+                idx + 1,
+                new_load if new_load > cur_max else cur_max,
+                0.0 if new_load + smallest >= best_val else checked,
+            )
             loads[b] = load
             if proven:
                 return
 
     if best_val > lower:
-        dfs(0, 0.0)
+        dfs(0, 0.0, 0.0)
 
     if best_assign is None:
         bundles = [set(b) for b in lpt_bundles]

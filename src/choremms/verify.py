@@ -10,6 +10,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -215,8 +216,10 @@ def mc_expected_cost(
     for t in range(trials):
         alloc = randdecl(matrix, int(seeds[t]), labels=labels)
         costs[t] = sum(row[j] for j in alloc.bundles[agent])
-    stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return float(costs.mean()), stderr
+    # costs near the float limit overflow to inf here, which the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        return float(costs.mean()), stderr
 
 
 def sp_check_randomized(
@@ -266,6 +269,11 @@ def sp_check_randomized(
             for declared in (None, best_labels):
                 ref = enum_expected_cost(matrix, agent, declared)
                 val = oracle(matrix, agent, declared)
+                if not (math.isfinite(ref) and math.isfinite(val)):
+                    raise ValueError(
+                        f"expected cost is not finite (closed form {val}, enumeration "
+                        f"{ref}); the costs are too large to cross-check"
+                    )
                 if abs(ref - val) > 1e-9:
                     raise AssertionError(
                         f"closed form {val} disagrees with enumeration {ref} "
@@ -276,6 +284,11 @@ def sp_check_randomized(
             raise ValueError("montecarlo mode requires at least 10^4 trials")
         if default_oracle:
             est, stderr = mc_expected_cost(matrix, agent, None, trials, seed)
+            if not (math.isfinite(est) and math.isfinite(stderr)):
+                raise ValueError(
+                    f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "
+                    "the costs are too large to cross-check"
+                )
             slack = max(6.0 * stderr, 1e-12)
             if abs(est - truthful) > slack:
                 raise AssertionError(

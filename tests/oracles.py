@@ -6,7 +6,9 @@ takes the min-max directly, the serial-pick oracle rescans every remaining
 item at every pick, and the deviation-search oracle builds and validates
 every reported matrix from scratch, with no cache. The randdecl reference
 is the earlier, unhoisted body of the algorithm, which the faster one must
-match draw for draw.
+match draw for draw, and the mms_exact reference is the search as it was
+before the closed-bundle bound, which the faster one must match in value,
+witness and method.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from choremms.algorithms import declared_labels
+from choremms.mms import DEFAULT_CAP, MmsCapError, MmsResult, _lpt, _sorted_bundles
 from choremms.model import Allocation, CostMatrix, Model
 
 
@@ -44,6 +47,87 @@ def mms_bruteforce(row: Sequence[float], n: int) -> float:
 
     rec(0, 0)
     return best
+
+
+def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult:
+    """mms_exact as it was before the closed-bundle bound: the same search
+    with no bound, a recursive leaf and a set of the loads seen per node."""
+    m = len(row)
+    if n < 1:
+        raise ValueError("agent count must be >= 1")
+    if any(c < 0 for c in row):
+        raise ValueError("costs must be nonnegative")
+    if m > cap:
+        raise MmsCapError(
+            f"{m} items exceeds the exact-computation cap of {cap}; use mms_bounds"
+        )
+    total = float(sum(row))
+    if n == 1:
+        return MmsResult(total, Allocation.from_lists([set(range(m))]), "exact")
+
+    items = sorted((j for j in range(m) if row[j] > 0), key=lambda j: (-row[j], j))
+    zeros = [j for j in range(m) if row[j] == 0]
+
+    if len(items) <= n:
+        # one positive item per bundle is optimal
+        bundles: list[set[int]] = [set() for _ in range(n)]
+        for k, j in enumerate(items):
+            bundles[k].add(j)
+        bundles[-1].update(zeros)
+        value = row[items[0]] if items else 0.0
+        return MmsResult(float(value), _sorted_bundles(bundles, row), "exact")
+
+    lower = max(total / n, max(row))
+    best_val, lpt_bundles = _lpt(items, row, n)
+    costs = [row[j] for j in items]
+    assign = [0] * len(items)
+    best_assign: list[int] | None = None
+    if best_val <= lower:
+        best_assign = None  # LPT already optimal, keep its bundles
+    loads = [0.0] * n
+    proven = False
+
+    def dfs(idx: int, cur_max: float) -> None:
+        nonlocal best_val, best_assign, proven
+        if proven:
+            return
+        if idx == len(items):
+            best_val = cur_max
+            best_assign = assign.copy()
+            if best_val <= lower:
+                proven = True
+            return
+        c = costs[idx]
+        seen: set[float] = set()
+        for b in range(n):
+            load = loads[b]
+            if load in seen:
+                continue  # bundles with equal load are interchangeable
+            seen.add(load)
+            new_load = load + c
+            if new_load >= best_val:
+                continue
+            loads[b] = new_load
+            assign[idx] = b
+            dfs(idx + 1, new_load if new_load > cur_max else cur_max)
+            loads[b] = load
+            if proven:
+                return
+
+    if best_val > lower:
+        dfs(0, 0.0)
+
+    if best_assign is None:
+        bundles = [set(b) for b in lpt_bundles]
+    else:
+        bundles = [set() for _ in range(n)]
+        for idx, b in enumerate(best_assign):
+            bundles[b].add(items[idx])
+    # zero-cost items never move the max; park them in the lightest bundle
+    if zeros:
+        lightest = min(range(n), key=lambda k: (sum(row[j] for j in bundles[k]), k))
+        bundles[lightest].update(zeros)
+    return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
 
 
 def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[int], ...]:

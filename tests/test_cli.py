@@ -249,6 +249,19 @@ def test_spcheck_grid_overflow_is_a_clean_error(capsys, instance):
     assert err == "error: invalid cost matrix: non-finite cost at (1,1)\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
+    # the expected cost sums to inf: one error line, not a pass or a traceback
+    path = instance([[1e308, 1, 1, 1], [1, 2, 3, 4]])
+    code, out, err = run(
+        capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--agent", "1", *mode]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+
+
 def test_witness_ordinal_det(capsys):
     code, doc, _ = run_json(capsys, ["witness", "ordinal-det"])
     assert code == 0
@@ -330,6 +343,28 @@ def test_eval_config_field_types(capsys, tmp_path, spec, seeds_per_spec):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "specs, algorithms, message",
+    [
+        ([], ["seqpick"], '"specs" must not be empty'),
+        (None, [], '"algorithms" must not be empty'),
+        (None, ["seqpick", "seqpick"], "algorithm 'seqpick' is listed twice"),
+        (None, ["seqpick", "greedy"], "unknown algorithm 'greedy'"),
+    ],
+)
+def test_eval_degenerate_config(capsys, tmp_path, specs, algorithms, message):
+    if specs is None:
+        specs = [{"family": "uniform", "n": 3, "m": 5, "seed": 1}]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"specs": specs, "algorithms": algorithms}))
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, ["eval", "--config", str(path), "--out", str(out_csv)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not out_csv.exists()
 
 
 def test_usage_errors_exit_1(capsys, instance):

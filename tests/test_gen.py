@@ -255,11 +255,21 @@ def test_specs_from_config_errors():
             specs_from_config(
                 {"specs": [good], "algorithms": [], "seeds_per_spec": seeds_per_spec}
             )
+    # checked after the fields: an empty, repeated or unknown entry
+    for raw_specs, algorithms, message in [
+        ([], ["seqpick"], '^"specs" must not be empty$'),
+        ([good], [], '^"algorithms" must not be empty$'),
+        ([good], ["seqpick", "dc3", "seqpick"], "^algorithm 'seqpick' is listed twice$"),
+        ([good], ["seqpick", "greedy"], "^unknown algorithm 'greedy'; choose from "),
+        ([good], [3], "^unknown algorithm 3; choose from "),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            specs_from_config({"specs": raw_specs, "algorithms": algorithms})
     # ints are numbers, and numpy's count too
     specs, _, seeds_per_spec = specs_from_config(
         {
             "specs": [{**good, "lo": 0, "hi": np.float64(2.5)}],
-            "algorithms": [],
+            "algorithms": ["seqpick"],
             "seeds_per_spec": np.int64(2),
         }
     )

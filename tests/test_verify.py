@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from choremms import verify
 from choremms.algorithms import allocate
 from choremms.model import Allocation, CostMatrix, Model
 from choremms.verify import (
@@ -142,6 +143,27 @@ def test_montecarlo_needs_enough_trials():
 def test_exact_mode_refuses_huge_enumeration():
     inst = uniform_instance(np.random.default_rng(0), 4, 12)
     with pytest.raises(ValueError, match="infeasible"):
+        sp_check_randomized(inst, 0, mode="exact")
+
+
+def test_randdecl_overflow_is_refused_not_passed(recwarn):
+    # the sum over trials or landings overflows to inf: no cross-check is
+    # possible, so neither mode may report a pass
+    inst = CostMatrix.from_rows([[1e308, 1, 1, 1], [1, 2, 3, 4]])
+    with pytest.raises(ValueError, match="^Monte-Carlo estimate inf .* is not finite"):
+        sp_check_randomized(inst, 0, mode="montecarlo")
+    with pytest.raises(ValueError, match="^expected cost is not finite"):
+        sp_check_randomized(inst, 0, mode="exact")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_exact_cross_check_disagreement_stays_an_assertion(monkeypatch):
+    closed_form = verify.randdecl_expected_cost
+    monkeypatch.setattr(
+        verify, "randdecl_expected_cost", lambda *a, **kw: closed_form(*a, **kw) + 1.0
+    )
+    inst = CostMatrix.from_rows([[3, 1, 1, 1], [1, 1, 1, 3]])
+    with pytest.raises(AssertionError, match="disagrees with enumeration"):
         sp_check_randomized(inst, 0, mode="exact")
 
 
