@@ -76,14 +76,12 @@ def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
 class PickSchedule:
     """The bundle sizes a_1..a_n used by seqpick (agent n picks first).
 
-    `truncated` marks entries clipped by the items-remaining guard;
     `repaired` is the deficit added to a_n when the raw formula undershoots
     m (which happens outside the large-m/n regime the formula targets).
     """
 
     counts: tuple[int, ...]
     k_param: float
-    truncated: tuple[bool, ...]
     repaired: int
 
     @property
@@ -112,20 +110,17 @@ def build_schedule(n: int, m: int) -> PickSchedule:
     k = 2.0 * math.log2(m / n)
     half = n // 2
     counts: list[int] = []
-    truncated: list[bool] = []
     prefix = 0
     for i in range(1, n + 1):
         if i <= half:
-            a, clipped = 2, False
+            a = 2
         else:
             raw = math.ceil(k * (1.0 + k / n) ** (i - half - 1))
             # clip to the growth cap outright: smaller entries only improve
             # the ratio, and the cap is what the guarantee actually needs
             cap = int(math.floor(k * math.ceil(prefix / n) + 1e-9)) if prefix else raw
             a = min(m - prefix, raw, cap)
-            clipped = a < min(raw, cap)
         counts.append(a)
-        truncated.append(clipped)
         prefix += a
     repaired = m - prefix
     if repaired > 0:
@@ -136,7 +131,7 @@ def build_schedule(n: int, m: int) -> PickSchedule:
         logger.info(
             "schedule deficit repair: n=%d m=%d, added %d items to a_n", n, m, repaired
         )
-    return PickSchedule(tuple(counts), k, tuple(truncated), max(repaired, 0))
+    return PickSchedule(tuple(counts), k, max(repaired, 0))
 
 
 def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
@@ -201,29 +196,23 @@ def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(order[:k]) for order in rankings(matrix))
 
 
-def _check_label_size(declared: Sequence[int], k: int) -> None:
-    if len(declared) != k:
-        raise ValueError(f"label override must have size {k}, got {len(declared)}")
+Labels = Sequence[frozenset[int]]
 
 
-def declared_labels(
-    matrix: CostMatrix, agent: int, declared: Optional[frozenset[int]] = None
-) -> list[frozenset[int]]:
-    """Every agent's declared label set: truthful, except that `agent`
-    declares `declared` when given, which must have the canonical size."""
-    labels = list(label_sets(matrix))
-    if declared is not None:
-        declared = frozenset(declared)
-        _check_label_size(declared, label_count(matrix.n, matrix.m))
-        labels[agent] = declared
+def check_labels(matrix: CostMatrix, labels: Labels) -> Labels:
+    """Return a declared label profile after checking that it holds one set
+    per agent, each of the canonical size."""
+    n = matrix.n
+    if len(labels) != n:
+        raise ValueError(f"label profile must have {n} sets, got {len(labels)}")
+    k = label_count(n, matrix.m)
+    for declared in labels:
+        if len(declared) != k:
+            raise ValueError(f"label override must have size {k}, got {len(declared)}")
     return labels
 
 
-def randdecl(
-    matrix: CostMatrix,
-    seed: int,
-    labels: Optional[Sequence[frozenset[int]]] = None,
-) -> Allocation:
+def randdecl(matrix: CostMatrix, seed: int, labels: Optional[Labels] = None) -> Allocation:
     """Random assignment, then even redistribution of declared-large items.
 
     Phase 1 sends every item to a uniformly random agent. Items that landed
@@ -232,21 +221,13 @@ def randdecl(
     agent, so shares differ by at most one and each pooled item ends up with
     each agent with probability exactly 1/n. Fully reproducible from `seed`.
 
-    `labels` is every agent's declared label set (default: the truthful
-    `label_sets`); each must have the canonical size. `declared_labels`
-    builds the profile in which one agent misreports.
+    `labels` is every agent's declared label set, as in every randdecl
+    function here (default: the truthful `label_sets`).
     """
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl needs at least 2 agents")
-    if labels is None:
-        labels = label_sets(matrix)
-    elif len(labels) != n:
-        raise ValueError(f"label profile must have {n} sets, got {len(labels)}")
-    else:
-        k = label_count(n, m)
-        for declared in labels:
-            _check_label_size(declared, k)
+    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
     rng = np.random.default_rng(seed)
     landing = rng.integers(0, n, size=m).tolist()
     pooled = [j for j in range(m) if j in labels[landing[j]]]
@@ -263,20 +244,17 @@ def randdecl(
 
 
 def randdecl_expected_cost(
-    matrix: CostMatrix,
-    agent: int,
-    label_override: Optional[frozenset[int]] = None,
+    matrix: CostMatrix, agent: int, labels: Optional[Labels] = None
 ) -> float:
-    """Closed-form expected cost of `agent` under randdecl.
+    """Closed-form expected cost of `agent` under randdecl when the agents
+    declare `labels` (default: truthfully).
 
-    Assumes all other agents declare truthfully; `agent` declares
-    `label_override` if given, otherwise truthfully. Decomposes as the
-    phase-1 keep term (1/n of the agent's non-declared costs) plus 1/n of
-    the expected pooled cost, where item j enters the pool with probability
-    b_j/n (b_j = how many agents declared j large).
+    Decomposes as the phase-1 keep term (1/n of the agent's non-declared
+    costs) plus 1/n of the expected pooled cost, where item j enters the
+    pool with probability b_j/n (b_j = how many agents declared j large).
     """
     n, m = matrix.n, matrix.m
-    labels = declared_labels(matrix, agent, label_override)
+    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
     row = matrix.row(agent)
     mine = labels[agent]
     phase1 = sum(row[j] for j in range(m) if j not in mine) / n
@@ -348,7 +326,6 @@ def allocate(
     model: Model = Model.CARDINAL,
     seed: Optional[int] = None,
     agent_order: Optional[Sequence[int]] = None,
-    schedule: Optional[PickSchedule] = None,
 ) -> Allocation:
     """Run one of the four algorithms on an instance.
 
@@ -372,8 +349,7 @@ def allocate(
         work = surrogate_matrix(rankings(matrix))
 
     if algorithm == "seqpick":
-        sched = schedule or build_schedule(matrix.n, matrix.m)
-        return seqpick(work, sched)
+        return seqpick(work, build_schedule(matrix.n, matrix.m))
     if algorithm == "randdecl":
         return randdecl(work, seed)
     if algorithm == "roundrobin":

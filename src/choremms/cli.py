@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -45,8 +46,9 @@ def _jsonable(obj):
 
 
 def _emit(doc) -> None:
-    json.dump(_jsonable(doc), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # serialised whole first: a non-finite float is an error, not half a
+    # document of non-standard JSON
+    sys.stdout.write(json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _bundles_1indexed(allocation) -> list[list[int]]:
@@ -57,14 +59,10 @@ def _parse_order(text: str, n: int) -> list[int]:
     try:
         order = [int(tok) - 1 for tok in text.split(",")]
     except ValueError:
-        raise SystemExit_usage(f"bad --order {text!r}; expected e.g. 2,1,3")
+        raise ValueError(f"bad --order {text!r}; expected e.g. 2,1,3")
     if sorted(order) != list(range(n)):
-        raise SystemExit_usage(f"--order {text!r} is not a permutation of 1..{n}")
+        raise ValueError(f"--order {text!r} is not a permutation of 1..{n}")
     return order
-
-
-class SystemExit_usage(Exception):
-    """Flag/validation problem: exits with code 1."""
 
 
 def _agents(agent, n: int) -> list[int]:
@@ -72,7 +70,7 @@ def _agents(agent, n: int) -> list[int]:
     if agent is None:
         return list(range(n))
     if not 1 <= agent <= n:
-        raise SystemExit_usage(f"--agent {agent} out of range 1..{n}")
+        raise ValueError(f"--agent {agent} out of range 1..{n}")
     return [agent - 1]
 
 
@@ -106,6 +104,8 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
+    if args.alpha is not None and not math.isfinite(args.alpha):
+        raise ValueError(f"--alpha must be a finite number, got {args.alpha}")
     matrix = load_instance(args.instance)
     order = _parse_order(args.order, matrix.n) if args.order else None
     alloc = algorithms.allocate(
@@ -176,8 +176,8 @@ def _cmd_eval(args) -> int:
         doc = json.load(fh)
     try:
         specs, algs, seeds_per_spec = gen.specs_from_config(doc)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit_usage(str(exc))
+    except TypeError as exc:
+        raise ValueError(str(exc))
     rows, failures = gen.run_batch(
         specs, algs, seeds_per_spec, cap=args.cap, workers=args.workers
     )
@@ -251,10 +251,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except SystemExit_usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

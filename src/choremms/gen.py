@@ -212,21 +212,6 @@ def strip_runtime(csv_text: str) -> str:
     return "\n".join(out_lines) + "\n"
 
 
-def aggregate(rows: Sequence[tuple]) -> dict[tuple, dict[str, float]]:
-    """Mean/max of max_ratio per (family, n, m, algorithm) cell."""
-    groups: dict[tuple, list[float]] = {}
-    for family, n, m, alg, _seed, max_ratio, _rt in rows:
-        groups.setdefault((family, n, m, alg), []).append(max_ratio)
-    return {
-        key: {
-            "runs": float(len(vals)),
-            "mean_max_ratio": sum(vals) / len(vals),
-            "max_max_ratio": max(vals),
-        }
-        for key, vals in groups.items()
-    }
-
-
 def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     """Parse the eval config: {"specs": [...], "algorithms": [...],
     "seeds_per_spec": int}."""

@@ -68,7 +68,8 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
 
     Violations are data, not failures: an empty list means the grid is ok.
     Row/column locations in messages are 1-indexed to match the external
-    instance format.
+    instance format. Every cost must be a finite float, and so must every
+    row's sum, which bundle costs and shares are bounded by.
     """
     problems: list[str] = []
     if len(rows) < 1:
@@ -83,6 +84,8 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
                 f"dimension mismatch: row {i + 1} has {len(row)} entries, expected {m}"
             )
             continue
+        found = len(problems)
+        plain = True  # every entry an int or a float, which the C sum adds
         for j, c in enumerate(row):
             # Any real number is a cost (numpy's too), but a bool is not,
             # though it is an int subclass (np.bool_ is no Real). A JSON
@@ -90,13 +93,29 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
             # most entries first, on a loop that sees every entry of large
             # files.
             t = type(c)
-            if t is not float and t is not int and (t is bool or not isinstance(c, Real)):
-                problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
-            elif c < 0:
+            if t is not float and t is not int:
+                if t is bool or not isinstance(c, Real):
+                    problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
+                    continue
+                plain = False
+            if c < 0:
                 problems.append(f"negative cost at ({i + 1},{j + 1})")
-            elif not isfinite(c):  # NaN or +inf
-                problems.append(f"non-finite cost at ({i + 1},{j + 1})")
+                continue
+            try:
+                if not isfinite(c):  # NaN or +inf
+                    problems.append(f"non-finite cost at ({i + 1},{j + 1})")
+            except OverflowError:  # an int past the float range
+                problems.append(f"cost at ({i + 1},{j + 1}) is too large for a float")
+        if len(problems) == found and not _sum_is_finite(row if plain else map(float, row)):
+            problems.append(f"costs of row {i + 1} sum past the float range")
     return problems
+
+
+def _sum_is_finite(costs: Iterable[float]) -> bool:
+    try:
+        return isfinite(sum(costs))
+    except OverflowError:  # ints whose exact sum is past the float range
+        return False
 
 
 def rank(matrix: CostMatrix, agent: int) -> tuple[int, ...]:

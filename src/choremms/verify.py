@@ -19,15 +19,21 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algorithms import (
+    Labels,
     allocate,
-    declared_labels,
+    check_labels,
     label_count,
+    label_sets,
     randdecl,
     randdecl_expected_cost,
 )
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 
 PROFIT_TOL = 1e-9
+# sp_check_ordinal enumerates all m! rankings: 5040 at this many items
+MAX_ORDINAL_ITEMS = 7
+# p spacing of witness_ordinal_rand_grid
+WITNESS_GRID_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class DeviationReport:
         }
 
 
-def algorithm_runner(name: str, agent_order: Optional[Sequence[int]] = None):
+def algorithm_runner(name: str):
     """A matrix -> Allocation callable for the named deterministic algorithm.
 
     The callable consumes whatever matrix the checker hands it (true,
@@ -60,7 +66,7 @@ def algorithm_runner(name: str, agent_order: Optional[Sequence[int]] = None):
     """
     if name not in ("seqpick", "roundrobin", "dc3"):
         raise ValueError(f"no deterministic runner for {name!r}")
-    return lambda mat: allocate(mat, name, agent_order=agent_order)
+    return lambda mat: allocate(mat, name)
 
 
 def _ranking_consistent(row: Sequence[float], order: Sequence[int]) -> bool:
@@ -72,10 +78,8 @@ def sp_check_ordinal(
     matrix: CostMatrix,
     agent: int,
     model: Model = Model.ORDINAL,
-    tol: float = PROFIT_TOL,
     include_grid: bool = False,
     grid_factors: Sequence[float] = (0.5, 1.0, 2.0, 3.0),
-    max_items: int = 7,
 ) -> DeviationReport:
     """Search every unilateral misreport available to `agent` under `model`.
 
@@ -89,9 +93,9 @@ def sp_check_ordinal(
     The resulting bundle is always priced with the agent's *true* row.
     """
     m = matrix.m
-    if m > max_items:
+    if m > MAX_ORDINAL_ITEMS:
         raise ValueError(
-            f"{m} items means {m}! ranking misreports; refuse above {max_items} "
+            f"{m} items means {m}! ranking misreports; refuse above {MAX_ORDINAL_ITEMS} "
             "(use a sampled deviation search instead)"
         )
     true_row = matrix.row(agent)
@@ -154,33 +158,34 @@ def sp_check_ordinal(
         truthful_cost=truthful_cost,
         best_deviation_cost=best,
         deviation=best_desc,
-        profitable=best < truthful_cost - tol,
+        profitable=best < truthful_cost - PROFIT_TOL,
     )
 
 
 # --- randomized deviation search ---------------------------------------------
 
-GatherRule = Callable[[int, int, Sequence[frozenset[int]]], bool]
+GatherRule = Callable[[int, int, Labels], bool]
 
 
-def _standard_gather(item: int, recipient: int, labels: Sequence[frozenset[int]]) -> bool:
+def _standard_gather(item: int, recipient: int, labels: Labels) -> bool:
     return item in labels[recipient]
 
 
 def enum_expected_cost(
     matrix: CostMatrix,
     agent: int,
-    label_override: Optional[frozenset[int]] = None,
+    labels: Optional[Labels] = None,
     gather: GatherRule = _standard_gather,
 ) -> float:
-    """Exact randdecl expectation by enumerating all n^m phase-1 landings.
+    """Exact randdecl expectation by enumerating all n^m phase-1 landings,
+    when the agents declare `labels` (default: truthfully).
 
     Independent of the closed form: per landing, the agent keeps what landed
     on it and was not pooled, plus exactly 1/n of the pooled cost (phase 2
     places each pooled item on each agent with probability 1/n).
     """
     n, m = matrix.n, matrix.m
-    labels = declared_labels(matrix, agent, label_override)
+    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
     row = matrix.row(agent)
     total = 0.0
     count = 0
@@ -200,16 +205,16 @@ def enum_expected_cost(
 def mc_expected_cost(
     matrix: CostMatrix,
     agent: int,
-    label_override: Optional[frozenset[int]] = None,
+    labels: Optional[Labels] = None,
     trials: int = 10_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, stderr) of the agent's randdecl cost.
+    """Monte-Carlo estimate (mean, stderr) of the agent's randdecl cost when
+    the agents declare `labels` (default: truthfully).
 
-    Trial t runs `randdecl` on the t-th seed drawn from `SeedSequence(seed)`,
-    with every agent's declared labels built once for all trials.
+    Trial t runs `randdecl` on the t-th seed drawn from `SeedSequence(seed)`.
     """
-    labels = declared_labels(matrix, agent, label_override)
+    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     row = matrix.row(agent)
     costs = np.empty(trials)
@@ -228,37 +233,35 @@ def sp_check_randomized(
     mode: str = "exact",
     trials: int = 10_000,
     seed: int = 0,
-    tol: float = PROFIT_TOL,
-    expected_cost: Optional[Callable[[CostMatrix, int, Optional[frozenset[int]]], float]] = None,
+    expected_cost: Optional[Callable[[CostMatrix, int, Labels], float]] = None,
 ) -> DeviationReport:
     """Compare the agent's truthful expected cost against every alternative
     label set of the canonical size.
 
     The search itself uses the closed-form expectation (or a caller-supplied
-    one, e.g. for a mutant); `mode` controls the cross-check of the truthful
-    and best-deviation values: "exact" enumerates all phase-1 landings,
-    "montecarlo" simulates at least 10^4 trials.
+    one, e.g. for a mutant), called with the whole declared profile: the
+    truthful one, built once, with the agent's set substituted. `mode`
+    controls the cross-check of the truthful and best-deviation values:
+    "exact" enumerates all phase-1 landings, "montecarlo" simulates at least
+    10^4 trials.
     """
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl deviation search needs at least 2 agents")
     default_oracle = expected_cost is None
-    oracle = expected_cost or (
-        lambda mat, ag, lab: randdecl_expected_cost(mat, ag, label_override=lab)
-    )
-    k = label_count(n, m)
-
-    truthful = oracle(matrix, agent, None)
+    oracle = expected_cost or randdecl_expected_cost
+    truthful_labels = label_sets(matrix)
+    truthful = oracle(matrix, agent, truthful_labels)
     best = truthful
-    best_labels: Optional[frozenset[int]] = None
+    best_labels = truthful_labels
     best_desc = "truthful"
-    for combo in combinations(range(m), k):
-        declared = frozenset(combo)
-        cost = oracle(matrix, agent, declared)
+    for combo in combinations(range(m), label_count(n, m)):
+        labels = truthful_labels[:agent] + (frozenset(combo),) + truthful_labels[agent + 1 :]
+        cost = oracle(matrix, agent, labels)
         if cost < best:
             best = cost
-            best_labels = declared
-            best_desc = f"labels {tuple(j + 1 for j in sorted(declared))}"
+            best_labels = labels
+            best_desc = f"labels {tuple(j + 1 for j in combo)}"
 
     if mode == "exact":
         if n**m > 200_000:
@@ -266,9 +269,9 @@ def sp_check_randomized(
                 f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
             )
         if default_oracle:
-            for declared in (None, best_labels):
-                ref = enum_expected_cost(matrix, agent, declared)
-                val = oracle(matrix, agent, declared)
+            for labels in (truthful_labels, best_labels):
+                ref = enum_expected_cost(matrix, agent, labels)
+                val = oracle(matrix, agent, labels)
                 if not (math.isfinite(ref) and math.isfinite(val)):
                     raise ValueError(
                         f"expected cost is not finite (closed form {val}, enumeration "
@@ -277,13 +280,13 @@ def sp_check_randomized(
                 if abs(ref - val) > 1e-9:
                     raise AssertionError(
                         f"closed form {val} disagrees with enumeration {ref} "
-                        f"for labels {declared}"
+                        f"for the agent's labels {sorted(labels[agent])}"
                     )
     elif mode == "montecarlo":
         if trials < 10_000:
             raise ValueError("montecarlo mode requires at least 10^4 trials")
         if default_oracle:
-            est, stderr = mc_expected_cost(matrix, agent, None, trials, seed)
+            est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials, seed)
             if not (math.isfinite(est) and math.isfinite(stderr)):
                 raise ValueError(
                     f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "
@@ -303,7 +306,7 @@ def sp_check_randomized(
         truthful_cost=truthful,
         best_deviation_cost=best,
         deviation=best_desc,
-        profitable=best < truthful - tol,
+        profitable=best < truthful - PROFIT_TOL,
     )
 
 
@@ -480,10 +483,10 @@ def witness_ordinal_rand() -> tuple[Fraction, Fraction]:
     return value_at(p_star), p_star
 
 
-def witness_ordinal_rand_grid(step: float = 1e-6) -> tuple[float, float]:
+def witness_ordinal_rand_grid() -> tuple[float, float]:
     """Independent cross-check of witness_ordinal_rand on a fine p grid."""
     (au, asp), (bu, bsp) = _class_ratio_pairs()
-    p = np.arange(0.0, 1.0 + step, step)
+    p = np.arange(0.0, 1.0 + WITNESS_GRID_STEP, WITNESS_GRID_STEP)
     values = np.maximum(
         p * float(au) + (1 - p) * float(bu),
         p * float(asp) + (1 - p) * float(bsp),

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from choremms.algorithms import declared_labels
+from choremms.algorithms import label_sets
 from choremms.mms import DEFAULT_CAP, MmsCapError, MmsResult, _lpt, _sorted_bundles
 from choremms.model import Allocation, CostMatrix, Model
 
@@ -153,8 +153,10 @@ def randdecl_reference(
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl needs at least 2 agents")
-    agent, declared = label_override or (0, None)
-    labels = declared_labels(matrix, agent, declared)
+    labels = list(label_sets(matrix))
+    if label_override is not None:
+        agent, declared = label_override
+        labels[agent] = declared
     rng = np.random.default_rng(seed)
     landing = rng.integers(0, n, size=m)
     pooled = [j for j in range(m) if j in labels[landing[j]]]

@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from choremms.algorithms import (
     allocate,
@@ -18,8 +20,8 @@ from choremms.algorithms import (
     seqpick,
 )
 from choremms.mms import evaluate, mms_exact
-from choremms.model import CostMatrix, Model
-from choremms.verify import enum_expected_cost
+from choremms.model import CostMatrix, Model, rankings
+from choremms.verify import enum_expected_cost, mc_expected_cost
 
 
 def uniform_instance(rng, n, m):
@@ -95,7 +97,7 @@ def test_seqpick_single_agent_schedule():
     from choremms.algorithms import PickSchedule
 
     m = CostMatrix.from_rows([[5, 1, 2]])
-    sched = PickSchedule((3,), 0.0, (False,), 0)
+    sched = PickSchedule((3,), 0.0, 0)
     alloc = seqpick(m, sched)
     assert alloc.bundles == (frozenset({0, 1, 2}),)
 
@@ -187,16 +189,19 @@ def test_randdecl_partition_and_reproducibility():
 @pytest.mark.parametrize(
     "declare",
     [
-        lambda inst, labels: randdecl(inst, 0, labels=[labels, label_sets(inst)[1]]),
+        lambda inst, labels: randdecl(inst, 0, labels=labels),
         lambda inst, labels: randdecl_expected_cost(inst, 0, labels),
         lambda inst, labels: enum_expected_cost(inst, 0, labels),
+        lambda inst, labels: mc_expected_cost(inst, 0, labels, trials=2),
     ],
-    ids=["randdecl", "randdecl_expected_cost", "enum_expected_cost"],
+    ids=["randdecl", "randdecl_expected_cost", "enum_expected_cost", "mc_expected_cost"],
 )
 def test_randdecl_label_override_size_checked(declare):
     inst = CostMatrix.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
     with pytest.raises(ValueError, match="^label override must have size 2, got 1$"):
-        declare(inst, frozenset({0}))
+        declare(inst, [frozenset({0}), label_sets(inst)[1]])
+    with pytest.raises(ValueError, match="^label profile must have 2 sets, got 1$"):
+        declare(inst, label_sets(inst)[:1])
 
 
 def test_randdecl_label_profile_needs_one_set_per_agent():
@@ -213,8 +218,9 @@ def test_expected_cost_uniform_example():
 
 def test_expected_cost_zero_row():
     m = CostMatrix.from_rows([[0, 0, 0, 0], [1, 2, 3, 4]])
+    other = label_sets(m)[1]
     for combo in combinations(range(4), label_count(2, 4)):
-        assert randdecl_expected_cost(m, 0, frozenset(combo)) == 0.0
+        assert randdecl_expected_cost(m, 0, [frozenset(combo), other]) == 0.0
 
 
 def test_expected_cost_matches_enumeration():
@@ -238,7 +244,9 @@ def test_truthful_labels_minimize_expected_cost():
         for agent in range(2):
             truthful = randdecl_expected_cost(inst, agent)
             for combo in combinations(range(m_items), k):
-                assert randdecl_expected_cost(inst, agent, frozenset(combo)) >= truthful - 1e-9
+                labels = list(label_sets(inst))
+                labels[agent] = frozenset(combo)
+                assert randdecl_expected_cost(inst, agent, labels) >= truthful - 1e-9
 
 
 def test_randdecl_empirical_mean_matches_expectation():
@@ -386,29 +394,49 @@ def test_dispatch_errors():
         allocate(inst, "nope")
 
 
-def test_ordinal_firewall():
+@st.composite
+def same_rankings(draw):
+    """Two cost matrices whose rows rank the items alike, magnitudes aside.
+
+    Each row is a ranking and a non-increasing cost for each position. A
+    matrix may tie neighbouring positions only where the ranking already
+    lists them by ascending index, which is how ties are broken, so one
+    matrix can hold ties (e.g. [1, 1]) where the other has none ([2, 1]).
+    """
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, 8))
+    rows_a, rows_b = [], []
+    for _ in range(n):
+        order = draw(st.permutations(range(m)))
+        for rows in (rows_a, rows_b):
+            row = [0] * m
+            cost = row[order[-1]] = draw(st.integers(0, 9))
+            for pos in range(m - 2, -1, -1):
+                tie_ok = order[pos] < order[pos + 1]
+                cost += draw(st.integers(0 if tie_ok else 1, 3))
+                row[order[pos]] = cost
+            rows.append(row)
+    return CostMatrix.from_rows(rows_a), CostMatrix.from_rows(rows_b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=same_rankings(), seed=st.integers(0, 2**32 - 1))
+@example(
+    pair=(
+        CostMatrix.from_rows([[1, 1, 0], [0, 1, 1]]),
+        CostMatrix.from_rows([[2, 1, 0], [0, 2, 1]]),
+    ),
+    seed=5,
+)
+def test_ordinal_firewall(pair, seed):
     # identical rankings, different magnitudes: ordinal runs must coincide
-    rng = np.random.default_rng(47)
-    for _ in range(15):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(n + 1, 9))
-        order = [rng.permutation(m) for _ in range(n)]
-        rows_a, rows_b = [], []
-        for i in range(n):
-            for rows in (rows_a, rows_b):
-                vals = np.sort(rng.uniform(0.01, 1.0, m))[::-1]
-                row = np.empty(m)
-                row[order[i]] = vals
-                rows.append(row.tolist())
-        a = CostMatrix.from_rows(rows_a)
-        b = CostMatrix.from_rows(rows_b)
-        for alg in ("seqpick", "roundrobin"):
-            assert allocate(a, alg, model=Model.ORDINAL) == allocate(
-                b, alg, model=Model.ORDINAL
-            )
-        assert allocate(a, "randdecl", model=Model.ORDINAL, seed=5) == allocate(
-            b, "randdecl", model=Model.ORDINAL, seed=5
-        )
+    a, b = pair
+    assert rankings(a) == rankings(b)
+    for alg in ("seqpick", "roundrobin"):
+        assert allocate(a, alg, model=Model.ORDINAL) == allocate(b, alg, model=Model.ORDINAL)
+    assert allocate(a, "randdecl", model=Model.ORDINAL, seed=seed) == allocate(
+        b, "randdecl", model=Model.ORDINAL, seed=seed
+    )
 
 
 def test_every_algorithm_outputs_partition():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from choremms import cli
 from choremms.cli import main
 
 
@@ -260,6 +261,67 @@ def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+OVERFLOW_RUNS = {
+    "mms": ["mms", "--agent", "1"],
+    "allocate": ["allocate", "--alg", "roundrobin"],
+    "spcheck": ["spcheck", "--alg", "roundrobin", "--model", "cardinal"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW_RUNS))
+def test_row_sum_past_float_range_is_refused(capsys, instance, command):
+    # each cost is finite but agent 1's sum is not: no Infinity or NaN in the
+    # output, and no vacuous pass
+    path = instance([[1e308, 1e308, 1e308], [1, 1, 1]])
+    code, out, err = run(capsys, [*OVERFLOW_RUNS[command], "--instance", path])
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid instance: costs of row 1 sum past the float range\n"
+
+
+def test_validate_reports_row_sum_past_float_range(capsys, instance):
+    path = instance([[1, 1, 1], [1e308, 1e308, 1e308]])
+    code, doc, _ = run_json(capsys, ["validate", "--instance", path])
+    assert code == 1
+    assert doc["violations"] == ["costs of row 2 sum past the float range"]
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW_RUNS))
+def test_integer_too_large_for_a_float_is_refused(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"costs": [[1' + "0" * 400 + ", 1, 1], [1, 1, 1]]}")
+    code, out, err = run(capsys, [*OVERFLOW_RUNS[command], "--instance", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid instance: cost at (1,1) is too large for a float\n"
+
+
+def test_validate_reports_integer_too_large_for_a_float(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"costs": [[1, 1], [1, 1' + "0" * 400 + "]]}")
+    code, doc, _ = run_json(capsys, ["validate", "--instance", str(path)])
+    assert code == 1
+    assert doc["violations"] == ["cost at (2,2) is too large for a float"]
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_allocate_alpha_must_be_finite(capsys, instance, alpha):
+    path = instance([[3, 1, 1, 1], [3, 1, 1, 1]])
+    code, out, err = run(
+        capsys, ["allocate", "--instance", path, "--alg", "seqpick", f"--alpha={alpha}"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --alpha must be a finite number, got {alpha}\n"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_emit_writes_no_non_standard_json(capsys, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit({"ok": True, "value": value})
+    assert capsys.readouterr().out == ""
 
 
 def test_witness_ordinal_det(capsys):

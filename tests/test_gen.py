@@ -10,7 +10,6 @@ from choremms.gen import (
     CSV_COLUMNS,
     BatchFailure,
     GenSpec,
-    aggregate,
     generate,
     rows_to_csv,
     run_batch,
@@ -196,20 +195,6 @@ def test_batch_determinism_modulo_runtime():
 def test_strip_runtime_drops_last_column():
     text = "a,b,runtime_ms\n1,2,3.000\n"
     assert strip_runtime(text) == "a,b\n1,2\n"
-
-
-def test_aggregate():
-    rows = [
-        ("uniform(0,1)", 2, 4, "seqpick", 0, 1.0, 5.0),
-        ("uniform(0,1)", 2, 4, "seqpick", 1, 1.5, 5.0),
-        ("uniform(0,1)", 2, 4, "roundrobin", 0, 1.2, 5.0),
-    ]
-    agg = aggregate(rows)
-    cell = agg[("uniform(0,1)", 2, 4, "seqpick")]
-    assert cell["runs"] == 2
-    assert cell["mean_max_ratio"] == pytest.approx(1.25)
-    assert cell["max_max_ratio"] == 1.5
-    assert agg[("uniform(0,1)", 2, 4, "roundrobin")]["runs"] == 1
 
 
 def test_specs_from_config():

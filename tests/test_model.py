@@ -43,6 +43,20 @@ def test_validate_flags_non_finite_cost():
     assert validate([[1, float("-inf")]]) == ["negative cost at (1,2)"]
 
 
+def test_validate_flags_costs_past_the_float_range():
+    # every entry is finite, but the row sums to inf as floats
+    message = ["costs of row 1 sum past the float range"]
+    assert validate([[1e308, 1e308], [1, 1]]) == message
+    assert validate([[10**308, 10**308], [1, 1]]) == message
+    assert validate([[10**308, 1e308], [1, 1]]) == message
+    # numpy numbers are summed as floats: no overflow warning, and float32
+    # entries are not held to the float32 range
+    assert validate([np.full(2, 1e308), [1, 1]]) == message
+    assert validate([np.full(2, 3e38, dtype=np.float32), [1, 1]]) == []
+    # an int no float can hold is refused where it stands
+    assert validate([[1, 1], [1, 10**400]]) == ["cost at (2,2) is too large for a float"]
+
+
 def test_validate_flags_boolean_cost():
     assert validate([[1, True], [False, 1]]) == [
         "non-numeric cost at (1,2)",

@@ -1,5 +1,5 @@
 """Property tests: the deviation checkers and randdecl against the
-references in oracles.py.
+references in oracles.py, and randdecl's closed form against enumeration.
 
 randdecl and its Monte-Carlo estimate must match the earlier, unhoisted
 randdecl draw for draw, and sp_check_ordinal, which shares every row but
@@ -12,9 +12,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choremms.algorithms import declared_labels, label_count, randdecl
+from choremms.algorithms import label_count, label_sets, randdecl, randdecl_expected_cost
 from choremms.model import CostMatrix, Model
-from choremms.verify import algorithm_runner, mc_expected_cost, sp_check_ordinal
+from choremms.verify import (
+    algorithm_runner,
+    enum_expected_cost,
+    mc_expected_cost,
+    sp_check_ordinal,
+)
 from mutants import greedy_worst_seqpick
 from oracles import deviation_search_reference, randdecl_reference
 
@@ -38,6 +43,14 @@ def label_profiles(draw, matrix):
     return agent, declared
 
 
+def profile(matrix, agent, declared):
+    """The truthful label profile, with `agent` declaring `declared` if given."""
+    labels = list(label_sets(matrix))
+    if declared is not None:
+        labels[agent] = declared
+    return labels
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_randdecl_matches_reference(data, seed):
@@ -47,7 +60,7 @@ def test_randdecl_matches_reference(data, seed):
     if declared is None:
         alloc = randdecl(matrix, seed)
     else:
-        alloc = randdecl(matrix, seed, labels=declared_labels(matrix, agent, declared))
+        alloc = randdecl(matrix, seed, labels=profile(matrix, agent, declared))
     expected = randdecl_reference(matrix, seed, override)
     assert alloc == expected
     # the same items added in the same order: iteration order agrees too
@@ -66,7 +79,24 @@ def test_mc_expected_cost_matches_reference_trials(data, seed):
     bundles = [randdecl_reference(matrix, int(s), override).bundles[agent] for s in seeds]
     costs = np.array([sum(row[j] for j in bundle) for bundle in bundles])
     expected = (float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(trials)))
-    assert mc_expected_cost(matrix, agent, declared, trials=trials, seed=seed) == expected
+    labels = profile(matrix, agent, declared)
+    assert mc_expected_cost(matrix, agent, labels, trials=trials, seed=seed) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_enumeration_when_many_misreport(data):
+    # any number of agents declare any sets of the canonical size
+    matrix = data.draw(instances((2, 3), (1, 7)))
+    k = label_count(matrix.n, matrix.m)
+    labels = list(label_sets(matrix))
+    for i in range(matrix.n):
+        if data.draw(st.booleans()):
+            items = st.lists(st.integers(0, matrix.m - 1), min_size=k, max_size=k, unique=True)
+            labels[i] = frozenset(data.draw(items))
+    agent = data.draw(st.integers(0, matrix.n - 1))
+    closed = randdecl_expected_cost(matrix, agent, labels)
+    assert abs(closed - enum_expected_cost(matrix, agent, labels)) <= 1e-9
 
 
 RUNNERS = {

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from choremms import verify
+from choremms import algorithms, verify
 from choremms.algorithms import allocate
 from choremms.model import Allocation, CostMatrix, Model
 from choremms.verify import (
@@ -165,6 +165,23 @@ def test_exact_cross_check_disagreement_stays_an_assertion(monkeypatch):
     inst = CostMatrix.from_rows([[3, 1, 1, 1], [1, 1, 1, 3]])
     with pytest.raises(AssertionError, match="disagrees with enumeration"):
         sp_check_randomized(inst, 0, mode="exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "montecarlo"])
+def test_truthful_labels_are_built_once_per_check(monkeypatch, mode):
+    calls = []
+    real = algorithms.label_sets
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(algorithms, "label_sets", counting)
+    monkeypatch.setattr(verify, "label_sets", counting)
+    inst = CostMatrix.from_rows([[3, 1, 2, 1, 5], [1, 1, 1, 3, 2]])
+    rep = sp_check_randomized(inst, 1, mode=mode)
+    assert not rep.profitable
+    assert len(calls) == 1
 
 
 def test_inverted_pool_mutant_is_flagged():
