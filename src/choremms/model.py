@@ -85,7 +85,6 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
             )
             continue
         found = len(problems)
-        plain = True  # every entry an int or a float, which the C sum adds
         for j, c in enumerate(row):
             # Any real number is a cost (numpy's too), but a bool is not,
             # though it is an int subclass (np.bool_ is no Real). A JSON
@@ -97,7 +96,6 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
                 if t is bool or not isinstance(c, Real):
                     problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
                     continue
-                plain = False
             if c < 0:
                 problems.append(f"negative cost at ({i + 1},{j + 1})")
                 continue
@@ -106,16 +104,11 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
                     problems.append(f"non-finite cost at ({i + 1},{j + 1})")
             except OverflowError:  # an int past the float range
                 problems.append(f"cost at ({i + 1},{j + 1}) is too large for a float")
-        if len(problems) == found and not _sum_is_finite(row if plain else map(float, row)):
+        # every entry converts to a finite float by now; bundle costs and
+        # shares are float sums, so the row's float sum must be finite too
+        if len(problems) == found and not isfinite(sum(map(float, row))):
             problems.append(f"costs of row {i + 1} sum past the float range")
     return problems
-
-
-def _sum_is_finite(costs: Iterable[float]) -> bool:
-    try:
-        return isfinite(sum(costs))
-    except OverflowError:  # ints whose exact sum is past the float range
-        return False
 
 
 def rank(matrix: CostMatrix, agent: int) -> tuple[int, ...]:

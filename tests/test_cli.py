@@ -250,6 +250,19 @@ def test_spcheck_grid_overflow_is_a_clean_error(capsys, instance):
     assert err == "error: invalid cost matrix: non-finite cost at (1,1)\n"
 
 
+def test_spcheck_grid_row_sum_overflow_is_a_clean_error(capsys, instance):
+    # a valid instance (agent 1's row sums to 6e307) whose x3 grid report sums
+    # past the float range: the report is refused and the check ends there
+    path = instance([[3e307, 3e307, 1, 1], [1, 2, 3, 4]])
+    assert run(capsys, ["validate", "--instance", path])[0] == 0
+    base = ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "cardinal"]
+    assert run(capsys, base)[0] == 0
+    code, out, err = run(capsys, [*base, "--grid"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid cost matrix: costs of row 1 sum past the float range\n"
+
+
 @pytest.mark.parametrize("mode", [[], ["--exact"]])
 def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
     # the expected cost sums to inf: one error line, not a pass or a traceback
