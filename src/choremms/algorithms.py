@@ -212,14 +212,18 @@ def check_labels(matrix: CostMatrix, labels: Labels) -> Labels:
     return labels
 
 
-def randdecl(matrix: CostMatrix, seed: int, labels: Optional[Labels] = None) -> Allocation:
+def randdecl(
+    matrix: CostMatrix, seed: int | np.random.Generator, labels: Optional[Labels] = None
+) -> Allocation:
     """Random assignment, then even redistribution of declared-large items.
 
     Phase 1 sends every item to a uniformly random agent. Items that landed
     on an agent who declared them large form the pool M_b. Phase 2 shuffles
     the pool and deals it round-robin from a uniformly random starting
     agent, so shares differ by at most one and each pooled item ends up with
-    each agent with probability exactly 1/n. Fully reproducible from `seed`.
+    each agent with probability exactly 1/n. Fully reproducible from `seed`
+    (or drawn from it, when it is a numpy Generator). The draws are made
+    here; `randdecl_deal` places the items.
 
     `labels` is every agent's declared label set, as in every randdecl
     function here (default: the truthful `label_sets`).
@@ -231,15 +235,34 @@ def randdecl(matrix: CostMatrix, seed: int, labels: Optional[Labels] = None) -> 
     rng = np.random.default_rng(seed)
     landing = rng.integers(0, n, size=m).tolist()
     pooled = [j for j in range(m) if j in labels[landing[j]]]
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    pool_set = set(pooled)
-    for j in range(m):
-        if j not in pool_set:
-            bundles[landing[j]].add(j)
     deal = rng.permutation(len(pooled)).tolist()
     start = int(rng.integers(0, n))
-    for t, idx in enumerate(deal):
-        bundles[(start + t) % n].add(pooled[idx])
+    return randdecl_deal(labels, landing, [pooled[idx] for idx in deal], start)
+
+
+def randdecl_deal(
+    labels: Labels, landing: Sequence[int], order: Sequence[int], start: int
+) -> Allocation:
+    """randdecl's placement, given its random draws: item j landed on agent
+    `landing[j]`, and the pooled items are dealt in the order they appear
+    in `order`, the first to agent `start`, the next to `start + 1` (mod n),
+    and so on. Every other item stays where it landed.
+
+    `order` must list every pooled item; items it lists that are not
+    pooled are passed over, so a permutation of all the items is a deal
+    order too.
+    """
+    n = len(labels)
+    in_pool = [j in labels[i] for j, i in enumerate(landing)]
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    for j, i in enumerate(landing):
+        if not in_pool[j]:
+            bundles[i].add(j)
+    t = start
+    for j in order:
+        if in_pool[j]:
+            bundles[t % n].add(j)
+            t += 1
     return Allocation.from_lists(bundles)
 
 

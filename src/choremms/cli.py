@@ -106,8 +106,10 @@ def _cmd_mms(args) -> int:
 def _cmd_allocate(args) -> int:
     if args.alpha is not None and not math.isfinite(args.alpha):
         raise ValueError(f"--alpha must be a finite number, got {args.alpha}")
+    if args.order is not None and args.alg != "roundrobin":
+        raise ValueError("--order applies only to --alg roundrobin")
     matrix = load_instance(args.instance)
-    order = _parse_order(args.order, matrix.n) if args.order else None
+    order = None if args.order is None else _parse_order(args.order, matrix.n)
     alloc = algorithms.allocate(
         matrix,
         args.alg,
@@ -213,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--alg", required=True, choices=algorithms.ALGORITHMS)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--order", default=None, help="1-indexed agent order, e.g. 2,1,3")
+    p.add_argument(
+        "--order", default=None, help="roundrobin: 1-indexed agent order, e.g. 2,1,3"
+    )
     p.add_argument("--model", default="cardinal", choices=sorted(_MODELS))
     p.add_argument("--alpha", type=float, default=None, help="certify at this ratio")
     p.add_argument("--cap", type=int, default=mms.DEFAULT_CAP)

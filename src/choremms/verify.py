@@ -25,6 +25,7 @@ from .algorithms import (
     label_count,
     label_sets,
     randdecl,
+    randdecl_deal,
     randdecl_expected_cost,
 )
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
@@ -212,15 +213,33 @@ def mc_expected_cost(
     """Monte-Carlo estimate (mean, stderr) of the agent's randdecl cost when
     the agents declare `labels` (default: truthfully).
 
-    Trial t runs `randdecl` on the t-th seed drawn from `SeedSequence(seed)`.
+    Every draw comes from one `default_rng(SeedSequence(seed))` stream.
+    Trial 0 is `randdecl` itself, drawing from that stream, so every
+    estimate runs the rule end to end, its draws included. The other
+    trials then take, in three batched calls, every trial's landings, a
+    random permutation of all m items per trial, and every trial's start,
+    and `randdecl_deal` deals each trial's pooled items in the order of its
+    permutation. Restricted to the pool, a uniform permutation of the items
+    is a uniform deal order, so each trial is a randdecl outcome.
     """
+    n, m = matrix.n, matrix.m
+    if trials < 1:
+        raise ValueError("Monte-Carlo estimate needs at least one trial")
     labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
-    seeds = np.random.SeedSequence(seed).generate_state(trials)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     row = matrix.row(agent)
     costs = np.empty(trials)
-    for t in range(trials):
-        alloc = randdecl(matrix, int(seeds[t]), labels=labels)
-        costs[t] = sum(row[j] for j in alloc.bundles[agent])
+    costs[0] = sum(row[j] for j in randdecl(matrix, rng, labels).bundles[agent])
+    # compact rows, turned into lists one trial at a time: lists of every
+    # draw made up front would hold several MB at 10^4 trials
+    rest = trials - 1
+    landings = rng.integers(0, n, size=(rest, m), dtype=np.min_scalar_type(n - 1))
+    items = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    orders = rng.permuted(np.tile(items, (rest, 1)), axis=1)
+    starts = rng.integers(0, n, size=rest).tolist()
+    for t in range(rest):
+        alloc = randdecl_deal(labels, landings[t].tolist(), orders[t].tolist(), starts[t])
+        costs[t + 1] = sum(row[j] for j in alloc.bundles[agent])
     # costs near the float limit overflow to inf here, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
@@ -269,7 +288,9 @@ def sp_check_randomized(
                 f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
             )
         if default_oracle:
-            for labels in (truthful_labels, best_labels):
+            # when the truth is best (every passing check), one profile
+            profiles = [truthful_labels] + [best_labels] * (best_labels != truthful_labels)
+            for labels in profiles:
                 ref = enum_expected_cost(matrix, agent, labels)
                 val = oracle(matrix, agent, labels)
                 if not (math.isfinite(ref) and math.isfinite(val)):

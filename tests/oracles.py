@@ -6,9 +6,10 @@ takes the min-max directly, the serial-pick oracle rescans every remaining
 item at every pick, and the deviation-search oracle builds and validates
 every reported matrix from scratch, with no cache. The randdecl reference
 is the earlier, unhoisted body of the algorithm, which the faster one must
-match draw for draw, and the mms_exact reference is the search as it was
-before the closed-bundle bound, which the faster one must match in value,
-witness and method.
+match draw for draw, the Monte-Carlo reference takes the estimator's
+batched draws but deals each trial with its own code, and the mms_exact
+reference is the search as it was before the closed-bundle bound, which the
+faster one must match in value, witness and method.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[in
 
 def randdecl_reference(
     matrix: CostMatrix,
-    seed: int,
+    seed: int | np.random.Generator,
     label_override: Optional[tuple[int, frozenset[int]]] = None,
 ) -> Allocation:
     """randdecl as it was before its label profile was hoisted: the labels
@@ -170,6 +171,41 @@ def randdecl_reference(
     for t, idx in enumerate(deal):
         bundles[(start + t) % n].add(pooled[int(idx)])
     return Allocation.from_lists(bundles)
+
+
+def mc_expected_cost_reference(
+    matrix: CostMatrix,
+    agent: int,
+    seed: int,
+    trials: int,
+    label_override: Optional[tuple[int, frozenset[int]]] = None,
+) -> tuple[float, float]:
+    """(mean, stderr) of the agent's cost over mc_expected_cost's trials:
+    trial 0 is randdecl_reference drawing from the `SeedSequence(seed)`
+    stream, and the rest take the same batched draws from it, each dealt
+    here by scanning its permutation for the pooled items."""
+    n, m = matrix.n, matrix.m
+    labels = list(label_sets(matrix))
+    if label_override is not None:
+        liar, declared = label_override
+        labels[liar] = declared
+    row = matrix.costs[agent]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    first = randdecl_reference(matrix, rng, label_override).bundles[agent]
+    costs = [sum(row[j] for j in sorted(first))]
+    rest = trials - 1
+    landings = rng.integers(0, n, size=(rest, m), dtype=np.min_scalar_type(n - 1))
+    perms = rng.permuted(np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (rest, 1)), axis=1)
+    starts = rng.integers(0, n, size=rest)
+    for t in range(rest):
+        landing = landings[t].tolist()
+        pooled = [j for j in perms[t].tolist() if j in labels[landing[j]]]
+        start = int(starts[t])
+        mine = [j for j in range(m) if landing[j] == agent and j not in pooled]
+        mine += [j for k, j in enumerate(pooled) if (start + k) % n == agent]
+        costs.append(sum(row[j] for j in sorted(mine)))
+    arr = np.array(costs)
+    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
 
 
 def deviation_search_reference(

@@ -177,6 +177,23 @@ def test_allocate_order_flag(capsys, instance):
         ["allocate", "--instance", path, "--alg", "roundrobin", "--order", "1,1"],
     )
     assert code == 1 and "permutation" in err
+    # an empty order is a bad order, not no order
+    code, _, err = run(
+        capsys,
+        ["allocate", "--instance", path, "--alg", "roundrobin", "--order", ""],
+    )
+    assert code == 1 and "bad --order" in err
+
+
+@pytest.mark.parametrize("alg", ["seqpick", "randdecl", "dc3"])
+def test_allocate_order_is_refused_without_roundrobin(capsys, instance, alg):
+    path = instance([[3, 1, 2], [1, 4, 2], [2, 2, 1]])
+    code, out, err = run(
+        capsys,
+        ["allocate", "--instance", path, "--alg", alg, "--seed", "1", "--order", "2,1,3"],
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --order applies only to --alg roundrobin\n"
 
 
 def test_allocate_cap_exceeded_still_emits_bundles(capsys, instance):

@@ -1,14 +1,16 @@
 """Property tests: the deviation checkers and randdecl against the
 references in oracles.py, and randdecl's closed form against enumeration.
 
-randdecl and its Monte-Carlo estimate must match the earlier, unhoisted
-randdecl draw for draw, and sp_check_ordinal, which shares every row but
+randdecl must match the earlier, unhoisted randdecl draw for draw, its
+Monte-Carlo estimate must match a reference that takes the same draws and
+deals them with its own code, and sp_check_ordinal, which shares every row but
 the deviating agent's between misreports, must report exactly what a search
 that rebuilds every reported matrix reports. Costs are drawn from 0..3 so
 that ties are common.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from choremms.verify import (
     sp_check_ordinal,
 )
 from mutants import greedy_worst_seqpick
-from oracles import deviation_search_reference, randdecl_reference
+from oracles import deviation_search_reference, mc_expected_cost_reference, randdecl_reference
 
 
 @st.composite
@@ -69,18 +71,24 @@ def test_randdecl_matches_reference(data, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_mc_expected_cost_matches_reference_trials(data, seed):
+def test_mc_expected_cost_matches_reference(data, seed):
     matrix = data.draw(instances((2, 4), (2, 8)))
     agent, declared = data.draw(label_profiles(matrix))
     trials = 300
     override = None if declared is None else (agent, declared)
-    seeds = np.random.SeedSequence(seed).generate_state(trials)
-    row = matrix.row(agent)
-    bundles = [randdecl_reference(matrix, int(s), override).bundles[agent] for s in seeds]
-    costs = np.array([sum(row[j] for j in bundle) for bundle in bundles])
-    expected = (float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(trials)))
+    expected = mc_expected_cost_reference(matrix, agent, seed, trials, override)
     labels = profile(matrix, agent, declared)
     assert mc_expected_cost(matrix, agent, labels, trials=trials, seed=seed) == expected
+
+
+@pytest.mark.parametrize("n, m", [(2, 300), (257, 260)])
+def test_mc_expected_cost_matches_reference_past_255(n, m):
+    # item and agent indices past one byte: the draws' dtype must hold them
+    rng = np.random.default_rng(n * m)
+    matrix = CostMatrix.from_rows(rng.integers(0, 4, size=(n, m)).tolist())
+    agent = n - 1
+    expected = mc_expected_cost_reference(matrix, agent, 7, 40)
+    assert mc_expected_cost(matrix, agent, trials=40, seed=7) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -167,6 +167,29 @@ def test_exact_cross_check_disagreement_stays_an_assertion(monkeypatch):
         sp_check_randomized(inst, 0, mode="exact")
 
 
+def test_exact_cross_check_enumerates_each_distinct_profile_once(monkeypatch):
+    calls = []
+
+    def counting(enumerate_with):
+        def enum(matrix, agent, labels):
+            calls.append(labels)
+            return enumerate_with(matrix, agent, labels)
+
+        return enum
+
+    inst = CostMatrix.from_rows([[3, 1, 2, 1, 5], [1, 1, 1, 3, 2]])
+    # a passing check: the truthful profile is the best one, cross-checked once
+    monkeypatch.setattr(verify, "enum_expected_cost", counting(enum_expected_cost))
+    assert not sp_check_randomized(inst, 0, mode="exact").profitable
+    assert len(calls) == 1
+    # under the inverted-pool rule a lie pays: truth and best are both checked
+    calls.clear()
+    monkeypatch.setattr(verify, "randdecl_expected_cost", inverted_pool_expected_cost)
+    monkeypatch.setattr(verify, "enum_expected_cost", counting(inverted_pool_expected_cost))
+    assert sp_check_randomized(inst, 0, mode="exact").profitable
+    assert len(calls) == 2 and calls[0] != calls[1]
+
+
 @pytest.mark.parametrize("mode", ["exact", "montecarlo"])
 def test_truthful_labels_are_built_once_per_check(monkeypatch, mode):
     calls = []
