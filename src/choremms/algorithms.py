@@ -165,19 +165,15 @@ def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
     return problems
 
 
-def seqpick(matrix: CostMatrix, schedule: PickSchedule) -> Allocation:
-    """Agents n, n-1, ..., 1 each grab their a_i cheapest remaining items.
+def seqpick(matrix: CostMatrix) -> Allocation:
+    """Agents n, n-1, ..., 1 each grab their a_i cheapest remaining items,
+    with a_i from the instance's `build_schedule(n, m)`.
 
     Greedy is each picker's dominant strategy, so this doubles as the
     truthful play of the serial-dictatorship rule the schedule defines.
     """
-    n, m = matrix.n, matrix.m
-    if schedule.n != n or schedule.m != m:
-        raise ValueError(
-            f"schedule for (n={schedule.n}, m={schedule.m}) does not match "
-            f"instance (n={n}, m={m})"
-        )
-    counts = schedule.counts
+    n = matrix.n
+    counts = build_schedule(n, matrix.m).counts
     return serial_pick(matrix, [i for i in reversed(range(n)) for _ in range(counts[i])])
 
 
@@ -372,7 +368,7 @@ def allocate(
         work = surrogate_matrix(rankings(matrix))
 
     if algorithm == "seqpick":
-        return seqpick(work, build_schedule(matrix.n, matrix.m))
+        return seqpick(work)
     if algorithm == "randdecl":
         return randdecl(work, seed)
     if algorithm == "roundrobin":

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import algorithms, gen, mms, verify
-from .model import Model, instance_costs, load_instance, parse_instance, validate
+from .model import CostMatrix, Model, header_problems, instance_costs, load_instance, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,10 +77,11 @@ def _agents(agent, n: int) -> list[int]:
 def _cmd_validate(args) -> int:
     with open(args.instance) as fh:
         doc = json.load(fh)
-    problems = validate(instance_costs(doc))
+    costs = instance_costs(doc)
+    problems = validate(costs) or header_problems(doc, costs)
     degenerate = []
     if not problems:
-        matrix = parse_instance(doc)
+        matrix = CostMatrix.from_rows(costs, check=False)
         degenerate = [i + 1 for i in matrix.degenerate_agents()]
     _emit({"ok": not problems, "violations": problems, "degenerate_agents": degenerate})
     return EXIT_OK if not problems else EXIT_USAGE
@@ -108,6 +109,8 @@ def _cmd_allocate(args) -> int:
         raise ValueError(f"--alpha must be a finite number, got {args.alpha}")
     if args.order is not None and args.alg != "roundrobin":
         raise ValueError("--order applies only to --alg roundrobin")
+    if args.seed is not None and args.alg != "randdecl":
+        raise ValueError("--seed applies only to --alg randdecl")
     matrix = load_instance(args.instance)
     order = None if args.order is None else _parse_order(args.order, matrix.n)
     alloc = algorithms.allocate(
@@ -141,13 +144,23 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_spcheck(args) -> int:
+    randomized = args.alg == "randdecl"
+    if args.exact and not randomized:
+        raise ValueError("--exact applies only to --alg randdecl")
+    if args.trials is not None and not randomized:
+        raise ValueError("--trials applies only to --alg randdecl")
+    if args.trials is not None and args.exact:
+        raise ValueError("--trials applies only without --exact")
+    if args.grid and (randomized or args.model == "ordinal"):
+        raise ValueError("--grid applies only to --model cardinal or public, not to randdecl")
+    trials = verify.MC_TRIALS if args.trials is None else args.trials
     matrix = load_instance(args.instance)
     reports = []
     model = _MODELS[args.model]
     for i in _agents(args.agent, matrix.n):
-        if args.alg == "randdecl":
+        if randomized:
             mode = "exact" if args.exact else "montecarlo"
-            rep = verify.sp_check_randomized(matrix, i, mode=mode, trials=args.trials)
+            rep = verify.sp_check_randomized(matrix, i, mode=mode, trials=trials)
         else:
             runner = verify.algorithm_runner(args.alg)
             rep = verify.sp_check_ordinal(
@@ -176,15 +189,14 @@ def _cmd_witness(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    try:
-        specs, algs, seeds_per_spec = gen.specs_from_config(doc)
-    except TypeError as exc:
-        raise ValueError(str(exc))
+    specs, algs, seeds_per_spec = gen.specs_from_config(doc)
     rows, failures = gen.run_batch(
         specs, algs, seeds_per_spec, cap=args.cap, workers=args.workers
     )
-    gen.write_csv(rows, args.out)
-    sys.stdout.write(gen.rows_to_csv(rows))
+    text = gen.rows_to_csv(rows)
+    with open(args.out, "w", newline="") as fh:
+        fh.write(text)
+    sys.stdout.write(text)
     for failure in failures:
         print(
             f"skipped ({failure.spec.label()}, {failure.algorithm}, "
@@ -229,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="ordinal", choices=sorted(_MODELS))
     p.add_argument("--agent", type=int, default=None, help="1-indexed agent")
     p.add_argument("--exact", action="store_true", help="randdecl: enumerate all landings")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--grid", action="store_true", help="add cardinal magnitude-grid misreports")
     p.set_defaults(func=_cmd_spcheck)
 

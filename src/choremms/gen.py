@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -22,8 +21,6 @@ import numpy as np
 from .algorithms import ALGORITHMS, allocate
 from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
 from .model import CostMatrix
-
-logger = logging.getLogger(__name__)
 
 FAMILIES = ("uniform", "exponential", "identical_ranking", "correlated", "fixture")
 
@@ -110,6 +107,10 @@ def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str], cap: int)
     """Every algorithm on one generated instance, as one (row, failure) pair
     per algorithm in the given order.
 
+    Each skip cause is caught where it arises: generate, the algorithm's
+    precondition, the cap on the share solve. Any other error, such as an
+    allocation that is not a partition, is a bug and propagates.
+
     The agents' shares are solved once, after the first allocation on the
     instance succeeds, so an algorithm's own precondition error is still
     reported ahead of a cap refusal. A refused solve is retried by each
@@ -127,12 +128,16 @@ def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str], cap: int)
         t0 = time.perf_counter()
         try:
             alloc = allocate(inst, alg, seed=seed)
-            if table is None:
-                table = mms_table(inst, cap=cap)
-            report = evaluate(alloc, inst, cap=cap, table=table)
-        except (MmsCapError, ValueError) as exc:
+        except ValueError as exc:
             out.append((None, BatchFailure(spec, alg, seed, str(exc))))
             continue
+        if table is None:
+            try:
+                table = mms_table(inst, cap=cap)
+            except MmsCapError as exc:
+                out.append((None, BatchFailure(spec, alg, seed, str(exc))))
+                continue
+        report = evaluate(alloc, inst, cap=cap, table=table)
         runtime_ms = (time.perf_counter() - t0) * 1000.0
         row = (spec.label(), spec.n, spec.m, alg, seed, report.max_ratio, runtime_ms)
         out.append((row, None))
@@ -150,9 +155,9 @@ def run_batch(
 
     The unit of work is one generated instance, a (spec, seed) pair, on
     which every algorithm runs against one table of shares. Returns sorted
-    result rows and the failures (cap violations, algorithm preconditions)
-    that were skipped, in (spec, algorithm, seed) order; the batch never
-    aborts on one cell.
+    result rows and the skipped cells (generator errors, algorithm
+    preconditions, cap violations) in (spec, algorithm, seed) order, for
+    the caller to report; the batch never aborts on a skipped cell.
     """
     instances = [(spec, spec.seed + k) for spec in specs for k in range(seeds_per_spec)]
 
@@ -175,15 +180,8 @@ def run_batch(
                 row, failure = cells[a]
                 if failure is None:
                     rows.append(row)
-                    continue
-                logger.warning(
-                    "batch cell skipped (%s, %s, seed=%d): %s",
-                    failure.spec.label(),
-                    failure.algorithm,
-                    failure.seed,
-                    failure.reason,
-                )
-                failures.append(failure)
+                else:
+                    failures.append(failure)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     return rows, failures
 
@@ -197,11 +195,6 @@ def rows_to_csv(rows: Sequence[tuple]) -> str:
             [family, n, m, alg, seed, f"{max_ratio:.12g}", f"{runtime_ms:.3f}"]
         )
     return buf.getvalue()
-
-
-def write_csv(rows: Sequence[tuple], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -225,6 +218,7 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     if not _is_int(seeds_per_spec) or seeds_per_spec < 1:
         raise ValueError(f'"seeds_per_spec" must be an integer >= 1, got {seeds_per_spec!r}')
     field_types = {f.name: f.type for f in fields(GenSpec)}
+    required = [f.name for f in fields(GenSpec) if f.default is MISSING]
     specs = []
     for entry in raw_specs:
         if not isinstance(entry, dict):
@@ -232,6 +226,9 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
         unknown = set(entry) - set(field_types)
         if unknown:
             raise ValueError(f"unknown spec fields {sorted(unknown)}")
+        missing = [name for name in required if name not in entry]
+        if missing:
+            raise ValueError(f"missing spec fields {missing}")
         for name, value in entry.items():
             kind, ok = _FIELD_CHECKS[field_types[name]]
             if not ok(value):

@@ -232,9 +232,17 @@ def parse_instance(doc: dict) -> CostMatrix:
     problems = validate(costs)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-    matrix = CostMatrix.from_rows(costs, check=False)
-    if "n" in doc and doc["n"] != matrix.n:
-        raise ValueError(f'instance "n"={doc["n"]} but costs has {matrix.n} rows')
-    if "m" in doc and doc["m"] != matrix.m:
-        raise ValueError(f'instance "m"={doc["m"]} but rows have {matrix.m} entries')
-    return matrix
+    problems = header_problems(doc, costs)
+    if problems:
+        raise ValueError(problems[0])
+    return CostMatrix.from_rows(costs, check=False)
+
+
+def header_problems(doc: dict, costs: list) -> list[str]:
+    """The optional "n" and "m" fields that disagree with a valid grid."""
+    problems = []
+    if "n" in doc and doc["n"] != len(costs):
+        problems.append(f'instance "n"={doc["n"]} but costs has {len(costs)} rows')
+    if "m" in doc and doc["m"] != len(costs[0]):
+        problems.append(f'instance "m"={doc["m"]} but rows have {len(costs[0])} entries')
+    return problems

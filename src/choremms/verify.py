@@ -33,6 +33,8 @@ from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 PROFIT_TOL = 1e-9
 # sp_check_ordinal enumerates all m! rankings: 5040 at this many items
 MAX_ORDINAL_ITEMS = 7
+# the fewest Monte-Carlo trials a randomized check accepts, and its default
+MC_TRIALS = 10_000
 # p spacing of witness_ordinal_rand_grid
 WITNESS_GRID_STEP = 1e-6
 
@@ -207,7 +209,7 @@ def mc_expected_cost(
     matrix: CostMatrix,
     agent: int,
     labels: Optional[Labels] = None,
-    trials: int = 10_000,
+    trials: int = MC_TRIALS,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, stderr) of the agent's randdecl cost when
@@ -250,7 +252,7 @@ def sp_check_randomized(
     matrix: CostMatrix,
     agent: int,
     mode: str = "exact",
-    trials: int = 10_000,
+    trials: int = MC_TRIALS,
     seed: int = 0,
     expected_cost: Optional[Callable[[CostMatrix, int, Labels], float]] = None,
 ) -> DeviationReport:
@@ -304,7 +306,7 @@ def sp_check_randomized(
                         f"for the agent's labels {sorted(labels[agent])}"
                     )
     elif mode == "montecarlo":
-        if trials < 10_000:
+        if trials < MC_TRIALS:
             raise ValueError("montecarlo mode requires at least 10^4 trials")
         if default_oracle:
             est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials, seed)
@@ -419,22 +421,20 @@ _WITNESS_PROFILES = (
 )
 
 
-def _minmax_two(profile: Sequence[Fraction]) -> Fraction:
-    """Exact min-max bundle cost over all 2-partitions of a small profile."""
-    m = len(profile)
-    best = sum(profile)
-    for mask in range(1 << m):
-        a = sum(profile[j] for j in range(m) if mask >> j & 1)
-        b = sum(profile) - a
-        best = min(best, max(a, b))
-    return best
-
-
-def _two_agent_splits(m: int):
-    for mask in range(1 << m):
-        b1 = frozenset(j for j in range(m) if mask >> j & 1)
-        b2 = frozenset(range(m)) - b1
-        yield b1, b2
+def _split_ratios() -> list[tuple[Allocation, tuple[Fraction, ...]]]:
+    """Every 2-agent split of the witness items, in bitmask order, with its
+    worst-agent ratio under each profile: the larger bundle's cost over the
+    profile's share, which is the smallest such cost over all splits."""
+    splits = []
+    for mask in range(1 << 4):
+        b1 = frozenset(j for j in range(4) if mask >> j & 1)
+        b2 = frozenset(range(4)) - b1
+        worst = tuple(
+            max(sum(p[j] for j in b1), sum(p[j] for j in b2)) for p in _WITNESS_PROFILES
+        )
+        splits.append((Allocation((b1, b2)), worst))
+    shares = [min(col) for col in zip(*(worst for _, worst in splits))]
+    return [(alloc, tuple(w / s for w, s in zip(worst, shares))) for alloc, worst in splits]
 
 
 def witness_ordinal_det() -> tuple[Fraction, Allocation]:
@@ -445,19 +445,8 @@ def witness_ordinal_det() -> tuple[Fraction, Allocation]:
     serve both cardinal profiles (1,1,1,1) and (3,1,1,1); brute force over
     all 16 allocations gives the min-max, which is exactly 4/3.
     """
-    shares = [_minmax_two(p) for p in _WITNESS_PROFILES]
-    best_value: Optional[Fraction] = None
-    best_alloc: Optional[Allocation] = None
-    for b1, b2 in _two_agent_splits(4):
-        worst = max(
-            max(sum(p[j] for j in b1), sum(p[j] for j in b2)) / shares[k]
-            for k, p in enumerate(_WITNESS_PROFILES)
-        )
-        if best_value is None or worst < best_value:
-            best_value = worst
-            best_alloc = Allocation((b1, b2))
-    assert best_value is not None and best_alloc is not None
-    return best_value, best_alloc
+    alloc, ratios = min(_split_ratios(), key=lambda split: max(split[1]))
+    return max(ratios), alloc
 
 
 def _class_ratio_pairs() -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -467,17 +456,11 @@ def _class_ratio_pairs() -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fra
     share one ranking, so a randomized rank-only rule is exactly a coin flip
     between the best representative of each class.
     """
-    shares = [_minmax_two(p) for p in _WITNESS_PROFILES]
-    best_two = [None, None]
-    best_other = [None, None]
-    for b1, b2 in _two_agent_splits(4):
-        is_two_two = len(b1) == 2 and len(b2) == 2
-        for k, p in enumerate(_WITNESS_PROFILES):
-            worst = max(sum(p[j] for j in b1), sum(p[j] for j in b2)) / shares[k]
-            slot = best_two if is_two_two else best_other
-            if slot[k] is None or worst < slot[k]:
-                slot[k] = worst
-    return tuple(best_two), tuple(best_other)  # type: ignore[return-value]
+    two_two, other = [], []
+    for alloc, ratios in _split_ratios():
+        (two_two if all(len(b) == 2 for b in alloc.bundles) else other).append(ratios)
+    best_two, best_other = (tuple(map(min, zip(*c))) for c in (two_two, other))
+    return best_two, best_other  # type: ignore[return-value]
 
 
 def witness_ordinal_rand() -> tuple[Fraction, Fraction]:

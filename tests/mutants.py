@@ -6,7 +6,7 @@ real algorithms means nothing.
 
 from __future__ import annotations
 
-from choremms.algorithms import build_schedule, seqpick
+from choremms.algorithms import seqpick
 from choremms.model import Allocation, CostMatrix, rankings, surrogate_matrix
 from choremms.verify import enum_expected_cost
 
@@ -19,7 +19,7 @@ def greedy_worst_seqpick(matrix: CostMatrix) -> Allocation:
     Surrogate costs built from the reversed rankings make the most
     expensive item the cheapest, so plain seqpick picks in that order."""
     worst_first = surrogate_matrix([order[::-1] for order in rankings(matrix)])
-    return seqpick(worst_first, build_schedule(matrix.n, matrix.m))
+    return seqpick(worst_first)
 
 
 def argmax_assigner(matrix: CostMatrix) -> Allocation:

@@ -81,31 +81,22 @@ def test_schedule_built_once_per_size(caplog):
 
 def test_seqpick_tie_break_example():
     m = CostMatrix.from_rows([[3, 1, 1, 1], [3, 1, 1, 1]])
-    alloc = seqpick(m, build_schedule(2, 4))
+    alloc = seqpick(m)
     assert alloc.bundles[1] == frozenset({1, 2})  # cheapest two, ties by index
     assert alloc.bundles[0] == frozenset({0, 3})
 
 
 def test_seqpick_opposed_rows():
     m = CostMatrix.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
-    alloc = seqpick(m, build_schedule(2, 4))
+    alloc = seqpick(m)
     assert alloc.bundles[1] == frozenset({2, 3})
     assert alloc.bundles[0] == frozenset({0, 1})
 
 
 def test_seqpick_single_agent_schedule():
-    from choremms.algorithms import PickSchedule
-
     m = CostMatrix.from_rows([[5, 1, 2]])
-    sched = PickSchedule((3,), 0.0, 0)
-    alloc = seqpick(m, sched)
+    alloc = seqpick(m)
     assert alloc.bundles == (frozenset({0, 1, 2}),)
-
-
-def test_seqpick_schedule_mismatch():
-    m = CostMatrix.from_rows([[1, 2, 3], [3, 2, 1]])
-    with pytest.raises(ValueError, match="does not match"):
-        seqpick(m, build_schedule(2, 4))
 
 
 def test_seqpick_greedy_is_dominant():
@@ -117,7 +108,7 @@ def test_seqpick_greedy_is_dominant():
         m = int(rng.integers(n + 1, 7))
         inst = uniform_instance(rng, n, m)
         sched = build_schedule(n, m)
-        alloc = seqpick(inst, sched)
+        alloc = seqpick(inst)
         remaining = set(range(m))
         for i in reversed(range(n)):
             row = inst.row(i)
@@ -134,7 +125,7 @@ def test_seqpick_output_is_partition():
         n = int(rng.integers(2, 7))
         m = int(rng.integers(n + 1, 15))
         inst = uniform_instance(rng, n, m)
-        assert seqpick(inst, build_schedule(n, m)).is_partition(m)
+        assert seqpick(inst).is_partition(m)
 
 
 # --- randdecl -----------------------------------------------------------------
@@ -380,7 +371,7 @@ def test_bypass_when_m_le_n_is_mms():
 def test_dispatch_matches_direct_seqpick():
     rng = np.random.default_rng(43)
     inst = uniform_instance(rng, 3, 9)
-    assert allocate(inst, "seqpick") == seqpick(inst, build_schedule(3, 9))
+    assert allocate(inst, "seqpick") == seqpick(inst)
 
 
 def test_dispatch_errors():

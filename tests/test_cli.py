@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import MISSING
+from pathlib import Path
 
 import pytest
 
+import choremms
 from choremms import cli
 from choremms.cli import main
 
@@ -47,6 +53,25 @@ def test_validate_flags_degenerate_agent(capsys, instance):
     code, doc, _ = run_json(capsys, ["validate", "--instance", path])
     assert code == 0
     assert doc["degenerate_agents"] == [1]
+
+
+def test_validate_lists_a_header_mismatch(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 3, "m": 3, "costs": [[1, 2], [3, 4]]}))
+    code, doc, _ = run_json(capsys, ["validate", "--instance", str(path)])
+    assert code == 1
+    assert doc == {
+        "ok": False,
+        "violations": [
+            'instance "n"=3 but costs has 2 rows',
+            'instance "m"=3 but rows have 2 entries',
+        ],
+        "degenerate_agents": [],
+    }
+    # every other command refuses the instance on its first mismatch
+    code, out, err = run(capsys, ["mms", "--instance", str(path)])
+    assert (code, out) == (1, "")
+    assert err == 'error: instance "n"=3 but costs has 2 rows\n'
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -194,6 +219,41 @@ def test_allocate_order_is_refused_without_roundrobin(capsys, instance, alg):
     )
     assert code == 1 and out == ""
     assert err == "error: --order applies only to --alg roundrobin\n"
+
+
+REFUSED_FLAGS = [
+    (
+        ["allocate", "--alg", alg, "--seed", "1"],
+        "--seed applies only to --alg randdecl",
+    )
+    for alg in ("seqpick", "roundrobin", "dc3")
+] + [
+    (["spcheck", "--alg", "seqpick", "--exact"], "--exact applies only to --alg randdecl"),
+    (
+        ["spcheck", "--alg", "roundrobin", "--trials", "20000"],
+        "--trials applies only to --alg randdecl",
+    ),
+    (
+        ["spcheck", "--alg", "randdecl", "--exact", "--trials", "20000"],
+        "--trials applies only without --exact",
+    ),
+    (
+        ["spcheck", "--alg", "randdecl", "--model", "cardinal", "--grid"],
+        "--grid applies only to --model cardinal or public, not to randdecl",
+    ),
+    (
+        ["spcheck", "--alg", "roundrobin", "--model", "ordinal", "--grid"],
+        "--grid applies only to --model cardinal or public, not to randdecl",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_FLAGS)
+def test_flags_the_algorithm_ignores_are_refused(capsys, instance, argv, message):
+    path = instance([[3, 1, 2], [1, 4, 2], [2, 2, 1]])
+    code, out, err = run(capsys, [*argv, "--instance", path])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_allocate_cap_exceeded_still_emits_bundles(capsys, instance):
@@ -391,6 +451,42 @@ def test_eval_writes_csv(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 2
 
 
+def test_eval_prints_one_line_per_skipped_cell(tmp_path):
+    # run as a user runs it: in a process of its own, with no test harness
+    # capturing any logging
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "specs": [
+                    {"family": "uniform", "n": 2, "m": 6, "seed": 5},
+                    {"family": "uniform", "n": 3, "m": 6, "seed": 7},
+                ],
+                "algorithms": ["dc3", "roundrobin"],
+                "seeds_per_spec": 2,
+            }
+        )
+    )
+    out_csv = tmp_path / "table.csv"
+    src = str(Path(choremms.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["eval", "--config", str(config), "--out", str(out_csv)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "choremms.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == out_csv.read_text()
+    assert len(proc.stdout.splitlines()) == 1 + 6
+    assert proc.stderr.splitlines() == [
+        f"skipped (uniform(0,1), dc3, seed={seed}): dc3 requires n=3 (got n=2)"
+        for seed in (5, 6)
+    ]
+
+
 def test_eval_bad_config(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"algorithms": ["seqpick"]}))
@@ -420,11 +516,14 @@ def test_eval_config_not_an_object(capsys, tmp_path, config):
         ({"seed": 1.5}, 1),
         ({}, -2),
         ({}, "2"),
+        ({"n": MISSING, "m": MISSING, "seed": MISSING}, 1),  # MISSING: left out
     ],
 )
 def test_eval_config_field_types(capsys, tmp_path, spec, seeds_per_spec):
+    entry = {"family": "uniform", "n": 3, "m": 5, "seed": 1, **spec}
+    missing = [name for name, value in entry.items() if value is MISSING]
     config = {
-        "specs": [{"family": "uniform", "n": 3, "m": 5, "seed": 1, **spec}],
+        "specs": [{name: value for name, value in entry.items() if value is not MISSING}],
         "algorithms": ["seqpick"],
         "seeds_per_spec": seeds_per_spec,
     }
@@ -434,7 +533,10 @@ def test_eval_config_field_types(capsys, tmp_path, spec, seeds_per_spec):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "must be an integer" in err
+    if missing:
+        assert err == f"error: missing spec fields {missing}\n"
+    else:
+        assert "must be an integer" in err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,9 @@
-import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from choremms import mms
+from choremms import gen, mms
 from choremms.algorithms import allocate
 from choremms.gen import (
     CSV_COLUMNS,
@@ -15,10 +14,9 @@ from choremms.gen import (
     run_batch,
     specs_from_config,
     strip_runtime,
-    write_csv,
 )
 from choremms.mms import MmsCapError, evaluate, mms_table
-from choremms.model import rankings
+from choremms.model import Allocation, rankings
 
 
 def test_uniform_family_range_and_shape():
@@ -141,7 +139,7 @@ def _cell_by_cell(specs, algorithms, seeds_per_spec, cap):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_run_batch_failures_match_cell_by_cell(caplog, workers):
+def test_run_batch_failures_match_cell_by_cell(workers):
     # dc3 at n=2 fails its precondition; m=9 above cap=8 fails every cell that
     # allocates, dc3 at n=3 included; the m=7 specs run clean
     specs = [
@@ -151,8 +149,7 @@ def test_run_batch_failures_match_cell_by_cell(caplog, workers):
         GenSpec("exponential", n=3, m=7, seed=4),
     ]
     algorithms = ["dc3", "seqpick", "roundrobin", "randdecl"]
-    with caplog.at_level(logging.WARNING, logger="choremms.gen"):
-        rows, failures = run_batch(specs, algorithms, 2, cap=8, workers=workers)
+    rows, failures = run_batch(specs, algorithms, 2, cap=8, workers=workers)
     want_rows, want_failures = _cell_by_cell(specs, algorithms, 2, cap=8)
     assert [r[:6] for r in rows] == want_rows
     assert failures == want_failures
@@ -160,10 +157,19 @@ def test_run_batch_failures_match_cell_by_cell(caplog, workers):
         "dc3 requires n=3 (got n=2)",
         "9 items exceeds the exact-computation cap of 8; use mms_bounds",
     }
-    assert [r.getMessage() for r in caplog.records] == [
-        f"batch cell skipped ({f.spec.label()}, {f.algorithm}, seed={f.seed}): {f.reason}"
-        for f in failures
-    ]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_batch_raises_on_a_non_partition(monkeypatch, workers):
+    # a broken allocation is a bug, not a skipped cell
+    def drops_last_item(matrix, algorithm, **kwargs):
+        bundles = allocate(matrix, algorithm, **kwargs).bundles
+        return Allocation(bundles[:-1] + (bundles[-1] - {matrix.m - 1},))
+
+    monkeypatch.setattr(gen, "allocate", drops_last_item)
+    specs = [GenSpec("identical_ranking", n=3, m=7, seed=1)]
+    with pytest.raises(ValueError, match="^not a partition: "):
+        run_batch(specs, ["seqpick", "roundrobin"], 2, workers=workers)
 
 
 def test_evaluate_with_precomputed_table_matches():
@@ -173,15 +179,11 @@ def test_evaluate_with_precomputed_table_matches():
         assert evaluate(alloc, inst, table=mms_table(inst)) == evaluate(alloc, inst)
 
 
-def test_csv_shape_and_rounding(tmp_path):
+def test_csv_shape_and_rounding():
     rows, _ = run_batch([GenSpec("uniform", n=3, m=7, seed=9)], ["seqpick"], 2)
-    text = rows_to_csv(rows)
-    lines = text.splitlines()
+    lines = rows_to_csv(rows).splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(rows)
-    path = tmp_path / "out.csv"
-    write_csv(rows, str(path))
-    assert path.read_text() == text
 
 
 def test_batch_determinism_modulo_runtime():

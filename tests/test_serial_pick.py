@@ -35,7 +35,7 @@ def schedule_sequence(matrix):
 @given(instances())
 def test_seqpick_matches_reference(matrix):
     schedule = build_schedule(matrix.n, matrix.m)
-    alloc = seqpick(matrix, schedule)
+    alloc = seqpick(matrix)
     assert alloc.is_partition(matrix.m)
     assert alloc.bundles == serial_pick_reference(matrix, schedule_sequence(matrix))
     assert tuple(len(b) for b in alloc.bundles) == schedule.counts
