@@ -151,12 +151,15 @@ def _cmd_spcheck(args) -> int:
         raise ValueError("--trials applies only to --alg randdecl")
     if args.trials is not None and args.exact:
         raise ValueError("--trials applies only without --exact")
-    if args.grid and (randomized or args.model == "ordinal"):
+    if args.grid and (randomized or args.model in (None, "ordinal")):
         raise ValueError("--grid applies only to --model cardinal or public, not to randdecl")
+    if args.model is not None and randomized:
+        raise ValueError("--model applies only without --alg randdecl")
+    model_name = "ordinal" if args.model is None else args.model
     trials = verify.MC_TRIALS if args.trials is None else args.trials
     matrix = load_instance(args.instance)
     reports = []
-    model = _MODELS[args.model]
+    model = _MODELS[model_name]
     for i in _agents(args.agent, matrix.n):
         if randomized:
             mode = "exact" if args.exact else "montecarlo"
@@ -168,7 +171,7 @@ def _cmd_spcheck(args) -> int:
             )
         reports.append(rep.to_jsonable())
     any_profitable = any(r["profitable"] for r in reports)
-    _emit({"algorithm": args.alg, "model": args.model, "reports": reports})
+    _emit({"algorithm": args.alg, "model": model_name, "reports": reports})
     return EXIT_PROPERTY if any_profitable else EXIT_OK
 
 
@@ -187,6 +190,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     with open(args.config) as fh:
         doc = json.load(fh)
     specs, algs, seeds_per_spec = gen.specs_from_config(doc)
@@ -238,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spcheck", help="exhaustive unilateral-deviation search")
     p.add_argument("--instance", required=True)
     p.add_argument("--alg", required=True, choices=algorithms.ALGORITHMS)
-    p.add_argument("--model", default="ordinal", choices=sorted(_MODELS))
+    p.add_argument(
+        "--model", default=None, choices=sorted(_MODELS), help="default ordinal; not randdecl"
+    )
     p.add_argument("--agent", type=int, default=None, help="1-indexed agent")
     p.add_argument("--exact", action="store_true", help="randdecl: enumerate all landings")
     p.add_argument("--trials", type=int, default=None)

@@ -1,21 +1,26 @@
 """Exact and bounded maxmin-share computation.
 
 An agent's maxmin share is the smallest achievable maximum bundle cost over
-all n-partitions of the items, measured with the agent's own cost row. The
-exact solver is a branch-and-bound over item-to-bundle assignments (items in
-descending cost order, duplicate-load symmetry skipped, incumbent seeded by
-a longest-processing-time greedy). It cuts a node with the closed-bundle
-bound of bin completion (Korf, IJCAI 2009): a bundle that not even the
-smallest item fits under the incumbent is closed, and the items left must
-fit in the room the open bundles have below the incumbent. Exact MMS is
-NP-hard, so item counts are capped; above the cap only the cheap
-lower/upper bounds are available.
+all n-partitions of the items, measured with the agent's own cost row. For
+n >= 3 the exact solver is a branch-and-bound over item-to-bundle
+assignments (items in descending cost order, duplicate-load symmetry
+skipped, incumbent seeded by a longest-processing-time greedy). It cuts a
+node with the closed-bundle bound of bin completion (Korf, IJCAI 2009): a
+bundle that not even the smallest item fits under the incumbent is closed,
+and the items left must fit in the room the open bundles have below the
+incumbent. For n = 2 it is an exact subset-sum scan: numpy sums both
+bundles of every two-way split, in blocks, the way the branch-and-bound
+sums them, and picks the split that search would end on (value, witness
+and method alike). Exact MMS is NP-hard, so item counts are capped; above
+the cap only the cheap lower/upper bounds are available.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .model import Allocation, AgentEval, CostMatrix, EvalReport, ratio_of
 
@@ -85,8 +90,39 @@ def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult
 
     lower = max(total / n, max(row))
     best_val, lpt_bundles = _lpt(items, row, n)
-    costs = [row[j] for j in items]
-    last = len(items) - 1
+    best_assign: list[int] | None = None
+    if best_val > lower:
+        costs = [row[j] for j in items]
+        if n == 2:
+            best_val, best_assign = _two_way_scan(costs, best_val, lower)
+        else:
+            best_val, best_assign = _branch_and_bound(costs, n, m, best_val, lower)
+
+    if best_assign is None:
+        bundles = [set(b) for b in lpt_bundles]
+    else:
+        bundles = [set() for _ in range(n)]
+        for idx, b in enumerate(best_assign):
+            bundles[b].add(items[idx])
+    # zero-cost items never move the max; park them in the lightest bundle
+    if zeros:
+        lightest = min(range(n), key=lambda k: (sum(row[j] for j in bundles[k]), k))
+        bundles[lightest].update(zeros)
+    return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
+
+
+def _branch_and_bound(
+    costs: list[float], n: int, m: int, best_val: float, lower: float
+) -> tuple[float, list[int] | None]:
+    """Search assignments of the descending `costs` to n bundles for a
+    maximum load below the incumbent `best_val`, stopping at one <= `lower`.
+
+    Returns the final incumbent and the assignment of the last leaf the
+    search admitted (None when no leaf beat the start incumbent). A leaf is
+    admitted when it beats the incumbent or, below a node where a bundle
+    already holds exactly the incumbent, ties it.
+    """
+    last = len(costs) - 1
     smallest = costs[-1]
     rest = costs + [0.0]  # rest[idx]: the cost of items[idx:]
     for idx in range(last - 1, -1, -1):
@@ -97,7 +133,7 @@ def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult
     # best_val * 2**-53. The bound weighs a few such errors; margin allows
     # sixteen, so it never cuts a node whose exact room would fit the rest.
     margin = 8 * (m + n) * n * 2.0**-52
-    assign = [0] * len(items)
+    assign = [0] * len(costs)
     best_assign: list[int] | None = None
     loads = [0.0] * n
     proven = False
@@ -148,20 +184,95 @@ def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult
             if proven:
                 return
 
-    if best_val > lower:
-        dfs(0, 0.0, 0.0)
+    dfs(0, 0.0, 0.0)
+    return best_val, best_assign
 
-    if best_assign is None:
-        bundles = [set(b) for b in lpt_bundles]
-    else:
-        bundles = [set() for _ in range(n)]
-        for idx, b in enumerate(best_assign):
-            bundles[b].add(items[idx])
-    # zero-cost items never move the max; park them in the lightest bundle
-    if zeros:
-        lightest = min(range(n), key=lambda k: (sum(row[j] for j in bundles[k]), k))
-        bundles[lightest].update(zeros)
-    return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
+
+# The two-way scan enumerates splits in blocks of 2**_BLOCK_BITS: the last
+# items vary within a block, the ones before them are fixed per block.
+_BLOCK_BITS = 14
+
+
+def _two_way_scan(
+    costs: list[float], best_val: float, lower: float
+) -> tuple[float, list[int] | None]:
+    """What _branch_and_bound returns at n=2, from a scan of every split.
+
+    That search puts item 0 in bundle 0 and meets the splits in
+    lexicographic order of their assignments, bundle 0 first. It stops at
+    the first split <= `lower`; otherwise it ends on the first split of
+    least maximum load, or on a tie it admits after that (_last_tie).
+    Blocks are scanned in that order, and one whose fixed items already
+    load a bundle to the incumbent is skipped: none of its splits beats it.
+    """
+    k = len(costs)
+    bits = min(_BLOCK_BITS, k - 1)
+    fixed = k - 1 - bits  # items 1..fixed are set per block
+    size = 1 << bits
+    best_assign: list[int] | None = None
+    for block in range(1 << fixed):
+        head = [0] + [(block >> (fixed - t)) & 1 for t in range(1, fixed + 1)]
+        loads = [0.0, 0.0]
+        for b, c in zip(head, costs):
+            loads[b] += c
+        if max(loads) >= best_val:
+            continue
+        # Both loads of every split in the block, summed as the search sums
+        # them: the fixed items' load, then the block's items one at a time
+        # in order. Doubling puts item fixed+1+t on bit t of the index (set:
+        # bundle 1), so the search meets the indices in bit-reversed order.
+        load0 = np.empty(size)
+        load1 = np.empty(size)
+        load0[0], load1[0] = loads
+        width = 1
+        for c in costs[fixed + 1 :]:
+            load0[width : 2 * width] = load0[:width]
+            np.add(load1[:width], c, out=load1[width : 2 * width])
+            load0[:width] += c
+            width *= 2
+        worst = np.maximum(load0, load1)
+        least = float(worst.min())
+        if least <= lower:
+            hit = _first_in_search_order(np.flatnonzero(worst <= lower), bits)
+            return float(worst[hit]), head + [(hit >> t) & 1 for t in range(bits)]
+        if least < best_val:
+            best_val = least
+            hit = _first_in_search_order(np.flatnonzero(worst == least), bits)
+            best_assign = head + [(hit >> t) & 1 for t in range(bits)]
+    if best_assign is not None:
+        best_assign = _last_tie(costs, best_assign, best_val)
+    return best_val, best_assign
+
+
+def _first_in_search_order(hits: np.ndarray, bits: int) -> int:
+    """The index among `hits` whose bit-reversed value is smallest."""
+    order = np.zeros_like(hits)
+    for t in range(bits):
+        order |= ((hits >> t) & 1) << (bits - 1 - t)
+    return int(hits[np.argmin(order)])
+
+
+def _last_tie(costs: list[float], assign: list[int], best_val: float) -> list[int]:
+    """The last leaf the two-bundle search admits after `assign`, its first
+    split of load `best_val`.
+
+    Backtracking along `assign`, the search tries bundle 1 for each item d
+    that `assign` put in bundle 0. That branch admits a leaf, a tie, only
+    if bundle 0 already holds exactly best_val (item d was absorbed in
+    float: bundle 0 now refuses every item) and bundle 1 takes item d and
+    every item after it staying below best_val. The shallowest such d is
+    admitted last.
+    """
+    loads = [0.0, 0.0]
+    for d, b in enumerate(assign):
+        if b == 0 and loads[0] == best_val:
+            tail = loads[1]
+            for c in costs[d:]:
+                tail += c
+            if tail < best_val:
+                return assign[:d] + [1] * (len(assign) - d)
+        loads[b] += costs[d]
+    return assign
 
 
 def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:

@@ -245,6 +245,17 @@ REFUSED_FLAGS = [
         ["spcheck", "--alg", "roundrobin", "--model", "ordinal", "--grid"],
         "--grid applies only to --model cardinal or public, not to randdecl",
     ),
+    (
+        ["spcheck", "--alg", "roundrobin", "--grid"],
+        "--grid applies only to --model cardinal or public, not to randdecl",
+    ),
+] + [
+    (
+        ["spcheck", "--alg", "randdecl", "--model", model, *mode],
+        "--model applies only without --alg randdecl",
+    )
+    for model in ("ordinal", "cardinal", "public")
+    for mode in ([], ["--exact"])
 ]
 
 
@@ -312,6 +323,8 @@ def test_spcheck_randdecl_exact(capsys, instance):
         capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--exact"]
     )
     assert code == 0
+    # no --model with randdecl; the payload still names the ordinal model
+    assert list(doc)[:2] == ["algorithm", "model"] and doc["model"] == "ordinal"
     assert all(r["deviation"] == "truthful" for r in doc["reports"])
 
 
@@ -485,6 +498,22 @@ def test_eval_prints_one_line_per_skipped_cell(tmp_path):
         f"skipped (uniform(0,1), dc3, seed={seed}): dc3 requires n=3 (got n=2)"
         for seed in (5, 6)
     ]
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_eval_refuses_a_worker_count_below_one(capsys, tmp_path, workers):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {"specs": [{"family": "uniform", "n": 2, "m": 5, "seed": 1}], "algorithms": ["seqpick"]}
+        )
+    )
+    out_csv = tmp_path / "table.csv"
+    argv = ["eval", "--config", str(config), "--out", str(out_csv), "--workers", workers]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: --workers must be >= 1, got {workers}\n"
+    assert not out_csv.exists()
 
 
 def test_eval_bad_config(capsys, tmp_path):
