@@ -24,7 +24,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -208,6 +208,16 @@ def check_labels(matrix: CostMatrix, labels: Labels) -> Labels:
     return labels
 
 
+def label_matrix(labels: Labels, m: int) -> np.ndarray:
+    """The profile as an (n, m) boolean matrix: [i, j] is whether agent i
+    declared item j large."""
+    sizes = [len(declared) for declared in labels]
+    items = np.fromiter(chain.from_iterable(labels), dtype=np.intp, count=sum(sizes))
+    marks = np.zeros((len(labels), m), dtype=bool)
+    marks[np.repeat(np.arange(len(labels)), sizes), items] = True
+    return marks
+
+
 def randdecl(
     matrix: CostMatrix, seed: int | np.random.Generator, labels: Optional[Labels] = None
 ) -> Allocation:
@@ -219,7 +229,7 @@ def randdecl(
     agent, so shares differ by at most one and each pooled item ends up with
     each agent with probability exactly 1/n. Fully reproducible from `seed`
     (or drawn from it, when it is a numpy Generator). The draws are made
-    here; `randdecl_deal` places the items.
+    here; `randdecl_deal` places the items, as one trial.
 
     `labels` is every agent's declared label set, as in every randdecl
     function here (default: the truthful `label_sets`).
@@ -228,38 +238,47 @@ def randdecl(
     if n < 2:
         raise ValueError("randdecl needs at least 2 agents")
     labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
+    marks = label_matrix(labels, m)
     rng = np.random.default_rng(seed)
-    landing = rng.integers(0, n, size=m).tolist()
-    pooled = [j for j in range(m) if j in labels[landing[j]]]
-    deal = rng.permutation(len(pooled)).tolist()
-    start = int(rng.integers(0, n))
-    return randdecl_deal(labels, landing, [pooled[idx] for idx in deal], start)
+    landing = rng.integers(0, n, size=m)
+    in_pool = marks[landing, np.arange(m)]
+    pooled = np.flatnonzero(in_pool)
+    dealt = pooled[rng.permutation(len(pooled))]
+    start = rng.integers(0, n)
+    kept = np.flatnonzero(~in_pool)
+    order = np.concatenate([dealt, kept])
+    owner = randdecl_deal(marks, landing[None], order[None], np.array([start]))[0].tolist()
+    # kept items join their bundle in index order, then dealt ones in deal order
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    for j in kept.tolist() + dealt.tolist():
+        bundles[owner[j]].add(j)
+    return Allocation.from_lists(bundles)
 
 
 def randdecl_deal(
-    labels: Labels, landing: Sequence[int], order: Sequence[int], start: int
-) -> Allocation:
-    """randdecl's placement, given its random draws: item j landed on agent
-    `landing[j]`, and the pooled items are dealt in the order they appear
-    in `order`, the first to agent `start`, the next to `start + 1` (mod n),
-    and so on. Every other item stays where it landed.
+    labels: np.ndarray, landings: np.ndarray, orders: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """randdecl's placement for T trials at once, given their draws.
 
-    `order` must list every pooled item; items it lists that are not
-    pooled are passed over, so a permutation of all the items is a deal
-    order too.
+    `labels` is the (n, m) `label_matrix` of the declared profile. In trial
+    t item j landed on agent `landings[t, j]`; it is pooled when that agent
+    declared it large. `orders[t]` is a permutation of the m items, and the
+    pooled items are dealt in the order they appear there, the first to
+    agent `starts[t]`, the next to `starts[t] + 1` (mod n), and so on;
+    unpooled items are passed over and stay where they landed. Returns
+    `owner` of shape (T, m): `owner[t, j]` is the agent that gets item j.
     """
-    n = len(labels)
-    in_pool = [j in labels[i] for j, i in enumerate(landing)]
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for j, i in enumerate(landing):
-        if not in_pool[j]:
-            bundles[i].add(j)
-    t = start
-    for j in order:
-        if in_pool[j]:
-            bundles[t % n].add(j)
-            t += 1
-    return Allocation.from_lists(bundles)
+    n, m = labels.shape
+    pooled = labels[landings, np.arange(m)]
+    trial = np.arange(len(orders))[:, None]
+    # each pooled item's place (from 1) among the pooled items of its
+    # trial's order, at the item's own column, turned into its agent in place
+    owner = np.empty(pooled.shape, dtype=np.intp)
+    owner[trial, orders] = np.cumsum(pooled[trial, orders], axis=1)
+    owner += starts[:, None] - 1
+    owner %= n
+    np.copyto(owner, landings, where=~pooled)
+    return owner
 
 
 def randdecl_expected_cost(
@@ -349,13 +368,17 @@ def allocate(
     """Run one of the four algorithms on an instance.
 
     When m <= n the algorithm is bypassed entirely in favour of a one-item-
-    each allocation. Under the ordinal model, ranking-driven algorithms are
-    handed surrogate costs built from the rankings alone, so two instances
-    with identical rankings produce identical allocations no matter the
-    magnitudes.
+    each allocation. Under the ordinal model the algorithms are handed
+    surrogate costs built from the rankings alone, so two instances with
+    identical rankings produce identical allocations no matter the
+    magnitudes; dc3 compares bundle costs, so it refuses that model. Every
+    other model hands over the reported costs: public rankings only narrow
+    the misreports a deviation search tries.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if algorithm == "dc3" and model is Model.ORDINAL:
+        raise ValueError("dc3 compares bundle costs, which the ordinal model withholds")
     if algorithm == "dc3" and matrix.n != 3:
         raise ValueError(f"dc3 requires n=3 (got n={matrix.n})")
     if matrix.m <= matrix.n:
@@ -364,7 +387,7 @@ def allocate(
         raise ValueError("randdecl requires a seed")
 
     work = matrix
-    if model is Model.ORDINAL and algorithm in ("seqpick", "roundrobin", "randdecl"):
+    if model is Model.ORDINAL:
         work = surrogate_matrix(rankings(matrix))
 
     if algorithm == "seqpick":

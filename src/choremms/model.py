@@ -114,10 +114,11 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
 def rank(matrix: CostMatrix, agent: int) -> tuple[int, ...]:
     """Agent's ranking: item indices in descending cost order, ties by index.
 
-    Position 0 holds the largest-cost (least preferred) item.
+    Position 0 holds the largest-cost (least preferred) item. A reversed
+    sort stays stable, so equal costs keep ascending index order.
     """
     row = matrix.row(agent)
-    return tuple(sorted(range(len(row)), key=lambda j: (-row[j], j)))
+    return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
 
 
 def rankings(matrix: CostMatrix) -> tuple[tuple[int, ...], ...]:

@@ -23,6 +23,7 @@ from .algorithms import (
     allocate,
     check_labels,
     label_count,
+    label_matrix,
     label_sets,
     randdecl,
     randdecl_deal,
@@ -35,6 +36,8 @@ PROFIT_TOL = 1e-9
 MAX_ORDINAL_ITEMS = 7
 # the fewest Monte-Carlo trials a randomized check accepts, and its default
 MC_TRIALS = 10_000
+# Monte-Carlo trials dealt per randdecl_deal call
+MC_BLOCK = 1024
 # p spacing of witness_ordinal_rand_grid
 WITNESS_GRID_STEP = 1e-6
 
@@ -219,10 +222,13 @@ def mc_expected_cost(
     Trial 0 is `randdecl` itself, drawing from that stream, so every
     estimate runs the rule end to end, its draws included. The other
     trials then take, in three batched calls, every trial's landings, a
-    random permutation of all m items per trial, and every trial's start,
-    and `randdecl_deal` deals each trial's pooled items in the order of its
-    permutation. Restricted to the pool, a uniform permutation of the items
-    is a uniform deal order, so each trial is a randdecl outcome.
+    random permutation of all m items per trial, and every trial's start.
+    Restricted to the pool, a uniform permutation of the items is a uniform
+    deal order, so each trial is a randdecl outcome. `randdecl_deal` deals
+    them MC_BLOCK trials at a time, so the deal's own arrays stay
+    O(MC_BLOCK * m) at any trial count. Each trial's cost adds the agent's
+    items in ascending index order, starting from 0.0: the additions of
+    `sum(row[j] for j in sorted(bundle))`, one column at a time.
     """
     n, m = matrix.n, matrix.m
     if trials < 1:
@@ -231,19 +237,22 @@ def mc_expected_cost(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     row = matrix.row(agent)
     costs = np.empty(trials)
-    costs[0] = sum(row[j] for j in randdecl(matrix, rng, labels).bundles[agent])
-    # compact rows, turned into lists one trial at a time: lists of every
-    # draw made up front would hold several MB at 10^4 trials
+    costs[0] = sum(row[j] for j in sorted(randdecl(matrix, rng, labels).bundles[agent]))
     rest = trials - 1
     landings = rng.integers(0, n, size=(rest, m), dtype=np.min_scalar_type(n - 1))
     items = np.arange(m, dtype=np.min_scalar_type(m - 1))
     orders = rng.permuted(np.tile(items, (rest, 1)), axis=1)
-    starts = rng.integers(0, n, size=rest).tolist()
-    for t in range(rest):
-        alloc = randdecl_deal(labels, landings[t].tolist(), orders[t].tolist(), starts[t])
-        costs[t + 1] = sum(row[j] for j in alloc.bundles[agent])
+    starts = rng.integers(0, n, size=rest)
+    marks = label_matrix(labels, m)
     # costs near the float limit overflow to inf here, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rest, MC_BLOCK):
+            block = slice(lo, lo + MC_BLOCK)
+            owner = randdecl_deal(marks, landings[block], orders[block], starts[block])
+            acc = np.zeros(len(owner))
+            for j in range(m):
+                acc += np.where(owner[:, j] == agent, row[j], 0.0)
+            costs[1 + lo : 1 + lo + MC_BLOCK] = acc
         stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return float(costs.mean()), stderr
 

@@ -7,7 +7,8 @@ item at every pick, and the deviation-search oracle builds and validates
 every reported matrix from scratch, with no cache. The randdecl reference
 is the earlier, unhoisted body of the algorithm, which the faster one must
 match draw for draw, the Monte-Carlo reference takes the estimator's
-batched draws but deals each trial with its own code, and the mms_exact
+batched draws but deals each trial with its own scan, the ranking reference
+sorts on an explicit (-cost, index) key, and the mms_exact
 reference is the search as it was before the closed-bundle bound, which the
 faster one must match in value, witness and method.
 """
@@ -131,6 +132,12 @@ def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) ->
     return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
 
 
+def rank_reference(row: Sequence[float]) -> list[int]:
+    """Item indices by descending cost, ties by ascending index, sorted on
+    the explicit (-cost, index) key."""
+    return sorted(range(len(row)), key=lambda j: (-row[j], j))
+
+
 def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Bundles when each agent of `sequence` in turn takes the remaining
     item that is smallest by (its cost, index)."""
@@ -205,6 +212,8 @@ def mc_expected_cost_reference(
         mine += [j for k, j in enumerate(pooled) if (start + k) % n == agent]
         costs.append(sum(row[j] for j in sorted(mine)))
     arr = np.array(costs)
+    if trials == 1:
+        return float(arr[0]), 0.0  # one trial: no spread to estimate
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
 
 
@@ -228,9 +237,6 @@ def deviation_search_reference(
     m = matrix.m
     true_row = matrix.costs[agent]
 
-    def order_of(row):
-        return sorted(range(m), key=lambda j: (-row[j], j))
-
     def by_rank(order, values):
         row = [0.0] * m
         for pos, j in enumerate(order):
@@ -239,7 +245,7 @@ def deviation_search_reference(
 
     ranks = [float(m - pos) for pos in range(m)]
     if model is Model.ORDINAL:
-        truthful_rows = [by_rank(order_of(row), ranks) for row in matrix.costs]
+        truthful_rows = [by_rank(rank_reference(row), ranks) for row in matrix.costs]
     else:
         truthful_rows = [list(row) for row in matrix.costs]
 
@@ -256,7 +262,7 @@ def deviation_search_reference(
         for perm in permutations(range(m)):
             misreports.append((f"ranking {tuple(j + 1 for j in perm)}", by_rank(perm, values)))
     if include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING):
-        true_order = order_of(true_row)
+        true_order = rank_reference(true_row)
         for factors in product(grid_factors, repeat=m):
             row = [f * c for f, c in zip(factors, true_row)]
             if model is Model.PUBLIC_RANKING and any(

@@ -1,3 +1,4 @@
+import json
 import logging
 from itertools import combinations, product
 
@@ -175,6 +176,14 @@ def test_randdecl_partition_and_reproducibility():
         # phase-2 deal keeps pooled shares within one of each other, but
         # phase-1 landings are free; just sanity-check coverage
         assert sum(sizes) == m
+
+
+def test_randdecl_bundles_hold_python_ints():
+    # the deal runs on numpy arrays; the bundles must not carry numpy ints
+    inst = uniform_instance(np.random.default_rng(5), 3, 300)
+    alloc = randdecl(inst, 9)
+    assert all(type(j) is int for bundle in alloc.bundles for j in bundle)
+    json.dumps([sorted(bundle) for bundle in alloc.bundles])
 
 
 @pytest.mark.parametrize(

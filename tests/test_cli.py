@@ -180,6 +180,13 @@ def test_allocate_randdecl_needs_seed(capsys, instance):
     )
     assert code == 0
     assert sorted(j for b in doc["bundles"] for j in b) == [1, 2, 3]
+    # past m <= n, and with many items, the bundles print as JSON integers
+    path = instance([[float(j % 7) for j in range(300)] for _ in range(3)], "big.json")
+    code, doc, _ = run_json(
+        capsys, ["allocate", "--instance", path, "--alg", "randdecl", "--seed", "4"]
+    )
+    assert code == 0
+    assert sorted(j for b in doc["bundles"] for j in b) == list(range(1, 301))
 
 
 def test_allocate_dc3_wrong_n(capsys, instance):
@@ -256,6 +263,12 @@ REFUSED_FLAGS = [
     )
     for model in ("ordinal", "cardinal", "public")
     for mode in ([], ["--exact"])
+] + [
+    # dc3 compares bundle costs: refused under ordinal even when m <= n
+    (
+        ["allocate", "--alg", "dc3", "--model", "ordinal"],
+        "dc3 compares bundle costs, which the ordinal model withholds",
+    ),
 ]
 
 
@@ -326,6 +339,30 @@ def test_spcheck_randdecl_exact(capsys, instance):
     # no --model with randdecl; the payload still names the ordinal model
     assert list(doc)[:2] == ["algorithm", "model"] and doc["model"] == "ordinal"
     assert all(r["deviation"] == "truthful" for r in doc["reports"])
+
+
+def test_spcheck_randdecl_montecarlo_output_is_pinned(capsys, instance):
+    # the payload comes from the closed form; the Monte-Carlo engine only
+    # cross-checks it, so a change of engine must not move a byte
+    path = instance([[5, 1, 3, 2, 4, 1, 2], [2, 2, 6, 1, 1, 3, 4], [1, 3, 1, 4, 2, 2, 5]])
+    code, out, err = run(
+        capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--agent", "1"]
+    )
+    assert (code, err) == (0, "")
+    assert out == """{
+  "algorithm": "randdecl",
+  "model": "ordinal",
+  "reports": [
+    {
+      "agent": 1,
+      "truthful_cost": 4.55555555556,
+      "best_deviation_cost": 4.55555555556,
+      "deviation": "truthful",
+      "profitable": false
+    }
+  ]
+}
+"""
 
 
 def test_spcheck_grid_overflow_is_a_clean_error(capsys, instance):

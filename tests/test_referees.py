@@ -1,12 +1,13 @@
-"""Property tests: the deviation checkers and randdecl against the
+"""Property tests: the deviation checkers, randdecl and rank against the
 references in oracles.py, and randdecl's closed form against enumeration.
 
 randdecl must match the earlier, unhoisted randdecl draw for draw, its
-Monte-Carlo estimate must match a reference that takes the same draws and
-deals them with its own code, and sp_check_ordinal, which shares every row but
-the deviating agent's between misreports, must report exactly what a search
-that rebuilds every reported matrix reports. Costs are drawn from 0..3 so
-that ties are common.
+dealing core must place every trial as a per-trial scan of the same draws
+does, its Monte-Carlo estimate must match a reference that takes the same
+draws and deals them with its own code, and sp_check_ordinal, which shares
+every row but the deviating agent's between misreports, must report exactly
+what a search that rebuilds every reported matrix reports. Costs are drawn
+from 0..3 so that ties are common.
 """
 
 import numpy as np
@@ -14,16 +15,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choremms.algorithms import label_count, label_sets, randdecl, randdecl_expected_cost
-from choremms.model import CostMatrix, Model
+from choremms.algorithms import (
+    label_count,
+    label_sets,
+    randdecl,
+    randdecl_deal,
+    randdecl_expected_cost,
+)
+from choremms.model import CostMatrix, Model, rank
 from choremms.verify import (
+    MC_BLOCK,
     algorithm_runner,
     enum_expected_cost,
     mc_expected_cost,
     sp_check_ordinal,
 )
 from mutants import greedy_worst_seqpick
-from oracles import deviation_search_reference, mc_expected_cost_reference, randdecl_reference
+from oracles import (
+    deviation_search_reference,
+    mc_expected_cost_reference,
+    randdecl_reference,
+    rank_reference,
+)
 
 
 @st.composite
@@ -89,6 +102,59 @@ def test_mc_expected_cost_matches_reference_past_255(n, m):
     agent = n - 1
     expected = mc_expected_cost_reference(matrix, agent, 7, 40)
     assert mc_expected_cost(matrix, agent, trials=40, seed=7) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 260),
+    m=st.integers(1, 300),
+    trials=st.integers(1, 4),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_randdecl_deal_matches_a_scan_per_trial(n, m, trials, density, seed):
+    # the estimator's draw dtypes, past one byte for agents and items alike
+    rng = np.random.default_rng(seed)
+    labels = rng.random((n, m)) < density
+    landings = rng.integers(0, n, size=(trials, m), dtype=np.min_scalar_type(n - 1))
+    items = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    orders = rng.permuted(np.tile(items, (trials, 1)), axis=1)
+    starts = rng.integers(0, n, size=trials)
+    owner = randdecl_deal(labels, landings, orders, starts)
+    assert owner.shape == (trials, m)
+    for t in range(trials):
+        landing = landings[t].tolist()
+        expected = list(landing)
+        pooled = [j for j in orders[t].tolist() if labels[landing[j], j]]
+        for k, j in enumerate(pooled):
+            expected[j] = (int(starts[t]) + k) % n
+        assert owner[t].tolist() == expected
+
+
+@pytest.mark.parametrize("trials", [1, 2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, MC_BLOCK + 2])
+def test_mc_expected_cost_matches_reference_at_block_edges(trials):
+    # trial 0 is randdecl; the rest fill one block exactly at MC_BLOCK + 1.
+    # Item 0 absorbs each small cost added after it, but not their sum: a
+    # trial cost added up in another order than the reference's is larger,
+    # and the mean moves with it.
+    rng = np.random.default_rng(trials)
+    rows = rng.random((3, 11)).tolist()
+    rows[2] = [1.0] + [6e-17] * 10
+    matrix = CostMatrix.from_rows(rows)
+    expected = mc_expected_cost_reference(matrix, 2, 5, trials)
+    assert mc_expected_cost(matrix, 2, trials=trials, seed=5) == expected
+
+
+costs = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, 0.5]) | st.floats(
+    0.0, 1e300, allow_subnormal=True
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(costs, min_size=1, max_size=12))
+def test_rank_matches_reference(row):
+    # ties, zeros of either sign and subnormals order as on the explicit key
+    assert list(rank(CostMatrix.from_rows([row]), 0)) == rank_reference(row)
 
 
 @settings(max_examples=200, deadline=None)
