@@ -187,9 +187,14 @@ def label_count(n: int, m: int) -> int:
 
 
 def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
-    """Truthful labels: each agent's top-K items by cost (canonical ties)."""
+    """Truthful labels: each agent's top-K items by cost (canonical ties).
+
+    A stable ascending sort of the negated costs keeps equal costs, both
+    zeros included, in ascending index order, as `rank` does.
+    """
     k = label_count(matrix.n, matrix.m)
-    return tuple(frozenset(order[:k]) for order in rankings(matrix))
+    top = np.argsort(np.negative(matrix.costs), axis=1, kind="stable")[:, :k]
+    return tuple(map(frozenset, top.tolist()))
 
 
 Labels = Sequence[frozenset[int]]

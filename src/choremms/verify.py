@@ -1,11 +1,19 @@
 """Strategyproofness, monotonicity and lower-bound witness checks.
 
 Everything here is exhaustive or closed-form at desk scale: deviation
-searches enumerate every ranking misreport (all m! of them) or every
-alternative label set, monotonicity is probed with seeded single-entry
-perturbations, and the two witness values come from brute force over a
-fixed 2-agent 4-item family with identical rankings, in exact rational
-arithmetic.
+searches enumerate every ranking misreport (all m! of them), every
+magnitude-grid misreport or every alternative label set, monotonicity is
+probed with seeded single-entry perturbations, and the two witness values
+come from brute force over a fixed 2-agent 4-item family with identical
+rankings, in exact rational arithmetic.
+
+Grid misreports and randdecl's phase-1 landings are enumerated as numpy
+blocks of at most ENUM_BLOCK rows, in `itertools.product` order. A grid
+block is filtered by the public ranking with one column comparison per
+adjacent pair, and the algorithm still runs once per surviving misreport,
+in that order. A landing block adds each landing's sums column by column,
+and the total is carried from landing to landing, so the expectation is
+the one a per-landing loop computes, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,12 +40,15 @@ from .algorithms import (
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 
 PROFIT_TOL = 1e-9
-# sp_check_ordinal enumerates all m! rankings: 5040 at this many items
+# sp_check_ordinal enumerates all m! rankings, or all 4^m grid factor rows:
+# 5040 and 16384 at this many items
 MAX_ORDINAL_ITEMS = 7
 # the fewest Monte-Carlo trials a randomized check accepts, and its default
 MC_TRIALS = 10_000
 # Monte-Carlo trials dealt per randdecl_deal call
 MC_BLOCK = 1024
+# grid misreports, or randdecl landings, enumerated per numpy block
+ENUM_BLOCK = 1024
 # p spacing of witness_ordinal_rand_grid
 WITNESS_GRID_STEP = 1e-6
 
@@ -75,8 +86,18 @@ def algorithm_runner(name: str):
     return lambda mat: allocate(mat, name)
 
 
-def _ranking_consistent(row: Sequence[float], order: Sequence[int]) -> bool:
-    return all(row[order[k]] >= row[order[k + 1]] for k in range(len(order) - 1))
+def _product_blocks(base: int, m: int):
+    """The rows of `itertools.product(range(base), repeat=m)`, in order, as
+    (rows, m) digit arrays of at most ENUM_BLOCK rows each."""
+    total = base**m
+    dtype = np.min_scalar_type(max(base - 1, 0))
+    for lo in range(0, total, ENUM_BLOCK):
+        index = np.arange(lo, min(lo + ENUM_BLOCK, total))
+        digits = np.empty((len(index), m), dtype=dtype)
+        # the last position varies fastest
+        for j in reversed(range(m)):
+            index, digits[:, j] = np.divmod(index, base)
+        yield digits
 
 
 def sp_check_ordinal(
@@ -97,12 +118,22 @@ def sp_check_ordinal(
     misreports remain, and only when the grid is enabled.
 
     The resulting bundle is always priced with the agent's *true* row.
+    Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
+    misreports is refused.
     """
     m = matrix.m
-    if m > MAX_ORDINAL_ITEMS:
+    grid = tuple(grid_factors)
+    searched = []
+    if model in (Model.ORDINAL, Model.CARDINAL):
+        searched.append(f"{m}! = {math.factorial(m)} ranking misreports")
+    if include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING):
+        searched.append(f"{len(grid)}^{m} = {len(grid) ** m} grid misreports")
+    # a public-ranking check without the grid enumerates nothing
+    if m > MAX_ORDINAL_ITEMS and searched:
         raise ValueError(
-            f"{m} items means {m}! ranking misreports; refuse above {MAX_ORDINAL_ITEMS} "
-            "(use a sampled deviation search instead)"
+            f"{m} items means {' and '.join(searched)}; the deviation search "
+            f"takes at most {MAX_ORDINAL_ITEMS} items, so check an instance with "
+            "fewer items"
         )
     true_row = matrix.row(agent)
     true_orders = rankings(matrix)
@@ -142,19 +173,33 @@ def sp_check_ordinal(
                 best_desc = f"ranking {tuple(j + 1 for j in perm)}"
 
     if include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING):
-        for factors in product(grid_factors, repeat=m):
-            row = [f * c for f, c in zip(factors, true_row)]
-            if model is Model.PUBLIC_RANKING and not _ranking_consistent(
-                row, true_orders[agent]
-            ):
-                continue
-            # factor x cost can overflow to inf: validate the whole report
-            rows = list(base)
-            rows[agent] = row
-            cost = run_on(CostMatrix.from_rows(rows).costs[agent])
-            if cost < best:
-                best = cost
-                best_desc = f"grid factors {factors}"
+        factors = np.array(grid, dtype=float)
+        truth = np.array(true_row)
+        order = true_orders[agent]
+        for digits in _product_blocks(len(grid), m):
+            # factor x cost can overflow to inf, which validation refuses
+            with np.errstate(over="ignore"):
+                rows = factors[digits] * truth
+            keep = np.ones(len(rows), dtype=bool)
+            if model is Model.PUBLIC_RANKING:
+                for a, b in zip(order, order[1:]):
+                    keep &= rows[:, a] >= rows[:, b]
+            survivors = np.flatnonzero(keep)
+            # up to MAX_ORDINAL_ITEMS entries of at most 1e300 sum to a
+            # finite float: such a row is a valid report as it stands
+            safe = ((rows >= 0.0) & (rows <= 1e300)).all(axis=1)[survivors].tolist()
+            for k, row, ok in zip(survivors.tolist(), rows[survivors].tolist(), safe):
+                if ok:
+                    cost = run_on(tuple(row))
+                else:
+                    # validate the whole report: an entry or the row's sum
+                    # may have left the float range
+                    reported = list(base)
+                    reported[agent] = row
+                    cost = run_on(CostMatrix.from_rows(reported).costs[agent])
+                if cost < best:
+                    best = cost
+                    best_desc = f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"
 
     if model is Model.PUBLIC_RANKING and not include_grid:
         best_desc = "none (ordinal report channel closed under public rankings)"
@@ -188,24 +233,40 @@ def enum_expected_cost(
 
     Independent of the closed form: per landing, the agent keeps what landed
     on it and was not pooled, plus exactly 1/n of the pooled cost (phase 2
-    places each pooled item on each agent with probability 1/n).
+    places each pooled item on each agent with probability 1/n). `gather`
+    is asked once per (item, recipient) pair. Landings come in blocks of
+    digit columns; each landing's pooled and kept sums add the items in
+    ascending order, and the total adds the landings in `product` order,
+    as a loop over the landings would.
     """
     n, m = matrix.n, matrix.m
     labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
     row = matrix.row(agent)
+    # what item j adds to the pooled and to the kept sum when it lands on
+    # each agent; adding 0.0 to a sum that starts at 0.0 leaves it as is
+    pooled_add = np.zeros((m, n))
+    kept_add = np.zeros((m, n))
+    for j in range(m):
+        for recipient in range(n):
+            if gather(j, recipient, labels):
+                pooled_add[j, recipient] = row[j]
+            elif recipient == agent:
+                kept_add[j, recipient] = row[j]
     total = 0.0
-    count = 0
-    for landing in product(range(n), repeat=m):
-        pooled_cost = 0.0
-        kept = 0.0
-        for j in range(m):
-            if gather(j, landing[j], labels):
-                pooled_cost += row[j]
-            elif landing[j] == agent:
-                kept += row[j]
-        total += kept + pooled_cost / n
-        count += 1
-    return total / count
+    # costs near the float limit overflow to inf here, which the caller rejects
+    with np.errstate(over="ignore"):
+        for landings in _product_blocks(n, m):
+            pooled = np.zeros(len(landings))
+            kept = np.zeros(len(landings))
+            for j in range(m):
+                pooled += pooled_add[j][landings[:, j]]
+                kept += kept_add[j][landings[:, j]]
+            costs = kept + pooled / n
+            # the running total enters at the block's first landing, so the
+            # cumulative sum goes on adding one landing at a time
+            costs[0] += total
+            total = float(np.cumsum(costs)[-1])
+    return total / n**m
 
 
 def mc_expected_cost(

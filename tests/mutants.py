@@ -32,13 +32,14 @@ def argmax_assigner(matrix: CostMatrix) -> Allocation:
     return Allocation.from_lists(bundles)
 
 
+def inverted_gather(item: int, recipient: int, labels) -> bool:
+    """A randdecl pooling rule turned inside out: an item is pooled when its
+    recipient did NOT declare it large."""
+    return item not in labels[recipient]
+
+
 def inverted_pool_expected_cost(matrix: CostMatrix, agent: int, labels) -> float:
-    """Expected cost under a randdecl mutant that pools the items the
-    recipient did NOT declare large. Declaring your cheapest items is then
-    strictly better than the truth, so the randomized checker must flag it."""
-    return enum_expected_cost(
-        matrix,
-        agent,
-        labels,
-        gather=lambda item, recipient, decl: item not in decl[recipient],
-    )
+    """Expected cost under a randdecl mutant that pools by `inverted_gather`.
+    Declaring your cheapest items is then strictly better than the truth,
+    so the randomized checker must flag it."""
+    return enum_expected_cost(matrix, agent, labels, gather=inverted_gather)

@@ -7,8 +7,10 @@ item at every pick, and the deviation-search oracle builds and validates
 every reported matrix from scratch, with no cache. The randdecl reference
 is the earlier, unhoisted body of the algorithm, which the faster one must
 match draw for draw, the Monte-Carlo reference takes the estimator's
-batched draws but deals each trial with its own scan, the ranking reference
-sorts on an explicit (-cost, index) key, and the mms_exact
+batched draws but deals each trial with its own scan, the exact randdecl
+expectation reference walks every landing item by item in plain Python,
+the ranking reference sorts on an explicit (-cost, index) key, and the
+mms_exact
 reference is the search as it was before the closed-bundle bound, which the
 faster one must match in value, witness and method.
 """
@@ -215,6 +217,27 @@ def mc_expected_cost_reference(
     if trials == 1:
         return float(arr[0]), 0.0  # one trial: no spread to estimate
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
+
+
+def enum_expected_cost_reference(matrix: CostMatrix, agent: int, labels, gather) -> float:
+    """enum_expected_cost as a loop over the n^m landings in `product`
+    order: per landing, the agent's kept cost plus 1/n of the pooled cost,
+    each summed item by item, added to a running total."""
+    n, m = matrix.n, matrix.m
+    row = matrix.row(agent)
+    total = 0.0
+    count = 0
+    for landing in product(range(n), repeat=m):
+        pooled_cost = 0.0
+        kept = 0.0
+        for j in range(m):
+            if gather(j, landing[j], labels):
+                pooled_cost += row[j]
+            elif landing[j] == agent:
+                kept += row[j]
+        total += kept + pooled_cost / n
+        count += 1
+    return total / count
 
 
 def deviation_search_reference(

@@ -390,6 +390,64 @@ def test_spcheck_grid_row_sum_overflow_is_a_clean_error(capsys, instance):
     assert err == "error: invalid cost matrix: costs of row 1 sum past the float range\n"
 
 
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        # item 1 overflows at factors 2 and 3 only: the first such report
+        # is grid row 2048, in the third block of 1024
+        ([[0.9e308, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]], "non-finite cost at (1,1)"),
+        # the first public-ranking report whose sum overflows is factors
+        # (2, 2, 0.5, 0.5, 0.5, 0.5), grid row 2560
+        (
+            [[5e307, 5e307, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]],
+            "costs of row 1 sum past the float range",
+        ),
+    ],
+)
+def test_spcheck_grid_overflow_past_the_first_block(capsys, instance, costs, message):
+    path = instance(costs)
+    code, out, err = run(
+        capsys,
+        ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public", "--grid"],
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid cost matrix: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, searched",
+    [
+        (["--model", "ordinal"], "8! = 40320 ranking misreports"),
+        (["--model", "cardinal"], "8! = 40320 ranking misreports"),
+        (
+            ["--model", "cardinal", "--grid"],
+            "8! = 40320 ranking misreports and 4^8 = 65536 grid misreports",
+        ),
+        (["--model", "public", "--grid"], "4^8 = 65536 grid misreports"),
+    ],
+)
+def test_spcheck_refuses_past_the_item_limit(capsys, instance, flags, searched):
+    path = instance([list(range(1, 9)), list(range(8, 0, -1))])
+    code, out, err = run(
+        capsys, ["spcheck", "--instance", path, "--alg", "roundrobin", *flags]
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: 8 items means {searched}; the deviation search takes at most 7 "
+        "items, so check an instance with fewer items\n"
+    )
+
+
+def test_spcheck_public_without_grid_has_no_item_limit(capsys, instance):
+    # the ranking channel is closed and no grid is searched: one run per agent
+    path = instance([list(range(1, 9)), list(range(8, 0, -1))])
+    code, doc, _ = run_json(
+        capsys, ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public"]
+    )
+    assert code == 0
+    assert all("channel closed" in r["deviation"] for r in doc["reports"])
+
+
 @pytest.mark.parametrize("mode", [[], ["--exact"]])
 def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
     # the expected cost sums to inf: one error line, not a pass or a traceback

@@ -1,13 +1,16 @@
-"""Property tests: the deviation checkers, randdecl and rank against the
-references in oracles.py, and randdecl's closed form against enumeration.
+"""Property tests: the deviation checkers, randdecl, rank and label_sets
+against the references in oracles.py, and randdecl's closed form against
+enumeration.
 
 randdecl must match the earlier, unhoisted randdecl draw for draw, its
 dealing core must place every trial as a per-trial scan of the same draws
 does, its Monte-Carlo estimate must match a reference that takes the same
 draws and deals them with its own code, and sp_check_ordinal, which shares
-every row but the deviating agent's between misreports, must report exactly
-what a search that rebuilds every reported matrix reports. Costs are drawn
-from 0..3 so that ties are common.
+every row but the deviating agent's between misreports and enumerates grid
+misreports in blocks, must report exactly what a search that rebuilds every
+reported matrix reports. The exact randdecl expectation, which enumerates
+landings in blocks, must equal a loop over the landings bit for bit. Costs
+are drawn from 0..3 so that ties are common.
 """
 
 import numpy as np
@@ -22,17 +25,19 @@ from choremms.algorithms import (
     randdecl_deal,
     randdecl_expected_cost,
 )
-from choremms.model import CostMatrix, Model, rank
+from choremms.model import CostMatrix, Model, rank, validate
 from choremms.verify import (
+    ENUM_BLOCK,
     MC_BLOCK,
     algorithm_runner,
     enum_expected_cost,
     mc_expected_cost,
     sp_check_ordinal,
 )
-from mutants import greedy_worst_seqpick
+from mutants import greedy_worst_seqpick, inverted_gather
 from oracles import (
     deviation_search_reference,
+    enum_expected_cost_reference,
     mc_expected_cost_reference,
     randdecl_reference,
     rank_reference,
@@ -159,6 +164,70 @@ def test_rank_matches_reference(row):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
+def test_label_sets_match_reference(data):
+    # each agent's top label_count items on the explicit key, ties included
+    n = data.draw(st.integers(2, 5))
+    m = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.lists(costs, min_size=m, max_size=m), min_size=n, max_size=n))
+    k = label_count(n, m)
+    expected = tuple(frozenset(rank_reference(row)[:k]) for row in rows)
+    assert label_sets(CostMatrix.from_rows(rows)) == expected
+
+
+GATHERS = {
+    "default": lambda item, recipient, labels: item in labels[recipient],
+    "inverted": inverted_gather,
+}
+# near-limit costs whose total over the landings overflows to inf
+enum_costs = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 3.0, 0.1, 6e-17, 1e308]) | st.floats(
+    0.0, 1e300, allow_subnormal=True
+)
+
+
+def enum_cost(matrix, agent, labels, gather):
+    # the default rule is enum_expected_cost's own default argument
+    if gather == "default":
+        return enum_expected_cost(matrix, agent, labels)
+    return enum_expected_cost(matrix, agent, labels, gather=GATHERS[gather])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gather=st.sampled_from(sorted(GATHERS)))
+def test_enum_expected_cost_matches_reference(data, gather):
+    n = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(1, 7))
+    rows = data.draw(
+        st.lists(st.lists(enum_costs, min_size=m, max_size=m), min_size=n, max_size=n).filter(
+            lambda rows: not validate(rows)
+        )
+    )
+    matrix = CostMatrix.from_rows(rows)
+    agent, declared = data.draw(label_profiles(matrix))
+    labels = profile(matrix, agent, declared)
+    expected = enum_expected_cost_reference(matrix, agent, labels, GATHERS[gather])
+    assert enum_cost(matrix, agent, labels, gather) == expected
+
+
+@pytest.mark.parametrize("gather", sorted(GATHERS))
+@pytest.mark.parametrize("n, m", [(4, 5), (3, 7), (4, 6), (4, 7)])
+def test_enum_expected_cost_matches_reference_at_block_edges(n, m, gather):
+    # 4^5 landings fill one block exactly; the others take 3, 4 and 16
+    # blocks. Item 0 (1e16 and up) absorbs each 1.0 added after it, but not
+    # their sum, and the running total absorbs the low bits of each
+    # landing's cost: another addition order, within a landing or across
+    # them, moves the value.
+    rows = [[1e16 * (i + 1)] + [1.0] * (m - 1) for i in range(n)]
+    rows[-1] = [0.1 * (j + 1) for j in range(m)]
+    matrix = CostMatrix.from_rows(rows)
+    assert n**m >= ENUM_BLOCK
+    labels = label_sets(matrix)
+    for agent in range(n):
+        expected = enum_expected_cost_reference(matrix, agent, labels, GATHERS[gather])
+        assert enum_cost(matrix, agent, labels, gather) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
 def test_closed_form_matches_enumeration_when_many_misreport(data):
     # any number of agents declare any sets of the canonical size
     matrix = data.draw(instances((2, 3), (1, 7)))
@@ -202,3 +271,71 @@ def test_sp_check_ordinal_matches_reference(data, model, include_grid):
         report.deviation,
         report.profitable,
     ) == deviation_search_reference(algorithm, matrix, agent, model, include_grid)
+
+
+# (runner, model, agent, rows, pinned deviation or None). m=6 enumerates
+# 4^6 grid rows in 4 blocks, m=7 4^7 in 16. The pinned deviations are the
+# first strictly cheaper rows, which lie past block 0: at rows 3022 and
+# 2050, and at rows 1024 and 5120, the first rows of blocks 1 and 5.
+GRID_BLOCK_CASES = [
+    ("roundrobin", Model.PUBLIC_RANKING, 0, [[3, 3, 2, 2, 4, 4], [2, 1, 1, 2, 2, 2], [4, 2, 4, 1, 2, 1]], None),
+    (
+        "dc3",
+        Model.PUBLIC_RANKING,
+        0,
+        [[2, 4, 1, 2, 1, 2], [4, 1, 2, 2, 4, 1], [3, 2, 1, 4, 1, 2]],
+        "grid factors (1.0, 0.5, 0.5, 0.5, 0.5, 0.5)",
+    ),
+    (
+        "greedy_worst_seqpick",
+        Model.PUBLIC_RANKING,
+        1,
+        [[4, 4, 2, 1, 3, 3], [4, 2, 2, 1, 2, 3]],
+        "grid factors (2.0, 3.0, 3.0, 0.5, 3.0, 2.0)",
+    ),
+    ("roundrobin", Model.CARDINAL, 1, [[3, 3, 2, 2, 4, 4], [2, 1, 1, 2, 2, 2], [4, 2, 4, 1, 2, 1]], None),
+    ("dc3", Model.CARDINAL, 2, [[2, 4, 1, 2, 1, 2], [4, 1, 2, 2, 4, 1], [3, 2, 1, 4, 1, 2]], None),
+    (
+        "greedy_worst_seqpick",
+        Model.CARDINAL,
+        2,
+        [[4, 3, 3, 3, 3, 2], [1, 2, 3, 4, 4, 1], [1, 4, 3, 4, 4, 2]],
+        "grid factors (2.0, 0.5, 0.5, 0.5, 0.5, 2.0)",
+    ),
+    ("roundrobin", Model.PUBLIC_RANKING, 0, [[4, 2, 4, 3, 3, 1, 4], [1, 4, 1, 4, 2, 4, 2]], None),
+    (
+        "dc3",
+        Model.PUBLIC_RANKING,
+        0,
+        [
+            [0.37, 0.83, 0.18, 0.64, 0.76, 0.27, 0.15],
+            [0.35, 0.69, 0.61, 0.24, 0.49, 0.7, 0.48],
+            [0.67, 0.97, 0.71, 0.45, 0.27, 0.41, 0.56],
+        ],
+        None,
+    ),
+    (
+        "greedy_worst_seqpick",
+        Model.PUBLIC_RANKING,
+        1,
+        [[2, 1, 4, 4, 4, 3, 4], [1, 1, 2, 1, 3, 1, 2], [3, 2, 3, 4, 4, 4, 4]],
+        "grid factors (1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5)",
+    ),
+    ("roundrobin", Model.CARDINAL, 0, [[4, 2, 4, 3, 3, 1, 4], [1, 4, 1, 4, 2, 4, 2]], None),
+    ("dc3", Model.CARDINAL, 1, [[2, 1, 4, 4, 4, 3, 4], [1, 1, 2, 1, 3, 1, 2], [3, 2, 3, 4, 4, 4, 4]], None),
+]
+
+
+@pytest.mark.parametrize("name, model, agent, rows, pinned", GRID_BLOCK_CASES)
+def test_sp_check_ordinal_matches_reference_across_grid_blocks(name, model, agent, rows, pinned):
+    algorithm = RUNNERS[name]
+    matrix = CostMatrix.from_rows(rows)
+    report = sp_check_ordinal(algorithm, matrix, agent, model=model, include_grid=True)
+    assert (
+        report.truthful_cost,
+        report.best_deviation_cost,
+        report.deviation,
+        report.profitable,
+    ) == deviation_search_reference(algorithm, matrix, agent, model, True)
+    if pinned is not None:
+        assert report.deviation == pinned
