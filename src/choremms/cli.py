@@ -21,12 +21,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PROPERTY = 2
 
-_MODELS = {
-    "cardinal": Model.CARDINAL,
-    "ordinal": Model.ORDINAL,
-    "public": Model.PUBLIC_RANKING,
-}
-
 
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
@@ -116,7 +110,7 @@ def _cmd_allocate(args) -> int:
     alloc = algorithms.allocate(
         matrix,
         args.alg,
-        model=_MODELS[args.model],
+        model=Model(args.model),
         seed=args.seed,
         agent_order=order,
     )
@@ -159,7 +153,7 @@ def _cmd_spcheck(args) -> int:
     trials = verify.MC_TRIALS if args.trials is None else args.trials
     matrix = load_instance(args.instance)
     reports = []
-    model = _MODELS[model_name]
+    model = Model(model_name)
     for i in _agents(args.agent, matrix.n):
         if randomized:
             mode = "exact" if args.exact else "montecarlo"
@@ -217,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Strategyproof maxmin-share chore allocation toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    models = sorted(model.value for model in Model)
 
     p = sub.add_parser("validate", help="check an instance file against the model invariants")
     p.add_argument("--instance", required=True)
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", default=None, help="roundrobin: 1-indexed agent order, e.g. 2,1,3"
     )
-    p.add_argument("--model", default="cardinal", choices=sorted(_MODELS))
+    p.add_argument("--model", default="cardinal", choices=models)
     p.add_argument("--alpha", type=float, default=None, help="certify at this ratio")
     p.add_argument("--cap", type=int, default=mms.DEFAULT_CAP)
     p.set_defaults(func=_cmd_allocate)
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--alg", required=True, choices=algorithms.ALGORITHMS)
     p.add_argument(
-        "--model", default=None, choices=sorted(_MODELS), help="default ordinal; not randdecl"
+        "--model", default=None, choices=models, help="default ordinal; not randdecl"
     )
     p.add_argument("--agent", type=int, default=None, help="1-indexed agent")
     p.add_argument("--exact", action="store_true", help="randdecl: enumerate all landings")

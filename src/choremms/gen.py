@@ -21,6 +21,7 @@ import numpy as np
 from .algorithms import ALGORITHMS, allocate
 from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
 from .model import CostMatrix
+from .verify import fixture_instances
 
 FAMILIES = ("uniform", "exponential", "identical_ranking", "correlated", "fixture")
 
@@ -59,8 +60,6 @@ def generate(spec: GenSpec) -> CostMatrix:
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
     if spec.family == "fixture":
-        from .verify import fixture_instances
-
         instances = fixture_instances(spec.name)
         if not 0 <= spec.index < len(instances):
             raise ValueError(
@@ -137,7 +136,7 @@ def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str], cap: int)
             except MmsCapError as exc:
                 out.append((None, BatchFailure(spec, alg, seed, str(exc))))
                 continue
-        report = evaluate(alloc, inst, cap=cap, table=table)
+        report = evaluate(alloc, inst, table=table)
         runtime_ms = (time.perf_counter() - t0) * 1000.0
         row = (spec.label(), spec.n, spec.m, alg, seed, report.max_ratio, runtime_ms)
         out.append((row, None))

@@ -169,9 +169,6 @@ class Allocation:
             problems.append(f"unknown items {sorted(extra)}")
         return problems
 
-    def is_partition(self, m: int) -> bool:
-        return not self.check_partition(m)
-
 
 def ratio_of(cost: float, mms: float) -> float:
     """Approximation ratio with the degenerate convention 0/0 = 1."""

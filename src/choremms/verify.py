@@ -8,12 +8,19 @@ come from brute force over a fixed 2-agent 4-item family with identical
 rankings, in exact rational arithmetic.
 
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
-blocks of at most ENUM_BLOCK rows, in `itertools.product` order. A grid
+blocks of at most BLOCK rows, in `itertools.product` order. A grid
 block is filtered by the public ranking with one column comparison per
-adjacent pair, and the algorithm still runs once per surviving misreport,
+adjacent pair, and the algorithm runs once per surviving misreport,
 in that order. A landing block adds each landing's sums column by column,
 and the total is carried from landing to landing, so the expectation is
-the one a per-landing loop computes, bit for bit.
+the one a per-landing loop computes, bit for bit. Monte-Carlo trials are
+dealt BLOCK at a time too.
+
+A ranking misreport places the truthful report's own values, sorted
+descending, along the reported ranking: the surrogate costs of
+`surrogate_matrix` under the ordinal model, the agent's true costs under
+the cardinal one. A report's `profitable` is derived from its two costs:
+the best deviation undercuts the truthful cost by more than PROFIT_TOL.
 """
 
 from __future__ import annotations
@@ -45,10 +52,8 @@ PROFIT_TOL = 1e-9
 MAX_ORDINAL_ITEMS = 7
 # the fewest Monte-Carlo trials a randomized check accepts, and its default
 MC_TRIALS = 10_000
-# Monte-Carlo trials dealt per randdecl_deal call
-MC_BLOCK = 1024
-# grid misreports, or randdecl landings, enumerated per numpy block
-ENUM_BLOCK = 1024
+# grid misreports, randdecl landings or Monte-Carlo trials per numpy block
+BLOCK = 1024
 # p spacing of witness_ordinal_rand_grid
 WITNESS_GRID_STEP = 1e-6
 
@@ -61,7 +66,10 @@ class DeviationReport:
     truthful_cost: float
     best_deviation_cost: float
     deviation: str
-    profitable: bool
+
+    @property
+    def profitable(self) -> bool:
+        return self.best_deviation_cost < self.truthful_cost - PROFIT_TOL
 
     def to_jsonable(self) -> dict:
         return {
@@ -88,11 +96,11 @@ def algorithm_runner(name: str):
 
 def _product_blocks(base: int, m: int):
     """The rows of `itertools.product(range(base), repeat=m)`, in order, as
-    (rows, m) digit arrays of at most ENUM_BLOCK rows each."""
+    (rows, m) digit arrays of at most BLOCK rows each."""
     total = base**m
     dtype = np.min_scalar_type(max(base - 1, 0))
-    for lo in range(0, total, ENUM_BLOCK):
-        index = np.arange(lo, min(lo + ENUM_BLOCK, total))
+    for lo in range(0, total, BLOCK):
+        index = np.arange(lo, min(lo + BLOCK, total))
         digits = np.empty((len(index), m), dtype=dtype)
         # the last position varies fastest
         for j in reversed(range(m)):
@@ -156,13 +164,9 @@ def sp_check_ordinal(
     best_desc = "truthful"
 
     if model in (Model.ORDINAL, Model.CARDINAL):
-        # the value at ranking position k: the surrogate's m - k, or the
-        # agent's k-th largest true cost; both rows are already valid
-        values = (
-            [float(m - pos) for pos in range(m)]
-            if model is Model.ORDINAL
-            else sorted(true_row, reverse=True)
-        )
+        # the value at ranking position k is the truthful report's k-th
+        # largest entry, so every ranking misreport is a valid row
+        values = sorted(base[agent], reverse=True)
         row = [0.0] * m
         for perm in permutations(range(m)):
             for pos, j in enumerate(perm):
@@ -209,7 +213,6 @@ def sp_check_ordinal(
         truthful_cost=truthful_cost,
         best_deviation_cost=best,
         deviation=best_desc,
-        profitable=best < truthful_cost - PROFIT_TOL,
     )
 
 
@@ -286,8 +289,8 @@ def mc_expected_cost(
     random permutation of all m items per trial, and every trial's start.
     Restricted to the pool, a uniform permutation of the items is a uniform
     deal order, so each trial is a randdecl outcome. `randdecl_deal` deals
-    them MC_BLOCK trials at a time, so the deal's own arrays stay
-    O(MC_BLOCK * m) at any trial count. Each trial's cost adds the agent's
+    them BLOCK trials at a time, so the deal's own arrays stay
+    O(BLOCK * m) at any trial count. Each trial's cost adds the agent's
     items in ascending index order, starting from 0.0: the additions of
     `sum(row[j] for j in sorted(bundle))`, one column at a time.
     """
@@ -307,13 +310,13 @@ def mc_expected_cost(
     marks = label_matrix(labels, m)
     # costs near the float limit overflow to inf here, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, rest, MC_BLOCK):
-            block = slice(lo, lo + MC_BLOCK)
+        for lo in range(0, rest, BLOCK):
+            block = slice(lo, lo + BLOCK)
             owner = randdecl_deal(marks, landings[block], orders[block], starts[block])
             acc = np.zeros(len(owner))
             for j in range(m):
                 acc += np.where(owner[:, j] == agent, row[j], 0.0)
-            costs[1 + lo : 1 + lo + MC_BLOCK] = acc
+            costs[1 + lo : 1 + lo + BLOCK] = acc
         stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return float(costs.mean()), stderr
 
@@ -332,13 +335,24 @@ def sp_check_randomized(
     The search itself uses the closed-form expectation (or a caller-supplied
     one, e.g. for a mutant), called with the whole declared profile: the
     truthful one, built once, with the agent's set substituted. `mode`
-    controls the cross-check of the truthful and best-deviation values:
-    "exact" enumerates all phase-1 landings, "montecarlo" simulates at least
-    10^4 trials.
+    controls the cross-check of the truthful and best-deviation values the
+    search found: "exact" enumerates all phase-1 landings, "montecarlo"
+    simulates at least 10^4 trials. A request the cross-check would refuse
+    is refused before the search.
     """
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl deviation search needs at least 2 agents")
+    if mode == "exact":
+        if n**m > 200_000:
+            raise ValueError(
+                f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
+            )
+    elif mode == "montecarlo":
+        if trials < MC_TRIALS:
+            raise ValueError("montecarlo mode requires at least 10^4 trials")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     default_oracle = expected_cost is None
     oracle = expected_cost or randdecl_expected_cost
     truthful_labels = label_sets(matrix)
@@ -354,52 +368,42 @@ def sp_check_randomized(
             best_labels = labels
             best_desc = f"labels {tuple(j + 1 for j in combo)}"
 
-    if mode == "exact":
-        if n**m > 200_000:
-            raise ValueError(
-                f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
-            )
-        if default_oracle:
-            # when the truth is best (every passing check), one profile
-            profiles = [truthful_labels] + [best_labels] * (best_labels != truthful_labels)
-            for labels in profiles:
-                ref = enum_expected_cost(matrix, agent, labels)
-                val = oracle(matrix, agent, labels)
-                if not (math.isfinite(ref) and math.isfinite(val)):
-                    raise ValueError(
-                        f"expected cost is not finite (closed form {val}, enumeration "
-                        f"{ref}); the costs are too large to cross-check"
-                    )
-                if abs(ref - val) > 1e-9:
-                    raise AssertionError(
-                        f"closed form {val} disagrees with enumeration {ref} "
-                        f"for the agent's labels {sorted(labels[agent])}"
-                    )
-    elif mode == "montecarlo":
-        if trials < MC_TRIALS:
-            raise ValueError("montecarlo mode requires at least 10^4 trials")
-        if default_oracle:
-            est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials, seed)
-            if not (math.isfinite(est) and math.isfinite(stderr)):
+    if default_oracle and mode == "exact":
+        # when the truth is best (every passing check), one profile
+        checked = [(truthful_labels, truthful)]
+        if best_labels != truthful_labels:
+            checked.append((best_labels, best))
+        for labels, val in checked:
+            ref = enum_expected_cost(matrix, agent, labels)
+            if not (math.isfinite(ref) and math.isfinite(val)):
                 raise ValueError(
-                    f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "
-                    "the costs are too large to cross-check"
+                    f"expected cost is not finite (closed form {val}, enumeration "
+                    f"{ref}); the costs are too large to cross-check"
                 )
-            slack = max(6.0 * stderr, 1e-12)
-            if abs(est - truthful) > slack:
+            if abs(ref - val) > 1e-9:
                 raise AssertionError(
-                    f"Monte-Carlo estimate {est} is {abs(est - truthful):.3g} away "
-                    f"from the closed form {truthful} (allowed {slack:.3g})"
+                    f"closed form {val} disagrees with enumeration {ref} "
+                    f"for the agent's labels {sorted(labels[agent])}"
                 )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    elif default_oracle:
+        est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials, seed)
+        if not (math.isfinite(est) and math.isfinite(stderr)):
+            raise ValueError(
+                f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "
+                "the costs are too large to cross-check"
+            )
+        slack = max(6.0 * stderr, 1e-12)
+        if abs(est - truthful) > slack:
+            raise AssertionError(
+                f"Monte-Carlo estimate {est} is {abs(est - truthful):.3g} away "
+                f"from the closed form {truthful} (allowed {slack:.3g})"
+            )
 
     return DeviationReport(
         agent=agent,
         truthful_cost=truthful,
         best_deviation_cost=best,
         deviation=best_desc,
-        profitable=best < truthful - PROFIT_TOL,
     )
 
 

@@ -1,29 +1,31 @@
 """Independent brute-force oracles used to pin expected values.
 
-These deliberately avoid the library's own search code: the maxmin-share
-oracle enumerates every set partition via restricted-growth assignments and
-takes the min-max directly, the serial-pick oracle rescans every remaining
-item at every pick, and the deviation-search oracle builds and validates
-every reported matrix from scratch, with no cache. The randdecl reference
-is the earlier, unhoisted body of the algorithm, which the faster one must
-match draw for draw, the Monte-Carlo reference takes the estimator's
-batched draws but deals each trial with its own scan, the exact randdecl
-expectation reference walks every landing item by item in plain Python,
-the ranking reference sorts on an explicit (-cost, index) key, and the
-mms_exact
-reference is the search as it was before the closed-bundle bound, which the
-faster one must match in value, witness and method.
+These call none of the library's algorithms, searches or helpers; they
+take from it only its data types (`CostMatrix`, `Allocation`, `MmsResult`,
+`Model`), the cap and its error. The maxmin-share oracle enumerates every
+set partition via restricted-growth assignments and takes the min-max
+directly, the serial-pick oracle rescans every remaining item at every
+pick, and the deviation-search oracle builds and validates every reported
+matrix from scratch, with no cache. The randdecl reference is the earlier,
+unhoisted body of the algorithm, which the faster one must match draw for
+draw, the Monte-Carlo reference takes the estimator's batched draws but
+deals each trial with its own scan, the exact randdecl expectation
+reference walks every landing item by item in plain Python, the ranking
+reference sorts on an explicit (-cost, index) key, and the label reference
+takes each agent's top items from it. The mms_exact reference is the search
+as it was before the closed-bundle bound, with its own LPT start and bundle
+order, which the faster one must match in value, witness and method.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from choremms.algorithms import label_sets
-from choremms.mms import DEFAULT_CAP, MmsCapError, MmsResult, _lpt, _sorted_bundles
+from choremms.mms import DEFAULT_CAP, MmsCapError, MmsResult
 from choremms.model import Allocation, CostMatrix, Model
 
 
@@ -53,6 +55,25 @@ def mms_bruteforce(row: Sequence[float], n: int) -> float:
     return best
 
 
+def lpt_reference(items: Sequence[int], row: Sequence[float], n: int) -> tuple[float, list[set[int]]]:
+    """(largest load, bundles) when each of `items` in turn joins the
+    bundle of least load, the first such bundle on a tie."""
+    loads = [0.0] * n
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    for j in items:
+        b = loads.index(min(loads))
+        loads[b] += row[j]
+        bundles[b].add(j)
+    return max(loads), bundles
+
+
+def sorted_bundles_reference(bundles: Sequence[set[int]], row: Sequence[float]) -> Allocation:
+    """The bundles by descending cost, tied costs by their items in
+    ascending order, compared as lists."""
+    keyed = sorted(bundles, key=lambda b: (-sum(row[j] for j in b), sorted(b)))
+    return Allocation.from_lists(keyed)
+
+
 def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult:
     """mms_exact as it was before the closed-bundle bound: the same search
     with no bound, a recursive leaf and a set of the loads seen per node."""
@@ -79,10 +100,10 @@ def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) ->
             bundles[k].add(j)
         bundles[-1].update(zeros)
         value = row[items[0]] if items else 0.0
-        return MmsResult(float(value), _sorted_bundles(bundles, row), "exact")
+        return MmsResult(float(value), sorted_bundles_reference(bundles, row), "exact")
 
     lower = max(total / n, max(row))
-    best_val, lpt_bundles = _lpt(items, row, n)
+    best_val, lpt_bundles = lpt_reference(items, row, n)
     costs = [row[j] for j in items]
     assign = [0] * len(items)
     best_assign: list[int] | None = None
@@ -131,13 +152,21 @@ def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) ->
     if zeros:
         lightest = min(range(n), key=lambda k: (sum(row[j] for j in bundles[k]), k))
         bundles[lightest].update(zeros)
-    return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
+    return MmsResult(float(best_val), sorted_bundles_reference(bundles, row), "exact")
 
 
 def rank_reference(row: Sequence[float]) -> list[int]:
     """Item indices by descending cost, ties by ascending index, sorted on
     the explicit (-cost, index) key."""
     return sorted(range(len(row)), key=lambda j: (-row[j], j))
+
+
+def label_sets_reference(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
+    """Each agent's first floor(n * sqrt(log2 n)) items (at most m) of its
+    reference ranking."""
+    n = matrix.n
+    k = min(math.floor(n * math.sqrt(math.log2(n))), matrix.m)
+    return tuple(frozenset(rank_reference(row)[:k]) for row in matrix.costs)
 
 
 def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -163,7 +192,7 @@ def randdecl_reference(
     n, m = matrix.n, matrix.m
     if n < 2:
         raise ValueError("randdecl needs at least 2 agents")
-    labels = list(label_sets(matrix))
+    labels = list(label_sets_reference(matrix))
     if label_override is not None:
         agent, declared = label_override
         labels[agent] = declared
@@ -194,7 +223,7 @@ def mc_expected_cost_reference(
     stream, and the rest take the same batched draws from it, each dealt
     here by scanning its permutation for the pooled items."""
     n, m = matrix.n, matrix.m
-    labels = list(label_sets(matrix))
+    labels = list(label_sets_reference(matrix))
     if label_override is not None:
         liar, declared = label_override
         labels[liar] = declared

@@ -66,7 +66,7 @@ def test_mms_exact_value_is_the_bruteforce_minimum(row, n):
     else:
         # both sum in float, each in its own order
         assert res.value == pytest.approx(expected, rel=1e-12, abs=0.0)
-    assert res.witness.is_partition(len(row))
+    assert res.witness.check_partition(len(row)) == []
     worst = max(sum(row[j] for j in b) for b in res.witness.bundles)
     assert worst == pytest.approx(res.value, rel=1e-12, abs=0.0)
 

@@ -153,9 +153,11 @@ def test_surrogate_matrix_encodes_rankings_only():
 
 def test_allocation_partition_invariant():
     good = Allocation.from_lists([{0, 3}, {1, 2}])
-    assert good.is_partition(4)
-    assert not Allocation.from_lists([{0}, {1, 2}]).is_partition(4)
-    assert not Allocation.from_lists([{0, 1}, {1, 2, 3}]).is_partition(4)
+    assert good.check_partition(4) == []
+    assert Allocation.from_lists([{0}, {1, 2}]).check_partition(4) == ["items [3] unassigned"]
+    assert Allocation.from_lists([{0, 1}, {1, 2, 3}]).check_partition(4) == [
+        "items [1] assigned more than once"
+    ]
 
 
 def test_ratio_conventions():

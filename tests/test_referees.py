@@ -27,8 +27,7 @@ from choremms.algorithms import (
 )
 from choremms.model import CostMatrix, Model, rank, validate
 from choremms.verify import (
-    ENUM_BLOCK,
-    MC_BLOCK,
+    BLOCK,
     algorithm_runner,
     enum_expected_cost,
     mc_expected_cost,
@@ -38,6 +37,7 @@ from mutants import greedy_worst_seqpick, inverted_gather
 from oracles import (
     deviation_search_reference,
     enum_expected_cost_reference,
+    label_sets_reference,
     mc_expected_cost_reference,
     randdecl_reference,
     rank_reference,
@@ -136,9 +136,9 @@ def test_randdecl_deal_matches_a_scan_per_trial(n, m, trials, density, seed):
         assert owner[t].tolist() == expected
 
 
-@pytest.mark.parametrize("trials", [1, 2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, MC_BLOCK + 2])
+@pytest.mark.parametrize("trials", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2])
 def test_mc_expected_cost_matches_reference_at_block_edges(trials):
-    # trial 0 is randdecl; the rest fill one block exactly at MC_BLOCK + 1.
+    # trial 0 is randdecl; the rest fill one block exactly at BLOCK + 1.
     # Item 0 absorbs each small cost added after it, but not their sum: a
     # trial cost added up in another order than the reference's is larger,
     # and the mean moves with it.
@@ -169,9 +169,8 @@ def test_label_sets_match_reference(data):
     n = data.draw(st.integers(2, 5))
     m = data.draw(st.integers(1, 12))
     rows = data.draw(st.lists(st.lists(costs, min_size=m, max_size=m), min_size=n, max_size=n))
-    k = label_count(n, m)
-    expected = tuple(frozenset(rank_reference(row)[:k]) for row in rows)
-    assert label_sets(CostMatrix.from_rows(rows)) == expected
+    matrix = CostMatrix.from_rows(rows)
+    assert label_sets(matrix) == label_sets_reference(matrix)
 
 
 GATHERS = {
@@ -219,7 +218,7 @@ def test_enum_expected_cost_matches_reference_at_block_edges(n, m, gather):
     rows = [[1e16 * (i + 1)] + [1.0] * (m - 1) for i in range(n)]
     rows[-1] = [0.1 * (j + 1) for j in range(m)]
     matrix = CostMatrix.from_rows(rows)
-    assert n**m >= ENUM_BLOCK
+    assert n**m >= BLOCK
     labels = label_sets(matrix)
     for agent in range(n):
         expected = enum_expected_cost_reference(matrix, agent, labels, GATHERS[gather])

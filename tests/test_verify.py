@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from choremms import algorithms, verify
-from choremms.algorithms import allocate
+from choremms.algorithms import allocate, label_count
 from choremms.model import Allocation, CostMatrix, Model
 from choremms.verify import (
     algorithm_runner,
@@ -207,6 +208,41 @@ def test_truthful_labels_are_built_once_per_check(monkeypatch, mode):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "mode, trials, refusal",
+    [
+        ("exact", 10_000, None),
+        ("montecarlo", 10_000, None),
+        ("exact", 10_000, "^exact enumeration of 2\\^18 landings is infeasible"),
+        ("montecarlo", 9_999, "^montecarlo mode requires at least 10\\^4 trials$"),
+        ("bogus", 10_000, "^unknown mode 'bogus'$"),
+    ],
+    ids=["exact", "montecarlo", "too-many-landings", "too-few-trials", "unknown-mode"],
+)
+def test_closed_form_runs_once_per_label_set_and_never_on_a_refusal(
+    monkeypatch, mode, trials, refusal
+):
+    # the cross-check reuses the values the search found; a request it
+    # would refuse is refused before the search
+    calls = []
+    closed_form = verify.randdecl_expected_cost
+
+    def counting(matrix, agent, labels):
+        calls.append(labels)
+        return closed_form(matrix, agent, labels)
+
+    monkeypatch.setattr(verify, "randdecl_expected_cost", counting)
+    m = 18 if refusal and mode == "exact" else 5
+    inst = CostMatrix.from_rows([[float(j % 4 + 1) for j in range(m)], [1.0] * m])
+    if refusal:
+        with pytest.raises(ValueError, match=refusal):
+            sp_check_randomized(inst, 0, mode=mode, trials=trials)
+        assert calls == []
+    else:
+        sp_check_randomized(inst, 0, mode=mode, trials=trials)
+        assert len(calls) == 1 + math.comb(m, label_count(2, m))
+
+
 def test_inverted_pool_mutant_is_flagged():
     rng = np.random.default_rng(73)
     flagged = 0
@@ -274,7 +310,7 @@ def test_deterministic_witness_value():
     value, alloc = witness_ordinal_det()
     assert value == Fraction(4, 3)
     assert sorted(len(b) for b in alloc.bundles) == [2, 2]
-    assert alloc.is_partition(4)
+    assert alloc.check_partition(4) == []
 
 
 def test_randomized_witness_value_and_mix():
