@@ -55,7 +55,9 @@ def mms_bruteforce(row: Sequence[float], n: int) -> float:
     return best
 
 
-def lpt_reference(items: Sequence[int], row: Sequence[float], n: int) -> tuple[float, list[set[int]]]:
+def lpt_reference(
+    items: Sequence[int], row: Sequence[float], n: int
+) -> tuple[float, list[set[int]]]:
     """(largest load, bundles) when each of `items` in turn joins the
     bundle of least load, the first such bundle on a tie."""
     loads = [0.0] * n
