@@ -24,7 +24,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,14 +84,6 @@ class PickSchedule:
     k_param: float
     repaired: int
 
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    @property
-    def m(self) -> int:
-        return sum(self.counts)
-
 
 @functools.lru_cache(maxsize=256)
 def build_schedule(n: int, m: int) -> PickSchedule:
@@ -131,7 +123,7 @@ def build_schedule(n: int, m: int) -> PickSchedule:
         logger.info(
             "schedule deficit repair: n=%d m=%d, added %d items to a_n", n, m, repaired
         )
-    return PickSchedule(tuple(counts), k, max(repaired, 0))
+    return PickSchedule(tuple(counts), k, repaired)
 
 
 def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
@@ -144,11 +136,10 @@ def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
        and it is logged and counted separately).
     """
     problems = []
-    if schedule.n != n:
-        problems.append(f"schedule has {schedule.n} entries, expected {n}")
-        return problems
-    if schedule.m != m:
-        problems.append(f"schedule covers {schedule.m} items, expected {m}")
+    if len(schedule.counts) != n:
+        return [f"schedule has {len(schedule.counts)} entries, expected {n}"]
+    if sum(schedule.counts) != m:
+        problems.append(f"schedule covers {sum(schedule.counts)} items, expected {m}")
     half = n // 2
     k = schedule.k_param
     prefix = 0
@@ -182,7 +173,7 @@ def seqpick(matrix: CostMatrix) -> Allocation:
 def label_count(n: int, m: int) -> int:
     """How many items each agent declares large: min(floor(n*sqrt(log2 n)), m)."""
     if n < 2:
-        raise ValueError("label count needs at least 2 agents")
+        raise ValueError("randdecl needs at least 2 agents")
     return min(int(math.floor(n * math.sqrt(math.log2(n)))), m)
 
 
@@ -200,26 +191,29 @@ def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
 Labels = Sequence[frozenset[int]]
 
 
-def check_labels(matrix: CostMatrix, labels: Labels) -> Labels:
-    """Return a declared label profile after checking that it holds one set
-    per agent, each of the canonical size."""
-    n = matrix.n
+def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
+    """The truthful `label_sets` when `labels` is None, else `labels` after
+    checking one set per agent, of the canonical size, naming only items 0..m-1."""
+    if labels is None:
+        return label_sets(matrix)
+    n, m = matrix.n, matrix.m
+    k = label_count(n, m)
     if len(labels) != n:
         raise ValueError(f"label profile must have {n} sets, got {len(labels)}")
-    k = label_count(n, matrix.m)
     for declared in labels:
         if len(declared) != k:
             raise ValueError(f"label override must have size {k}, got {len(declared)}")
+        if min(declared) < 0 or max(declared) >= m:
+            raise ValueError(f"label set {sorted(declared)} names an item outside 0..{m - 1}")
     return labels
 
 
 def label_matrix(labels: Labels, m: int) -> np.ndarray:
     """The profile as an (n, m) boolean matrix: [i, j] is whether agent i
     declared item j large."""
-    sizes = [len(declared) for declared in labels]
-    items = np.fromiter(chain.from_iterable(labels), dtype=np.intp, count=sum(sizes))
     marks = np.zeros((len(labels), m), dtype=bool)
-    marks[np.repeat(np.arange(len(labels)), sizes), items] = True
+    for declared, marked in zip(labels, marks):
+        marked[list(declared)] = True
     return marks
 
 
@@ -240,10 +234,7 @@ def randdecl(
     function here (default: the truthful `label_sets`).
     """
     n, m = matrix.n, matrix.m
-    if n < 2:
-        raise ValueError("randdecl needs at least 2 agents")
-    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
-    marks = label_matrix(labels, m)
+    marks = label_matrix(check_labels(matrix, labels), m)
     rng = np.random.default_rng(seed)
     landing = rng.integers(0, n, size=m)
     in_pool = marks[landing, np.arange(m)]
@@ -297,7 +288,7 @@ def randdecl_expected_cost(
     pool with probability b_j/n (b_j = how many agents declared j large).
     """
     n, m = matrix.n, matrix.m
-    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
+    labels = check_labels(matrix, labels)
     row = matrix.row(agent)
     mine = labels[agent]
     phase1 = sum(row[j] for j in range(m) if j not in mine) / n
@@ -348,6 +339,14 @@ def divide_choose_3(matrix: CostMatrix) -> Allocation:
 
 # --- dispatcher ----------------------------------------------------------------
 
+def check_algorithm(name: str, model: Model = Model.CARDINAL) -> None:
+    """Refuse a name outside ALGORITHMS, and dc3 under the ordinal model."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    if name == "dc3" and model is Model.ORDINAL:
+        raise ValueError("dc3 compares bundle costs, which the ordinal model withholds")
+
+
 def one_item_each(matrix: CostMatrix) -> Allocation:
     """m <= n bypass: hand out one item per agent, largest global max-cost
     item to agent 1 and so on. Any such allocation is already MMS-optimal."""
@@ -380,10 +379,7 @@ def allocate(
     other model hands over the reported costs: public rankings only narrow
     the misreports a deviation search tries.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    if algorithm == "dc3" and model is Model.ORDINAL:
-        raise ValueError("dc3 compares bundle costs, which the ordinal model withholds")
+    check_algorithm(algorithm, model)
     if algorithm == "dc3" and matrix.n != 3:
         raise ValueError(f"dc3 requires n=3 (got n={matrix.n})")
     if matrix.m <= matrix.n:

@@ -150,10 +150,11 @@ def _cmd_spcheck(args) -> int:
     if args.model is not None and randomized:
         raise ValueError("--model applies only without --alg randdecl")
     model_name = "ordinal" if args.model is None else args.model
+    model = Model(model_name)
+    algorithms.check_algorithm(args.alg, model)
     trials = verify.MC_TRIALS if args.trials is None else args.trials
     matrix = load_instance(args.instance)
     reports = []
-    model = Model(model_name)
     for i in _agents(args.agent, matrix.n):
         if randomized:
             mode = "exact" if args.exact else "montecarlo"

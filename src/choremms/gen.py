@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, allocate
+from .algorithms import allocate, check_algorithm
 from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
 from .model import CostMatrix
 from .verify import fixture_instances
@@ -66,7 +66,11 @@ def generate(spec: GenSpec) -> CostMatrix:
                 f"fixture {spec.name!r} has instances 0..{len(instances) - 1}, "
                 f"not {spec.index}"
             )
-        return instances[spec.index]
+        inst = instances[spec.index]
+        if (spec.n, spec.m) != (inst.n, inst.m):
+            shape = f"{inst.n}x{inst.m}, not {spec.n}x{spec.m}"
+            raise ValueError(f"fixture {spec.name!r} instances are {shape}")
+        return inst
     if spec.n < 1 or spec.m < 1:
         raise ValueError("n and m must be >= 1")
     rng = np.random.default_rng(spec.seed)
@@ -238,8 +242,7 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     if not algorithms:
         raise ValueError('"algorithms" must not be empty')
     for k, name in enumerate(algorithms):
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+        check_algorithm(name)
         if name in algorithms[:k]:
             raise ValueError(f"algorithm {name!r} is listed twice")
     return specs, list(algorithms), seeds_per_spec

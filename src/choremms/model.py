@@ -3,8 +3,10 @@
 Conventions used throughout the package:
   - items and agents are 0-indexed internally, 1-indexed in all external
     (JSON / CLI) formats;
-  - cost ties are broken by ascending item index everywhere (rankings and
-    greedy picks), so every deterministic routine is reproducible;
+  - cost ties go by item index, in two opposite readings: `rank` counts
+    the lower index as the costlier item, a greedy pick as the cheaper one
+    (a known defect under public-ranking grid reports, pinned by the strict
+    xfail `test_spcheck_public_grid_tie_is_not_profitable`);
   - all-zero cost rows are legal but flagged as degenerate, and the ratio
     convention 0/0 = 1 keeps reports finite.
 """

@@ -243,7 +243,7 @@ def enum_expected_cost(
     as a loop over the landings would.
     """
     n, m = matrix.n, matrix.m
-    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
+    labels = check_labels(matrix, labels)
     row = matrix.row(agent)
     # what item j adds to the pooled and to the kept sum when it lands on
     # each agent; adding 0.0 to a sum that starts at 0.0 leaves it as is
@@ -297,7 +297,7 @@ def mc_expected_cost(
     n, m = matrix.n, matrix.m
     if trials < 1:
         raise ValueError("Monte-Carlo estimate needs at least one trial")
-    labels = label_sets(matrix) if labels is None else check_labels(matrix, labels)
+    labels = check_labels(matrix, labels)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     row = matrix.row(agent)
     costs = np.empty(trials)
@@ -326,7 +326,6 @@ def sp_check_randomized(
     agent: int,
     mode: str = "exact",
     trials: int = MC_TRIALS,
-    seed: int = 0,
     expected_cost: Optional[Callable[[CostMatrix, int, Labels], float]] = None,
 ) -> DeviationReport:
     """Compare the agent's truthful expected cost against every alternative
@@ -341,8 +340,6 @@ def sp_check_randomized(
     is refused before the search.
     """
     n, m = matrix.n, matrix.m
-    if n < 2:
-        raise ValueError("randdecl deviation search needs at least 2 agents")
     if mode == "exact":
         if n**m > 200_000:
             raise ValueError(
@@ -386,7 +383,7 @@ def sp_check_randomized(
                     f"for the agent's labels {sorted(labels[agent])}"
                 )
     elif default_oracle:
-        est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials, seed)
+        est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials)
         if not (math.isfinite(est) and math.isfinite(stderr)):
             raise ValueError(
                 f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choremms.algorithms import (
+    PickSchedule,
     allocate,
     build_schedule,
     check_schedule,
@@ -68,6 +70,27 @@ def test_schedule_deficit_repair_recorded():
     s = build_schedule(2, 100)  # tiny n, huge m: formula cannot cover m
     assert s.repaired > 0
     assert sum(s.counts) == 100
+
+
+def test_check_schedule_reports_each_violation():
+    # n=4: entries 3 and 4 face the growth cap K*ceil(prefix/4), K=2
+    assert check_schedule(PickSchedule((2, 2, 4), 2.0, 0), 4, 8) == [
+        "schedule has 3 entries, expected 4"
+    ]
+    assert check_schedule(PickSchedule((2, 2, 2, 3), 2.0, 0), 4, 8) == [
+        "schedule covers 9 items, expected 8"
+    ]
+    assert check_schedule(PickSchedule((2, 2, 3, 1), 2.0, 0), 4, 8) == [
+        "a_3=3 exceeds growth cap K*ceil(prefix/n)=2"
+    ]
+    # the deficit-repaired last entry is exempt from the cap, and only it
+    assert check_schedule(PickSchedule((2, 2, 2, 5), 2.0, 3), 4, 11) == []
+    assert check_schedule(PickSchedule((2, 2, 2, 5), 2.0, 0), 4, 11) == [
+        "a_4=5 exceeds growth cap K*ceil(prefix/n)=4"
+    ]
+    assert check_schedule(PickSchedule((2, 2, 3, 4), 2.0, 1), 4, 11) == [
+        "a_3=3 exceeds growth cap K*ceil(prefix/n)=2"
+    ]
 
 
 def test_schedule_built_once_per_size(caplog):
@@ -202,6 +225,21 @@ def test_randdecl_label_override_size_checked(declare):
         declare(inst, [frozenset({0}), label_sets(inst)[1]])
     with pytest.raises(ValueError, match="^label profile must have 2 sets, got 1$"):
         declare(inst, label_sets(inst)[:1])
+
+
+@pytest.mark.parametrize("item", [9, -1])
+def test_label_items_outside_the_instance_are_refused(item):
+    inst = CostMatrix.from_rows([[3, 1, 2, 5], [1, 2, 3, 4]])
+    labels = (frozenset({0, item}), frozenset({1, 2}))
+    message = re.escape(f"label set {sorted({0, item})} names an item outside 0..3")
+    for declare in (
+        lambda: randdecl(inst, 0, labels=labels),
+        lambda: randdecl_expected_cost(inst, 0, labels),
+        lambda: enum_expected_cost(inst, 0, labels),
+        lambda: mc_expected_cost(inst, 0, labels),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            declare()
 
 
 def test_randdecl_label_profile_needs_one_set_per_agent():

@@ -10,6 +10,7 @@ import pytest
 import choremms
 from choremms import cli
 from choremms.cli import main
+from choremms.gen import strip_runtime
 
 
 @pytest.fixture
@@ -269,6 +270,13 @@ REFUSED_FLAGS = [
         ["allocate", "--alg", "dc3", "--model", "ordinal"],
         "dc3 compares bundle costs, which the ordinal model withholds",
     ),
+] + [
+    # spcheck's --model defaults to ordinal
+    (
+        ["spcheck", "--alg", "dc3", *model],
+        "dc3 compares bundle costs, which the ordinal model withholds",
+    )
+    for model in ([], ["--model", "ordinal"])
 ]
 
 
@@ -278,6 +286,20 @@ def test_flags_the_algorithm_ignores_are_refused(capsys, instance, argv, message
     code, out, err = run(capsys, [*argv, "--instance", path])
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["allocate", "--alg", "randdecl", "--seed", "1"],
+        ["spcheck", "--alg", "randdecl"],
+        ["spcheck", "--alg", "randdecl", "--exact"],
+    ],
+)
+def test_randdecl_refuses_a_single_agent(capsys, instance, argv):
+    path = instance([[3, 1, 2, 5]])
+    code, out, err = run(capsys, [*argv, "--instance", path])
+    assert (code, out, err) == (1, "", "error: randdecl needs at least 2 agents\n")
 
 
 def test_allocate_cap_exceeded_still_emits_bundles(capsys, instance):
@@ -605,6 +627,36 @@ def test_eval_prints_one_line_per_skipped_cell(tmp_path):
     assert proc.stderr.splitlines() == [
         f"skipped (uniform(0,1), dc3, seed={seed}): dc3 requires n=3 (got n=2)"
         for seed in (5, 6)
+    ]
+
+
+def test_eval_fixture_specs_must_give_the_fixture_shape(capsys, tmp_path):
+    fixture = {"family": "fixture", "name": "public_65", "seed": 1}
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "specs": [
+                    {**fixture, "index": 0, "n": 2, "m": 6},
+                    {**fixture, "index": 0, "n": 3, "m": 9},
+                    {**fixture, "index": 6, "n": 2, "m": 6},
+                ],
+                "algorithms": ["roundrobin"],
+            }
+        )
+    )
+    argv = ["eval", "--config", str(config), "--out", str(tmp_path / "table.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert strip_runtime(out).splitlines() == [
+        "family,n,m,algorithm,seed,max_ratio",
+        "fixture(public_65:0),2,6,roundrobin,1,1",
+    ]
+    assert err.splitlines() == [
+        "skipped (fixture(public_65:0), roundrobin, seed=1): "
+        "fixture 'public_65' instances are 2x6, not 3x9",
+        "skipped (fixture(public_65:6), roundrobin, seed=1): "
+        "fixture 'public_65' has instances 0..5, not 6",
     ]
 
 

@@ -131,7 +131,7 @@ def test_randdecl_truthful_exact():
 
 def test_randdecl_truthful_montecarlo():
     inst = CostMatrix.from_rows([[3, 1, 1, 1], [1, 1, 1, 3]])
-    rep = sp_check_randomized(inst, 0, mode="montecarlo", trials=20_000, seed=3)
+    rep = sp_check_randomized(inst, 0, mode="montecarlo", trials=20_000)
     assert not rep.profitable
 
 
@@ -166,6 +166,16 @@ def test_exact_cross_check_disagreement_stays_an_assertion(monkeypatch):
     inst = CostMatrix.from_rows([[3, 1, 1, 1], [1, 1, 1, 3]])
     with pytest.raises(AssertionError, match="disagrees with enumeration"):
         sp_check_randomized(inst, 0, mode="exact")
+
+
+def test_montecarlo_cross_check_disagreement_stays_an_assertion(monkeypatch):
+    closed_form = verify.randdecl_expected_cost
+    monkeypatch.setattr(
+        verify, "randdecl_expected_cost", lambda *a, **kw: closed_form(*a, **kw) + 1.0
+    )
+    inst = CostMatrix.from_rows([[3, 1, 1, 1], [1, 1, 1, 3]])
+    with pytest.raises(AssertionError, match="Monte-Carlo estimate .* away from the closed form"):
+        sp_check_randomized(inst, 0, mode="montecarlo")
 
 
 def test_exact_cross_check_enumerates_each_distinct_profile_once(monkeypatch):
