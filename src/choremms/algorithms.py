@@ -25,11 +25,12 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Allocation, CostMatrix, Model, rank, rankings, surrogate_matrix
+from .model import Allocation, CostMatrix, Model, descending, rank, rankings, surrogate_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -193,7 +194,8 @@ Labels = Sequence[frozenset[int]]
 
 def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
     """The truthful `label_sets` when `labels` is None, else `labels` after
-    checking one set per agent, of the canonical size, naming only items 0..m-1."""
+    checking one set per agent, of the canonical size, naming only integer
+    items 0..m-1 (a bool is no item, a numpy integer is)."""
     if labels is None:
         return label_sets(matrix)
     n, m = matrix.n, matrix.m
@@ -203,6 +205,9 @@ def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
     for declared in labels:
         if len(declared) != k:
             raise ValueError(f"label override must have size {k}, got {len(declared)}")
+        for j in declared:
+            if type(j) is not int and (type(j) is bool or not isinstance(j, Integral)):
+                raise ValueError(f"label item {j!r} is not an integer")
         if min(declared) < 0 or max(declared) >= m:
             raise ValueError(f"label set {sorted(declared)} names an item outside 0..{m - 1}")
     return labels
@@ -353,9 +358,7 @@ def one_item_each(matrix: CostMatrix) -> Allocation:
     n, m = matrix.n, matrix.m
     if m > n:
         raise ValueError("one_item_each requires m <= n")
-    ranked = sorted(
-        range(m), key=lambda j: (-max(matrix.row(i)[j] for i in range(n)), j)
-    )
+    ranked = descending([max(column) for column in zip(*matrix.costs)])
     bundles: list[set[int]] = [set() for _ in range(n)]
     for k, j in enumerate(ranked):
         bundles[k].add(j)

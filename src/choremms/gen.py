@@ -23,7 +23,15 @@ from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
 from .model import CostMatrix
 from .verify import fixture_instances
 
-FAMILIES = ("uniform", "exponential", "identical_ranking", "correlated", "fixture")
+# each family and the GenSpec parameter fields it reads
+FAMILY_FIELDS = {
+    "uniform": ("lo", "hi"),
+    "exponential": ("rate",),
+    "identical_ranking": (),
+    "correlated": ("rho",),
+    "fixture": ("name", "index"),
+}
+FAMILIES = tuple(FAMILY_FIELDS)
 
 CSV_COLUMNS = ("family", "n", "m", "algorithm", "seed", "max_ratio", "runtime_ms")
 
@@ -236,6 +244,12 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
             kind, ok = _FIELD_CHECKS[field_types[name]]
             if not ok(value):
                 raise ValueError(f'spec field "{name}" must be {kind}, got {value!r}')
+        family = entry["family"]
+        # an unknown family is generate's to skip
+        reads = FAMILY_FIELDS.get(family, field_types)
+        for name in entry:
+            if name not in required and name not in reads:
+                raise ValueError(f'spec field "{name}" does not apply to family {family!r}')
         specs.append(GenSpec(**entry))
     if not specs:
         raise ValueError('"specs" must not be empty')

@@ -12,7 +12,7 @@ incumbent. For n = 2 it is an exact subset-sum scan: numpy sums both
 bundles of every two-way split, in blocks, the way the branch-and-bound
 sums them, and picks the split that search would end on (value, witness
 and method alike). Exact MMS is NP-hard, so item counts are capped; above
-the cap only the cheap lower/upper bounds are available.
+the cap only mms_bounds is available: the bracket the search starts from.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Allocation, AgentEval, CostMatrix, EvalReport, ratio_of
+from .model import Allocation, AgentEval, CostMatrix, EvalReport, descending, ratio_of
 
 DEFAULT_CAP = 20
 
@@ -47,12 +47,23 @@ def _sorted_bundles(bundles: list[set[int]], row: Sequence[float]) -> Allocation
     return Allocation.from_lists(keyed)
 
 
+def _bracket(
+    row: Sequence[float], n: int
+) -> tuple[list[int], float, tuple[float, list[set[int]]]]:
+    """Where the exact search starts: the positive items in `descending`
+    order, the lower bound max(total/n, max item), and LPT's largest load
+    and partition of those items."""
+    items = [j for j in descending(row) if row[j] > 0]
+    lower = max(float(sum(row)) / n, row[items[0]] if items else 0.0)
+    return items, lower, _lpt(items, row, n)
+
+
 def _lpt(items: list[int], row: Sequence[float], n: int) -> tuple[float, list[set[int]]]:
     """Greedy longest-processing-time partition: feasible, not optimal."""
     loads = [0.0] * n
     bundles: list[set[int]] = [set() for _ in range(n)]
     for j in items:  # items arrive in descending cost order
-        b = min(range(n), key=lambda k: (loads[k], k))
+        b = loads.index(min(loads))
         loads[b] += row[j]
         bundles[b].add(j)
     return max(loads), bundles
@@ -72,24 +83,10 @@ def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult
         raise MmsCapError(
             f"{m} items exceeds the exact-computation cap of {cap}; use mms_bounds"
         )
-    total = float(sum(row))
     if n == 1:
-        return MmsResult(total, Allocation.from_lists([set(range(m))]), "exact")
+        return MmsResult(float(sum(row)), Allocation.from_lists([set(range(m))]), "exact")
 
-    items = sorted((j for j in range(m) if row[j] > 0), key=lambda j: (-row[j], j))
-    zeros = [j for j in range(m) if row[j] == 0]
-
-    if len(items) <= n:
-        # one positive item per bundle is optimal
-        bundles: list[set[int]] = [set() for _ in range(n)]
-        for k, j in enumerate(items):
-            bundles[k].add(j)
-        bundles[-1].update(zeros)
-        value = row[items[0]] if items else 0.0
-        return MmsResult(float(value), _sorted_bundles(bundles, row), "exact")
-
-    lower = max(total / n, max(row))
-    best_val, lpt_bundles = _lpt(items, row, n)
+    items, lower, (best_val, bundles) = _bracket(row, n)
     best_assign: list[int] | None = None
     if best_val > lower:
         costs = [row[j] for j in items]
@@ -98,16 +95,16 @@ def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult
         else:
             best_val, best_assign = _branch_and_bound(costs, n, m, best_val, lower)
 
-    if best_assign is None:
-        bundles = [set(b) for b in lpt_bundles]
-    else:
+    if best_assign is not None:
         bundles = [set() for _ in range(n)]
         for idx, b in enumerate(best_assign):
             bundles[b].add(items[idx])
-    # zero-cost items never move the max; park them in the lightest bundle
+    # zero-cost items never move the max; park them in the lightest bundle,
+    # or the last one when LPT gave each positive item a bundle of its own
+    zeros = [j for j in range(m) if row[j] == 0]
     if zeros:
-        lightest = min(range(n), key=lambda k: (sum(row[j] for j in bundles[k]), k))
-        bundles[lightest].update(zeros)
+        loads = [sum(row[j] for j in b) for b in bundles]
+        bundles[loads.index(min(loads)) if len(items) > n else -1].update(zeros)
     return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
 
 
@@ -276,14 +273,11 @@ def _last_tie(costs: list[float], assign: list[int], best_val: float) -> list[in
 
 
 def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
-    """Cheap bracket: lower = max(total/n, max item), upper = LPT greedy."""
+    """The bracket the exact search starts from: lower = max(total/n, max
+    item), upper = LPT greedy."""
     if n < 1:
         raise ValueError("agent count must be >= 1")
-    m = len(row)
-    total = float(sum(row))
-    lower = max(total / n, max(row) if m else 0.0)
-    items = sorted(range(m), key=lambda j: (-row[j], j))
-    upper, _ = _lpt(items, row, n)
+    _, lower, (upper, _) = _bracket(row, n)
     return lower, max(upper, lower)
 
 

@@ -3,10 +3,12 @@
 Conventions used throughout the package:
   - items and agents are 0-indexed internally, 1-indexed in all external
     (JSON / CLI) formats;
-  - cost ties go by item index, in two opposite readings: `rank` counts
-    the lower index as the costlier item, a greedy pick as the cheaper one
-    (a known defect under public-ranking grid reports, pinned by the strict
-    xfail `test_spcheck_public_grid_tie_is_not_profitable`);
+  - `descending` is the one descending cost order, ties by ascending
+    index: rankings, the exact share's item order and the one-item-each
+    bypass all read it, and `algorithms.label_sets` is its numpy form. A
+    greedy pick reads ties the opposite way, taking the lower index as the
+    cheaper item (a known defect under public-ranking grid reports, pinned
+    by the strict xfail `test_spcheck_public_grid_tie_is_not_profitable`);
   - all-zero cost rows are legal but flagged as degenerate, and the ratio
     convention 0/0 = 1 keeps reports finite.
 """
@@ -113,14 +115,18 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
     return problems
 
 
-def rank(matrix: CostMatrix, agent: int) -> tuple[int, ...]:
-    """Agent's ranking: item indices in descending cost order, ties by index.
+def descending(costs: Sequence[float]) -> list[int]:
+    """Item indices in descending cost order, ties by ascending index (a
+    reversed sort stays stable)."""
+    return sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
 
-    Position 0 holds the largest-cost (least preferred) item. A reversed
-    sort stays stable, so equal costs keep ascending index order.
+
+def rank(matrix: CostMatrix, agent: int) -> tuple[int, ...]:
+    """Agent's ranking: its items in `descending` cost order.
+
+    Position 0 holds the largest-cost (least preferred) item.
     """
-    row = matrix.row(agent)
-    return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
+    return tuple(descending(matrix.row(agent)))
 
 
 def rankings(matrix: CostMatrix) -> tuple[tuple[int, ...], ...]:

@@ -98,6 +98,8 @@ def test_non_finite_cost_is_rejected(capsys, tmp_path):
         ("[[1, 2], [2, 1]]", ["mms"]),
         ('{"costs": 5}', ["validate"]),  # costs is not a list of lists
         ('{"costs": 5}', ["allocate", "--alg", "seqpick"]),
+        ('{"n": 2}', ["validate"]),  # no costs at all
+        ('{"n": 2}', ["allocate", "--alg", "seqpick"]),
     ],
 )
 def test_malformed_instance_is_a_clean_error(capsys, tmp_path, text, command):
@@ -594,6 +596,21 @@ def test_eval_writes_csv(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 2
 
 
+def test_eval_names_a_family_without_parameters_plainly(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "specs": [{"family": "identical_ranking", "n": 2, "m": 4, "seed": 1}],
+                "algorithms": ["seqpick"],
+            }
+        )
+    )
+    code, out, _ = run(capsys, ["eval", "--config", str(config), "--out", str(tmp_path / "t.csv")])
+    assert code == 0
+    assert out.splitlines()[1].startswith("identical_ranking,2,4,seqpick,1,")
+
+
 def test_eval_prints_one_line_per_skipped_cell(tmp_path):
     # run as a user runs it: in a process of its own, with no test harness
     # capturing any logging
@@ -735,6 +752,16 @@ def test_eval_config_field_types(capsys, tmp_path, spec, seeds_per_spec):
         (None, [], '"algorithms" must not be empty'),
         (None, ["seqpick", "seqpick"], "algorithm 'seqpick' is listed twice"),
         (None, ["seqpick", "greedy"], "unknown algorithm 'greedy'"),
+        (
+            [dict(family="uniform", n=2, m=4, seed=1, rate=5.0, rho=0.9, name="x", index=3)],
+            ["seqpick"],
+            "spec field \"rate\" does not apply to family 'uniform'",
+        ),
+        (
+            [{"family": "identical_ranking", "n": 2, "m": 4, "seed": 1, "lo": 2.0}],
+            ["seqpick"],
+            "spec field \"lo\" does not apply to family 'identical_ranking'",
+        ),
     ],
 )
 def test_eval_degenerate_config(capsys, tmp_path, specs, algorithms, message):

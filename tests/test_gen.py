@@ -249,6 +249,16 @@ def test_specs_from_config_errors():
         ([good], ["seqpick", "dc3", "seqpick"], "^algorithm 'seqpick' is listed twice$"),
         ([good], ["seqpick", "greedy"], "^unknown algorithm 'greedy'; choose from "),
         ([good], [3], "^unknown algorithm 3; choose from "),
+        (
+            [{**good, "rate": 5.0}],
+            ["seqpick"],
+            "^spec field \"rate\" does not apply to family 'uniform'$",
+        ),
+        (
+            [{**good, "family": "identical_ranking", "lo": 2.0}],
+            ["seqpick"],
+            "^spec field \"lo\" does not apply to family 'identical_ranking'$",
+        ),
     ]:
         with pytest.raises(ValueError, match=message):
             specs_from_config({"specs": raw_specs, "algorithms": algorithms})

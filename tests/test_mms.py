@@ -62,6 +62,19 @@ def test_cap_refusal():
     assert mms_exact((1.0,) * 5, 2, cap=5).value == 3
 
 
+@pytest.mark.parametrize(
+    "solve, row, n, message",
+    [
+        (mms_exact, (1.0, -1.0), 2, "costs must be nonnegative"),
+        (mms_exact, (1.0, 2.0), 0, "agent count must be >= 1"),
+        (mms_bounds, (1.0, 2.0), 0, "agent count must be >= 1"),
+    ],
+)
+def test_bad_input_is_refused(solve, row, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(row, n)
+
+
 def test_bounds_bracket_exact():
     rng = np.random.default_rng(23)
     for _ in range(60):

@@ -160,6 +160,10 @@ def test_allocation_partition_invariant():
     ]
 
 
+def test_allocation_names_unknown_items():
+    assert Allocation.from_lists([{0, 5}, {1}]).check_partition(2) == ["unknown items [5]"]
+
+
 def test_ratio_conventions():
     assert ratio_of(2.0, 4.0) == 0.5
     assert ratio_of(0.0, 0.0) == 1.0

@@ -1,0 +1,180 @@
+"""Mutation gate: the exact-share referee must catch a broken mms.py.
+
+Each mutant is a text edit `(module, old, new)` of the library's source.
+`old` must occur exactly once, so a refactor that rewrites a pattern fails
+here and updates the gate instead of silently skipping the mutant. The
+edited source runs as a fresh module of the package, registered in
+`sys.modules` while it runs so that its dataclasses resolve.
+
+The referee is oracles.mms_exact_reference, compared in value, witness and
+method on a fixed, seeded corpus:
+  - rows of test_mms_search.py's five kinds (integers 0..4, half-steps,
+    uniform floats, mixed magnitudes, nudged integers) at n 1..6, m 1..12;
+  - two-agent rows of eighths with costs a bundle absorbs, or of 15..20
+    uniform floats, which the scan reads in more than one block;
+  - rows with at most a few more positive items than agents, small tied
+    integers and zeros, where LPT's ties and the parking of the zeros
+    decide the witness.
+The unedited module must match on every row, and every mutant must
+change at least one.
+"""
+
+from __future__ import annotations
+
+import sys
+import types
+from contextlib import contextmanager
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import choremms
+from oracles import mms_exact_reference
+
+SOURCE_DIR = Path(choremms.__file__).parent
+
+MUTANTS = {
+    # the closed-bundle bound cuts a node whose exact room fits the rest
+    "margin sign": (
+        "mms",
+        "if room < rest[idx] - margin * best_val:",
+        "if room < rest[idx] + margin * best_val:",
+    ),
+    "closed <=": (
+        "mms",
+        "if load + smallest >= best_val:",
+        "if load + smallest <= best_val:",
+    ),
+    # a leaf must beat the incumbent; ties below a full bundle are lost
+    "strict leaf": (
+        "mms",
+        "            if idx == last:\n",
+        "            if idx == last and cur_max >= best_val:\n"
+        "                continue\n"
+        "            if idx == last:\n",
+    ),
+    "loads[:b + 1]": ("mms", "if load in loads[:b]:", "if load in loads[:b + 1]:"),
+    "no tie rule": (
+        "mms",
+        "best_assign = _last_tie(costs, best_assign, best_val)",
+        "pass",
+    ),
+    "plain block order": (
+        "mms",
+        "return int(hits[np.argmin(order)])",
+        "return int(hits[0])",
+    ),
+    "zeros to the lightest bundle": (
+        "mms",
+        "bundles[loads.index(min(loads)) if len(items) > n else -1].update(zeros)",
+        "bundles[loads.index(min(loads))].update(zeros)",
+    ),
+    "LPT takes the last least-loaded bundle": (
+        "mms",
+        "b = loads.index(min(loads))",
+        "b = n - 1 - loads[::-1].index(min(loads))",
+    ),
+}
+
+
+def _kind_rows(rng, count):
+    rows = []
+    for t in range(count):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 13))
+        kind = t % 5
+        if kind == 0:
+            row = rng.integers(0, 5, m).astype(float)
+        elif kind == 1:
+            row = rng.integers(0, 9, m) / 2
+        elif kind == 2:
+            row = rng.uniform(0.0, 1.0, m)
+        elif kind == 3:
+            row = rng.uniform(0.0, 1.0, m) * 10.0 ** rng.integers(-9, 10, m)
+        else:
+            row = rng.integers(1, 5, m) + rng.choice([0.0, 1e-15, 1e-14, 1e-13], m)
+        rows.append((tuple(row.tolist()), n))
+    return rows
+
+
+def _two_agent_rows(rng, count):
+    rows = []
+    for t in range(count):
+        if t % 2:
+            row = rng.uniform(0.0, 1.0, int(rng.integers(15, 21))).tolist()
+        else:
+            eighths = (rng.integers(1, 17, int(rng.integers(1, 20))) / 8).tolist()
+            k = int(rng.integers(1, 4))
+            tiny = (rng.uniform(0.1, 1.0, k) * 10.0 ** rng.integers(-300, -15, k)).tolist()
+            row = (eighths + tiny)[:20]
+        rows.append((tuple(row), 2))
+    return rows
+
+
+def _few_item_rows(rng, count):
+    rows = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        positive = rng.integers(1, 4, int(rng.integers(0, n + 3))).astype(float)
+        zeros = rng.choice([0.0, -0.0], int(rng.integers(0, 4)))
+        row = np.concatenate([positive, zeros])
+        rows.append((tuple(rng.permutation(row).tolist()), n))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def corpus():
+    """The seeded rows with the referee's result on each."""
+    rng = np.random.default_rng(2019)
+    rows = _few_item_rows(rng, 400) + _kind_rows(rng, 2000) + _two_agent_rows(rng, 500)
+    return tuple((row, n, _outcome(mms_exact_reference, row, n)) for row, n in rows)
+
+
+def _outcome(solve, row, n):
+    res = solve(row, n)
+    return repr(res.value), res.witness.bundles, res.method
+
+
+@contextmanager
+def _fresh_module(module, source):
+    """`source` run as a new module of the package, in sys.modules while
+    the caller's block runs."""
+    name = f"choremms._gate_{module}"
+    fresh = types.ModuleType(name)
+    fresh.__package__ = "choremms"
+    sys.modules[name] = fresh
+    try:
+        exec(compile(source, str(SOURCE_DIR / f"{module}.py"), "exec"), fresh.__dict__)
+        yield fresh
+    finally:
+        del sys.modules[name]
+
+
+def differing_rows(module, source, stop_at_first=False):
+    """How many corpus rows `source`'s mms_exact gets other than the referee."""
+    differ = 0
+    with _fresh_module(module, source) as fresh:
+        for row, n, expected in corpus():
+            if _outcome(fresh.mms_exact, row, n) != expected:
+                differ += 1
+                if stop_at_first:
+                    break
+    return differ
+
+
+def _source(module):
+    return (SOURCE_DIR / f"{module}.py").read_text()
+
+
+def test_unedited_module_matches_the_referee_on_every_row():
+    assert differing_rows("mms", _source("mms")) == 0
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_mutant_is_caught(mutant):
+    module, old, new = MUTANTS[mutant]
+    source = _source(module)
+    assert source.count(old) == 1, f"{mutant}: the pattern must occur exactly once"
+    assert differing_rows(module, source.replace(old, new), stop_at_first=True) == 1
