@@ -2,17 +2,23 @@
 
 An agent's maxmin share is the smallest achievable maximum bundle cost over
 all n-partitions of the items, measured with the agent's own cost row. For
-n >= 3 the exact solver is a branch-and-bound over item-to-bundle
-assignments (items in descending cost order, duplicate-load symmetry
-skipped, incumbent seeded by a longest-processing-time greedy). It cuts a
-node with the closed-bundle bound of bin completion (Korf, IJCAI 2009): a
-bundle that not even the smallest item fits under the incumbent is closed,
-and the items left must fit in the room the open bundles have below the
-incumbent. For n = 2 it is an exact subset-sum scan: numpy sums both
-bundles of every two-way split, in blocks, the way the branch-and-bound
-sums them, and picks the split that search would end on (value, witness
-and method alike). Exact MMS is NP-hard, so item counts are capped; above
-the cap only mms_bounds is available: the bracket the search starts from.
+n >= 3 the exact solver is a depth-first branch-and-bound over
+item-to-bundle assignments: items in descending cost order, the incumbent
+seeded by a longest-processing-time greedy, and at each node the bundles
+tried in index order, each only when the item keeps it below the incumbent
+and no earlier bundle has the same load. It cuts a node with the
+closed-bundle bound of bin completion (Korf, IJCAI 2009): a bundle that not
+even the smallest item fits under the incumbent is closed, and the items
+left must fit in the room the open bundles have below the incumbent. The
+bound runs only where a bundle has closed or the incumbent has dropped, and
+never at the last item's node, where it could cut nothing the admission
+test keeps; that node places the item in a loop of its own. For n = 2 it is
+an exact subset-sum scan: numpy sums both bundles of every two-way split,
+in blocks, the way the branch-and-bound sums them, and picks the split that
+search would end on (value, witness and method alike). Exact MMS is
+NP-hard, so item counts are capped; above the cap only mms_bounds is
+available: the bracket the search starts from. Both functions refuse an
+agent count below 1 and negative costs.
 """
 
 from __future__ import annotations
@@ -69,16 +75,21 @@ def _lpt(items: list[int], row: Sequence[float], n: int) -> tuple[float, list[se
     return max(loads), bundles
 
 
+def _refuse_bad_input(row: Sequence[float], n: int) -> None:
+    """The input refusals mms_exact and mms_bounds share, in this order."""
+    if n < 1:
+        raise ValueError("agent count must be >= 1")
+    if any(c < 0 for c in row):
+        raise ValueError("costs must be nonnegative")
+
+
 def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult:
     """Minimize the maximum bundle cost over all n-partitions of the row.
 
     Raises MmsCapError for more than `cap` items: use mms_bounds instead.
     """
     m = len(row)
-    if n < 1:
-        raise ValueError("agent count must be >= 1")
-    if any(c < 0 for c in row):
-        raise ValueError("costs must be nonnegative")
+    _refuse_bad_input(row, n)
     if m > cap:
         raise MmsCapError(
             f"{m} items exceeds the exact-computation cap of {cap}; use mms_bounds"
@@ -133,10 +144,29 @@ def _branch_and_bound(
     assign = [0] * len(costs)
     best_assign: list[int] | None = None
     loads = [0.0] * n
+    bundles = range(n)
+    first = loads.index  # first(load) < b: an earlier bundle has that load
     proven = False
 
     def dfs(idx: int, cur_max: float, checked: float) -> None:
         nonlocal best_val, best_assign, proven
+        if idx == last:
+            # the last item: each admissible bundle ends a leaf, which
+            # becomes the incumbent even when it only ties best_val
+            for b in bundles:
+                load = loads[b]
+                new_load = load + smallest
+                if new_load >= best_val:
+                    continue  # closed
+                if first(load) < b:
+                    continue  # the leaf of an equal earlier bundle
+                assign[last] = b
+                best_val = new_load if new_load > cur_max else cur_max
+                best_assign = assign.copy()
+                if best_val <= lower:
+                    proven = True
+                    return
+            return
         # Closed-bundle bound: a bundle is closed when even the smallest
         # item lifts it to best_val, so the admission test below refuses it
         # every item. A leaf under this node fits items[idx:] into the open
@@ -144,6 +174,9 @@ def _branch_and_bound(
         # An item put in a bundle that stays open takes as much off the room
         # as off the rest, so the bound runs only where a bundle has closed
         # or best_val has dropped since it last ran at `checked` (0.0: run).
+        # A leaf node skips it: an open bundle alone has room best_val - load
+        # > smallest for the last item, so there the bound cuts only when
+        # every bundle is closed, and then the loop above admits nothing.
         if checked != best_val:
             room = 0.0
             for load in loads:
@@ -154,23 +187,14 @@ def _branch_and_bound(
                 return
             checked = best_val
         c = costs[idx]
-        for b in range(n):
+        for b in bundles:
             load = loads[b]
-            if load in loads[:b]:
-                continue  # bundles with equal load are interchangeable
             new_load = load + c
             if new_load >= best_val:
                 continue
+            if first(load) < b:
+                continue  # bundles with equal load are interchangeable
             assign[idx] = b
-            if idx == last:
-                # the last item: each admissible bundle ends a leaf, which
-                # becomes the incumbent even when it only ties best_val
-                best_val = new_load if new_load > cur_max else cur_max
-                best_assign = assign.copy()
-                if best_val <= lower:
-                    proven = True
-                    return
-                continue
             loads[b] = new_load
             dfs(
                 idx + 1,
@@ -275,8 +299,7 @@ def _last_tie(costs: list[float], assign: list[int], best_val: float) -> list[in
 def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
     """The bracket the exact search starts from: lower = max(total/n, max
     item), upper = LPT greedy."""
-    if n < 1:
-        raise ValueError("agent count must be >= 1")
+    _refuse_bad_input(row, n)
     _, lower, (upper, _) = _bracket(row, n)
     return lower, max(upper, lower)
 

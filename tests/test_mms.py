@@ -68,6 +68,10 @@ def test_cap_refusal():
         (mms_exact, (1.0, -1.0), 2, "costs must be nonnegative"),
         (mms_exact, (1.0, 2.0), 0, "agent count must be >= 1"),
         (mms_bounds, (1.0, 2.0), 0, "agent count must be >= 1"),
+        (mms_bounds, (1.0, -1.0), 2, "costs must be nonnegative"),
+        # the agent count first, then the signs, then the cap
+        (mms_bounds, (-1.0,), 0, "agent count must be >= 1"),
+        (mms_exact, (-1.0,) * 21, 2, "costs must be nonnegative"),
     ],
 )
 def test_bad_input_is_refused(solve, row, n, message):

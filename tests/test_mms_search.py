@@ -1,8 +1,9 @@
 """Property tests: the exact maxmin-share search against its references.
 
-mms_exact prunes with the closed-bundle bound and places the last item
-without recursing, and at n=2 scans every split instead of searching; it
-must return exactly what the search without either returns
+mms_exact prunes with the closed-bundle bound, which it skips where it
+cannot cut (no bundle closed and no incumbent drop since it last ran, and
+at the last item's node), and at n=2 scans every split instead of
+searching; it must return exactly what the search with no bound returns
 (oracles.mms_exact_reference): the same value, compared with ==, the same
 witness bundles and the same method. Its value must also equal the
 brute-force minimum over every partition (oracles.mms_bruteforce).

@@ -14,7 +14,9 @@ method on a fixed, seeded corpus:
     uniform floats, which the scan reads in more than one block;
   - rows with at most a few more positive items than agents, small tied
     integers and zeros, where LPT's ties and the parking of the zeros
-    decide the witness.
+    decide the witness;
+  - every agent's row of the four generator families at (n, m) = (3, 14),
+    (4, 13) and (5, 12), the sizes the eval benchmark searches at.
 The unedited module must match on every row, and every mutant must
 change at least one.
 """
@@ -31,6 +33,7 @@ import numpy as np
 import pytest
 
 import choremms
+from choremms.gen import GenSpec, generate
 from oracles import mms_exact_reference
 
 SOURCE_DIR = Path(choremms.__file__).parent
@@ -50,12 +53,34 @@ MUTANTS = {
     # a leaf must beat the incumbent; ties below a full bundle are lost
     "strict leaf": (
         "mms",
-        "            if idx == last:\n",
-        "            if idx == last and cur_max >= best_val:\n"
-        "                continue\n"
-        "            if idx == last:\n",
+        "                assign[last] = b\n",
+        "                if cur_max >= best_val:\n"
+        "                    continue\n"
+        "                assign[last] = b\n",
     ),
-    "loads[:b + 1]": ("mms", "if load in loads[:b]:", "if load in loads[:b + 1]:"),
+    # the equal-load test counts the bundle itself (load in loads[:b + 1]),
+    # in the interior loop and in the last item's loop
+    "loads[:b + 1]": (
+        "mms",
+        "if first(load) < b:\n                continue  # bundles with equal load",
+        "if first(load) <= b:\n                continue  # bundles with equal load",
+    ),
+    "loads[:b + 1] at the leaf": (
+        "mms",
+        "if first(load) < b:\n                    continue  # the leaf of an equal",
+        "if first(load) <= b:\n                    continue  # the leaf of an equal",
+    ),
+    # a bundle may reach the incumbent, in the interior loop or at the leaf
+    "admits a full bundle": (
+        "mms",
+        "if new_load >= best_val:\n                continue\n",
+        "if new_load > best_val:\n                continue\n",
+    ),
+    "admits a full bundle at the leaf": (
+        "mms",
+        "if new_load >= best_val:\n                    continue  # closed",
+        "if new_load > best_val:\n                    continue  # closed",
+    ),
     "no tie rule": (
         "mms",
         "best_assign = _last_tie(costs, best_assign, best_val)",
@@ -124,11 +149,27 @@ def _few_item_rows(rng, count):
     return rows
 
 
+def _family_rows(rng, seeds):
+    # every agent's row of the generator families at the benchmarked sizes
+    rows = []
+    for n, m in ((3, 14), (4, 13), (5, 12)):
+        for family in ("uniform", "exponential", "identical_ranking", "correlated"):
+            for seed in rng.integers(0, 2**31 - 1, seeds).tolist():
+                matrix = generate(GenSpec(family, n, m, seed))
+                rows.extend((tuple(matrix.row(i)), n) for i in range(n))
+    return rows
+
+
 @lru_cache(maxsize=None)
 def corpus():
     """The seeded rows with the referee's result on each."""
     rng = np.random.default_rng(2019)
-    rows = _few_item_rows(rng, 400) + _kind_rows(rng, 2000) + _two_agent_rows(rng, 500)
+    rows = (
+        _few_item_rows(rng, 400)
+        + _kind_rows(rng, 2000)
+        + _two_agent_rows(rng, 500)
+        + _family_rows(rng, 3)
+    )
     return tuple((row, n, _outcome(mms_exact_reference, row, n)) for row, n in rows)
 
 
