@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="batch experiment harness writing a CSV table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="processes, at most one per CPU and instance"
+    )
     p.add_argument("--cap", type=int, default=mms.DEFAULT_CAP)
     p.set_defaults(func=_cmd_eval)
     return parser

@@ -8,11 +8,13 @@ measured wall time and is excluded from any determinism comparison.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -165,22 +167,24 @@ def run_batch(
     """Allocate + certify every (spec, algorithm, seed) cell.
 
     The unit of work is one generated instance, a (spec, seed) pair, on
-    which every algorithm runs against one table of shares. Returns sorted
-    result rows and the skipped cells (generator errors, algorithm
-    preconditions, cap violations) in (spec, algorithm, seed) order, for
-    the caller to report; the batch never aborts on a skipped cell.
+    which every algorithm runs against one table of shares. Instances run
+    in `min(workers, instances, CPUs)` processes; at one, the batch runs in
+    this process and starts none. Returns sorted result rows and the
+    skipped cells (generator errors, algorithm preconditions, cap
+    violations) in (spec, algorithm, seed) order, for the caller to report;
+    the batch never aborts on a skipped cell.
     """
     instances = [(spec, spec.seed + k) for spec in specs for k in range(seeds_per_spec)]
-
-    def work(instance):
-        spec, seed = instance
-        return _run_instance(spec, seed, algorithms, cap)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(work, instances))
+    run = partial(_run_instance, algorithms=algorithms, cap=cap)
+    procs = min(workers, len(instances), os.cpu_count() or 1)
+    if procs > 1:
+        # the attribute imports multiprocessing only when a pool starts;
+        # four chunks per process keep the round trips few and the tail short
+        with concurrent.futures.ProcessPoolExecutor(procs) as pool:
+            chunk = -(-len(instances) // (4 * procs))
+            per_instance = list(pool.map(run, *zip(*instances), chunksize=chunk))
     else:
-        per_instance = [work(i) for i in instances]
+        per_instance = [run(spec, seed) for spec, seed in instances]
     rows: list[tuple] = []
     failures: list[BatchFailure] = []
     # report in (spec, algorithm, seed) order, as one cell at a time would
@@ -206,14 +210,6 @@ def rows_to_csv(rows: Sequence[tuple]) -> str:
             [family, n, m, alg, seed, f"{max_ratio:.12g}", f"{runtime_ms:.3f}"]
         )
     return buf.getvalue()
-
-
-def strip_runtime(csv_text: str) -> str:
-    """Drop the runtime column; what is left must be byte-stable across runs."""
-    out_lines = []
-    for line in csv_text.splitlines():
-        out_lines.append(line.rsplit(",", 1)[0])
-    return "\n".join(out_lines) + "\n"
 
 
 def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:

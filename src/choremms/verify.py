@@ -54,8 +54,6 @@ MAX_ORDINAL_ITEMS = 7
 MC_TRIALS = 10_000
 # grid misreports, randdecl landings or Monte-Carlo trials per numpy block
 BLOCK = 1024
-# p spacing of witness_ordinal_rand_grid
-WITNESS_GRID_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -556,18 +554,6 @@ def witness_ordinal_rand() -> tuple[Fraction, Fraction]:
             candidates.append(crossing)
     p_star = min(candidates, key=value_at)
     return value_at(p_star), p_star
-
-
-def witness_ordinal_rand_grid() -> tuple[float, float]:
-    """Independent cross-check of witness_ordinal_rand on a fine p grid."""
-    (au, asp), (bu, bsp) = _class_ratio_pairs()
-    p = np.arange(0.0, 1.0 + WITNESS_GRID_STEP, WITNESS_GRID_STEP)
-    values = np.maximum(
-        p * float(au) + (1 - p) * float(bu),
-        p * float(asp) + (1 - p) * float(bsp),
-    )
-    idx = int(np.argmin(values))
-    return float(values[idx]), float(p[idx])
 
 
 # --- fixture instance families -----------------------------------------------------

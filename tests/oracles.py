@@ -2,7 +2,8 @@
 
 These call none of the library's algorithms, searches or helpers; they
 take from it only its data types (`CostMatrix`, `Allocation`, `MmsResult`,
-`Model`), the cap and its error. The maxmin-share oracle enumerates every
+`Model`), the cap and its error, and the two class ratio pairs behind the
+randomized witness. The maxmin-share oracle enumerates every
 set partition via restricted-growth assignments and takes the min-max
 directly, the serial-pick oracle rescans every remaining item at every
 pick, and the deviation-search oracle builds and validates every reported
@@ -14,7 +15,10 @@ reference walks every landing item by item in plain Python, the ranking
 reference sorts on an explicit (-cost, index) key, and the label reference
 takes each agent's top items from it. The mms_exact reference is the search
 as it was before the closed-bundle bound, with its own LPT start and bundle
-order, which the faster one must match in value, witness and method.
+order, which the faster one must match in value, witness and method. The
+witness grid minimizes those pairs' mix over a fine grid of p instead of at
+the exact crossing, and strip_runtime drops the eval CSV's one column that
+is not byte-stable.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ import numpy as np
 
 from choremms.mms import DEFAULT_CAP, MmsCapError, MmsResult
 from choremms.model import Allocation, CostMatrix, Model
+from choremms.verify import _class_ratio_pairs
+
+# p spacing of witness_ordinal_rand_grid
+WITNESS_GRID_STEP = 1e-6
 
 
 def mms_bruteforce(row: Sequence[float], n: int) -> float:
@@ -332,3 +340,23 @@ def deviation_search_reference(
     if model is Model.PUBLIC_RANKING and not include_grid:
         desc = "none (ordinal report channel closed under public rankings)"
     return truthful, best, desc, best < truthful - tol
+
+
+def witness_ordinal_rand_grid() -> tuple[float, float]:
+    """Independent cross-check of witness_ordinal_rand on a fine p grid."""
+    (au, asp), (bu, bsp) = _class_ratio_pairs()
+    p = np.arange(0.0, 1.0 + WITNESS_GRID_STEP, WITNESS_GRID_STEP)
+    values = np.maximum(
+        p * float(au) + (1 - p) * float(bu),
+        p * float(asp) + (1 - p) * float(bsp),
+    )
+    idx = int(np.argmin(values))
+    return float(values[idx]), float(p[idx])
+
+
+def strip_runtime(csv_text: str) -> str:
+    """Drop the runtime column; what is left must be byte-stable across runs."""
+    out_lines = []
+    for line in csv_text.splitlines():
+        out_lines.append(line.rsplit(",", 1)[0])
+    return "\n".join(out_lines) + "\n"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from choremms.algorithms import allocate, build_schedule, check_schedule
-from choremms.gen import GenSpec, rows_to_csv, run_batch, strip_runtime
+from choremms.gen import GenSpec, rows_to_csv, run_batch
 from choremms.mms import evaluate, mms_bounds, mms_exact
 from choremms.model import CostMatrix, Model, ratio_of
 from choremms.verify import (
@@ -28,7 +28,7 @@ from choremms.verify import (
 )
 from choremms.algorithms import randdecl, randdecl_expected_cost
 from mutants import argmax_assigner, greedy_worst_seqpick, inverted_pool_expected_cost
-from oracles import mms_bruteforce
+from oracles import mms_bruteforce, strip_runtime
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

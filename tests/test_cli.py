@@ -10,7 +10,7 @@ import pytest
 import choremms
 from choremms import cli
 from choremms.cli import main
-from choremms.gen import strip_runtime
+from oracles import strip_runtime
 
 
 @pytest.fixture
@@ -675,6 +675,43 @@ def test_eval_fixture_specs_must_give_the_fixture_shape(capsys, tmp_path):
         "skipped (fixture(public_65:6), roundrobin, seed=1): "
         "fixture 'public_65' has instances 0..5, not 6",
     ]
+
+
+def test_eval_output_is_the_same_at_any_worker_count(capsys, tmp_path):
+    # skipped cells of every kind cross the process boundary: a generator
+    # error, an algorithm precondition and a cap refusal
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "specs": [
+                    {"family": "uniform", "n": 2, "m": 7, "seed": 1},
+                    {"family": "correlated", "n": 3, "m": 9, "seed": 2},
+                    {"family": "exponential", "n": 3, "m": 6, "seed": 4},
+                    {"family": "fixture", "name": "public_65", "index": 6, "n": 2, "m": 6, "seed": 1},
+                ],
+                "algorithms": ["dc3", "seqpick", "roundrobin"],
+                "seeds_per_spec": 3,
+            }
+        )
+    )
+    runs = []
+    for workers in ("1", "2", "4"):
+        out_csv = tmp_path / f"table{workers}.csv"
+        argv = ["eval", "--config", str(config), "--out", str(out_csv), "--cap", "8"]
+        code, out, err = run(capsys, [*argv, "--workers", workers])
+        assert code == 0
+        runs.append((strip_runtime(out), strip_runtime(out_csv.read_text()), err))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    out, written, err = runs[0]
+    assert written == out and len(out.splitlines()) == 1 + 15
+    skips = err.splitlines()
+    assert len(skips) == 21 and all(line.startswith("skipped (") for line in skips)
+    assert skips[0] == "skipped (uniform(0,1), dc3, seed=1): dc3 requires n=3 (got n=2)"
+    assert skips[-1] == (
+        "skipped (fixture(public_65:6), roundrobin, seed=3): "
+        "fixture 'public_65' has instances 0..5, not 6"
+    )
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

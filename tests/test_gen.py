@@ -13,10 +13,10 @@ from choremms.gen import (
     rows_to_csv,
     run_batch,
     specs_from_config,
-    strip_runtime,
 )
 from choremms.mms import MmsCapError, evaluate, mms_table
 from choremms.model import Allocation, rankings
+from oracles import strip_runtime
 
 
 def test_uniform_family_range_and_shape():
@@ -170,6 +170,45 @@ def test_run_batch_raises_on_a_non_partition(monkeypatch, workers):
     specs = [GenSpec("identical_ranking", n=3, m=7, seed=1)]
     with pytest.raises(ValueError, match="^not a partition: "):
         run_batch(specs, ["seqpick", "roundrobin"], 2, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "workers, instances, cpus, procs",
+    [
+        (1, 6, 8, 1),  # the default runs in this process
+        (4, 1, 8, 1),  # one instance starts no process
+        (4, 6, 1, 1),  # nor does one CPU
+        (4, 6, None, 1),  # nor an unknown CPU count
+        (4, 6, 2, 2),  # the CPUs bind
+        (8, 3, 64, 3),  # the instances bind
+        (10**6, 2, 64, 2),  # a huge count is cut to the instances
+    ],
+)
+def test_run_batch_process_count(monkeypatch, workers, instances, cpus, procs):
+    # a stand-in pool records the count it is asked for and maps in this
+    # process, so no count here starts a process
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+    specs = [GenSpec("uniform", n=2, m=5, seed=3)]
+    serial = run_batch(specs, ["seqpick"], instances)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    rows, failures = run_batch(specs, ["seqpick"], instances, workers=workers)
+    assert asked == ([] if procs == 1 else [procs])
+    assert ([r[:6] for r in rows], failures) == ([r[:6] for r in serial[0]], serial[1])
 
 
 def test_evaluate_with_precomputed_table_matches():

@@ -1,13 +1,17 @@
-"""Mutation gate: the exact-share referee must catch a broken mms.py.
+"""Mutation gate: each referee must catch a broken library module.
 
-Each mutant is a text edit `(module, old, new)` of the library's source.
-`old` must occur exactly once, so a refactor that rewrites a pattern fails
-here and updates the gate instead of silently skipping the mutant. The
-edited source runs as a fresh module of the package, registered in
-`sys.modules` while it runs so that its dataclasses resolve.
+Each mutant is a text edit `(module, old, new)` of the library's source,
+with the name of the function whose referee must catch it. `old` must
+occur exactly once, so a refactor that rewrites a pattern fails here and
+updates the gate instead of silently skipping the mutant. The edited
+source runs as a fresh module of the package, registered in `sys.modules`
+while it runs so that its dataclasses resolve.
 
-The referee is oracles.mms_exact_reference, compared in value, witness and
-method on a fixed, seeded corpus:
+A referee is a fixed, seeded corpus of the function's arguments with a
+reference's outcome on each, and what of the function's result it compares.
+
+oracles.mms_exact_reference referees mms_exact in value, witness and
+method, on these rows:
   - rows of test_mms_search.py's five kinds (integers 0..4, half-steps,
     uniform floats, mixed magnitudes, nudged integers) at n 1..6, m 1..12;
   - two-agent rows of eighths with costs a bundle absorbs, or of 15..20
@@ -17,8 +21,14 @@ method on a fixed, seeded corpus:
     decide the witness;
   - every agent's row of the four generator families at (n, m) = (3, 14),
     (4, 13) and (5, 12), the sizes the eval benchmark searches at.
-The unedited module must match on every row, and every mutant must
-change at least one.
+
+oracles.serial_pick_reference referees serial_pick's bundles on matrices
+of integer costs 0..3, where ties, which the index tie-break settles, are
+common, at n 1..5 and m 1..12, each under a seeded pick sequence of 1..m
+agents.
+
+Each unedited module must match its referee on every case, and every
+mutant must change at least one.
 """
 
 from __future__ import annotations
@@ -34,7 +44,8 @@ import pytest
 
 import choremms
 from choremms.gen import GenSpec, generate
-from oracles import mms_exact_reference
+from choremms.model import CostMatrix
+from oracles import mms_exact_reference, serial_pick_reference
 
 SOURCE_DIR = Path(choremms.__file__).parent
 
@@ -44,11 +55,13 @@ MUTANTS = {
         "mms",
         "if room < rest[idx] - margin * best_val:",
         "if room < rest[idx] + margin * best_val:",
+        "mms_exact",
     ),
     "closed <=": (
         "mms",
         "if load + smallest >= best_val:",
         "if load + smallest <= best_val:",
+        "mms_exact",
     ),
     # a leaf must beat the incumbent; ties below a full bundle are lost
     "strict leaf": (
@@ -57,6 +70,7 @@ MUTANTS = {
         "                if cur_max >= best_val:\n"
         "                    continue\n"
         "                assign[last] = b\n",
+        "mms_exact",
     ),
     # the equal-load test counts the bundle itself (load in loads[:b + 1]),
     # in the interior loop and in the last item's loop
@@ -64,42 +78,58 @@ MUTANTS = {
         "mms",
         "if first(load) < b:\n                continue  # bundles with equal load",
         "if first(load) <= b:\n                continue  # bundles with equal load",
+        "mms_exact",
     ),
     "loads[:b + 1] at the leaf": (
         "mms",
         "if first(load) < b:\n                    continue  # the leaf of an equal",
         "if first(load) <= b:\n                    continue  # the leaf of an equal",
+        "mms_exact",
     ),
     # a bundle may reach the incumbent, in the interior loop or at the leaf
     "admits a full bundle": (
         "mms",
         "if new_load >= best_val:\n                continue\n",
         "if new_load > best_val:\n                continue\n",
+        "mms_exact",
     ),
     "admits a full bundle at the leaf": (
         "mms",
         "if new_load >= best_val:\n                    continue  # closed",
         "if new_load > best_val:\n                    continue  # closed",
+        "mms_exact",
     ),
     "no tie rule": (
         "mms",
         "best_assign = _last_tie(costs, best_assign, best_val)",
         "pass",
+        "mms_exact",
     ),
     "plain block order": (
         "mms",
         "return int(hits[np.argmin(order)])",
         "return int(hits[0])",
+        "mms_exact",
     ),
     "zeros to the lightest bundle": (
         "mms",
         "bundles[loads.index(min(loads)) if len(items) > n else -1].update(zeros)",
         "bundles[loads.index(min(loads))].update(zeros)",
+        "mms_exact",
     ),
     "LPT takes the last least-loaded bundle": (
         "mms",
         "b = loads.index(min(loads))",
         "b = n - 1 - loads[::-1].index(min(loads))",
+        "mms_exact",
+    ),
+    # the free items sorted in descending index order: the stable sort then
+    # settles ties to the higher index
+    "serial_pick reversed tie-break": (
+        "algorithms",
+        "sorted(compress(items, free), key=row.__getitem__)",
+        "sorted(reversed(list(compress(items, free))), key=row.__getitem__)",
+        "serial_pick",
     ),
 }
 
@@ -160,9 +190,13 @@ def _family_rows(rng, seeds):
     return rows
 
 
+def _mms_outcome(res):
+    return repr(res.value), res.witness.bundles, res.method
+
+
 @lru_cache(maxsize=None)
-def corpus():
-    """The seeded rows with the referee's result on each."""
+def mms_corpus():
+    """The seeded rows with the referee's outcome on each."""
     rng = np.random.default_rng(2019)
     rows = (
         _few_item_rows(rng, 400)
@@ -170,12 +204,29 @@ def corpus():
         + _two_agent_rows(rng, 500)
         + _family_rows(rng, 3)
     )
-    return tuple((row, n, _outcome(mms_exact_reference, row, n)) for row, n in rows)
+    return tuple(((row, n), _mms_outcome(mms_exact_reference(row, n))) for row, n in rows)
 
 
-def _outcome(solve, row, n):
-    res = solve(row, n)
-    return repr(res.value), res.witness.bundles, res.method
+@lru_cache(maxsize=None)
+def serial_pick_corpus():
+    """Seeded tied matrices and pick sequences with the referee's bundles."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for _ in range(1000):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 13))
+        matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
+        sequence = rng.integers(0, n, int(rng.integers(1, m + 1))).tolist()
+        cases.append(((matrix, sequence), serial_pick_reference(matrix, sequence)))
+    return tuple(cases)
+
+
+# each function's referee: its corpus of (arguments, expected outcome)
+# pairs, and the outcome of the function's result that is compared
+REFEREES = {
+    "mms_exact": (mms_corpus, _mms_outcome),
+    "serial_pick": (serial_pick_corpus, lambda alloc: alloc.bundles),
+}
 
 
 @contextmanager
@@ -193,12 +244,15 @@ def _fresh_module(module, source):
         del sys.modules[name]
 
 
-def differing_rows(module, source, stop_at_first=False):
-    """How many corpus rows `source`'s mms_exact gets other than the referee."""
+def differing_rows(module, source, function, stop_at_first=False):
+    """How many of the referee's cases `source`'s `function` gets other
+    than the reference."""
+    corpus, outcome = REFEREES[function]
     differ = 0
     with _fresh_module(module, source) as fresh:
-        for row, n, expected in corpus():
-            if _outcome(fresh.mms_exact, row, n) != expected:
+        run = getattr(fresh, function)
+        for args, expected in corpus():
+            if outcome(run(*args)) != expected:
                 differ += 1
                 if stop_at_first:
                     break
@@ -210,12 +264,13 @@ def _source(module):
 
 
 def test_unedited_module_matches_the_referee_on_every_row():
-    assert differing_rows("mms", _source("mms")) == 0
+    for module, function in {(module, function) for module, _, _, function in MUTANTS.values()}:
+        assert differing_rows(module, _source(module), function) == 0, function
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_is_caught(mutant):
-    module, old, new = MUTANTS[mutant]
+    module, old, new, function = MUTANTS[mutant]
     source = _source(module)
     assert source.count(old) == 1, f"{mutant}: the pattern must occur exactly once"
-    assert differing_rows(module, source.replace(old, new), stop_at_first=True) == 1
+    assert differing_rows(module, source.replace(old, new), function, stop_at_first=True) == 1

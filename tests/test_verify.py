@@ -17,9 +17,9 @@ from choremms.verify import (
     sp_check_randomized,
     witness_ordinal_det,
     witness_ordinal_rand,
-    witness_ordinal_rand_grid,
 )
 from mutants import argmax_assigner, greedy_worst_seqpick, inverted_pool_expected_cost
+from oracles import witness_ordinal_rand_grid
 
 
 def uniform_instance(rng, n, m):
