@@ -85,7 +85,7 @@ def _cmd_mms(args) -> int:
     matrix = load_instance(args.instance)
     out = []
     for i in _agents(args.agent, matrix.n):
-        result = mms.mms_exact(matrix.row(i), matrix.n, cap=args.cap)
+        result = mms.mms_exact(matrix.row(i), matrix.n)
         out.append(
             {
                 "agent": i + 1,
@@ -121,7 +121,7 @@ def _cmd_allocate(args) -> int:
     }
     exit_code = EXIT_OK
     try:
-        report = mms.evaluate(alloc, matrix, cap=args.cap)
+        report = mms.evaluate(alloc, matrix)
         doc["report"] = report.to_jsonable()
         if args.alpha is not None:
             passes = [r.ratio <= args.alpha + 1e-9 for r in report.per_agent]
@@ -141,10 +141,6 @@ def _cmd_spcheck(args) -> int:
     randomized = args.alg == "randdecl"
     if args.exact and not randomized:
         raise ValueError("--exact applies only to --alg randdecl")
-    if args.trials is not None and not randomized:
-        raise ValueError("--trials applies only to --alg randdecl")
-    if args.trials is not None and args.exact:
-        raise ValueError("--trials applies only without --exact")
     if args.grid and (randomized or args.model in (None, "ordinal")):
         raise ValueError("--grid applies only to --model cardinal or public, not to randdecl")
     if args.model is not None and randomized:
@@ -152,13 +148,12 @@ def _cmd_spcheck(args) -> int:
     model_name = "ordinal" if args.model is None else args.model
     model = Model(model_name)
     algorithms.check_algorithm(args.alg, model)
-    trials = verify.MC_TRIALS if args.trials is None else args.trials
     matrix = load_instance(args.instance)
     reports = []
     for i in _agents(args.agent, matrix.n):
         if randomized:
             mode = "exact" if args.exact else "montecarlo"
-            rep = verify.sp_check_randomized(matrix, i, mode=mode, trials=trials)
+            rep = verify.sp_check_randomized(matrix, i, mode=mode)
         else:
             runner = verify.algorithm_runner(args.alg)
             rep = verify.sp_check_ordinal(
@@ -190,9 +185,7 @@ def _cmd_eval(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
     specs, algs, seeds_per_spec = gen.specs_from_config(doc)
-    rows, failures = gen.run_batch(
-        specs, algs, seeds_per_spec, cap=args.cap, workers=args.workers
-    )
+    rows, failures = gen.run_batch(specs, algs, seeds_per_spec, workers=args.workers)
     text = gen.rows_to_csv(rows)
     with open(args.out, "w", newline="") as fh:
         fh.write(text)
@@ -221,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mms", help="exact per-agent maxmin shares with witnesses")
     p.add_argument("--instance", required=True)
     p.add_argument("--agent", type=int, default=None, help="1-indexed agent")
-    p.add_argument("--cap", type=int, default=mms.DEFAULT_CAP)
     p.set_defaults(func=_cmd_mms)
 
     p = sub.add_parser("allocate", help="run one allocation algorithm")
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", default="cardinal", choices=models)
     p.add_argument("--alpha", type=float, default=None, help="certify at this ratio")
-    p.add_argument("--cap", type=int, default=mms.DEFAULT_CAP)
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("spcheck", help="exhaustive unilateral-deviation search")
@@ -244,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--agent", type=int, default=None, help="1-indexed agent")
     p.add_argument("--exact", action="store_true", help="randdecl: enumerate all landings")
-    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--grid", action="store_true", help="add cardinal magnitude-grid misreports")
     p.set_defaults(func=_cmd_spcheck)
 
@@ -258,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1, help="processes, at most one per CPU and instance"
     )
-    p.add_argument("--cap", type=int, default=mms.DEFAULT_CAP)
     p.set_defaults(func=_cmd_eval)
     return parser
 

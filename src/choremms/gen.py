@@ -15,14 +15,14 @@ import os
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
-from numbers import Integral, Real
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .algorithms import allocate, check_algorithm
-from .mms import DEFAULT_CAP, MmsCapError, evaluate, mms_table
-from .model import CostMatrix
+from .mms import MmsCapError, evaluate, mms_table
+from .model import CostMatrix, is_int
 from .verify import fixture_instances
 
 # each family and the GenSpec parameter fields it reads
@@ -116,7 +116,7 @@ class BatchFailure:
     reason: str
 
 
-def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str], cap: int):
+def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str]):
     """Every algorithm on one generated instance, as one (row, failure) pair
     per algorithm in the given order.
 
@@ -146,7 +146,7 @@ def _run_instance(spec: GenSpec, seed: int, algorithms: Sequence[str], cap: int)
             continue
         if table is None:
             try:
-                table = mms_table(inst, cap=cap)
+                table = mms_table(inst)
             except MmsCapError as exc:
                 out.append((None, BatchFailure(spec, alg, seed, str(exc))))
                 continue
@@ -161,7 +161,6 @@ def run_batch(
     specs: Sequence[GenSpec],
     algorithms: Sequence[str],
     seeds_per_spec: int,
-    cap: int = DEFAULT_CAP,
     workers: int = 1,
 ) -> tuple[list[tuple], list[BatchFailure]]:
     """Allocate + certify every (spec, algorithm, seed) cell.
@@ -175,7 +174,7 @@ def run_batch(
     the batch never aborts on a skipped cell.
     """
     instances = [(spec, spec.seed + k) for spec in specs for k in range(seeds_per_spec)]
-    run = partial(_run_instance, algorithms=algorithms, cap=cap)
+    run = partial(_run_instance, algorithms=algorithms)
     procs = min(workers, len(instances), os.cpu_count() or 1)
     if procs > 1:
         # the attribute imports multiprocessing only when a pool starts;
@@ -222,7 +221,7 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     seeds_per_spec = doc.get("seeds_per_spec", 1)
     if not isinstance(raw_specs, list) or not isinstance(algorithms, list):
         raise ValueError('config needs "specs" and "algorithms" lists')
-    if not _is_int(seeds_per_spec) or seeds_per_spec < 1:
+    if not is_int(seeds_per_spec) or seeds_per_spec < 1:
         raise ValueError(f'"seeds_per_spec" must be an integer >= 1, got {seeds_per_spec!r}')
     field_types = {f.name: f.type for f in fields(GenSpec)}
     required = [f.name for f in fields(GenSpec) if f.default is MISSING]
@@ -258,10 +257,6 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     return specs, list(algorithms), seeds_per_spec
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
@@ -269,7 +264,7 @@ def _is_real(value) -> bool:
 # what a config may give each GenSpec field, by its annotation; a bool is
 # no number here
 _FIELD_CHECKS = {
-    "int": ("an integer", _is_int),
+    "int": ("an integer", is_int),
     "float": ("a number", _is_real),
     "str": ("a string", lambda v: isinstance(v, str)),
 }

@@ -16,9 +16,9 @@ test keeps; that node places the item in a loop of its own. For n = 2 it is
 an exact subset-sum scan: numpy sums both bundles of every two-way split,
 in blocks, the way the branch-and-bound sums them, and picks the split that
 search would end on (value, witness and method alike). Exact MMS is
-NP-hard, so item counts are capped; above the cap only mms_bounds is
-available: the bracket the search starts from. Both functions refuse an
-agent count below 1 and negative costs.
+NP-hard, so rows of more than CAP items are refused; for them only
+mms_bounds is available: the bracket the search starts from. Both
+functions refuse an agent count below 1 and negative costs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from .model import Allocation, AgentEval, CostMatrix, EvalReport, descending, ratio_of
 
-DEFAULT_CAP = 20
+# the most items an exact share is computed for
+CAP = 20
 
 
 class MmsCapError(ValueError):
@@ -83,16 +84,16 @@ def _refuse_bad_input(row: Sequence[float], n: int) -> None:
         raise ValueError("costs must be nonnegative")
 
 
-def mms_exact(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult:
+def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     """Minimize the maximum bundle cost over all n-partitions of the row.
 
-    Raises MmsCapError for more than `cap` items: use mms_bounds instead.
+    Raises MmsCapError for more than CAP items: use mms_bounds instead.
     """
     m = len(row)
     _refuse_bad_input(row, n)
-    if m > cap:
+    if m > CAP:
         raise MmsCapError(
-            f"{m} items exceeds the exact-computation cap of {cap}; use mms_bounds"
+            f"{m} items exceeds the exact-computation cap of {CAP}; use mms_bounds"
         )
     if n == 1:
         return MmsResult(float(sum(row)), Allocation.from_lists([set(range(m))]), "exact")
@@ -304,28 +305,28 @@ def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
     return lower, max(upper, lower)
 
 
-def mms_table(matrix: CostMatrix, cap: int = DEFAULT_CAP) -> list[MmsResult]:
+def mms_table(matrix: CostMatrix) -> list[MmsResult]:
     """Exact MMS for every agent of the instance."""
-    return [mms_exact(matrix.row(i), matrix.n, cap=cap) for i in range(matrix.n)]
+    return [mms_exact(matrix.row(i), matrix.n) for i in range(matrix.n)]
 
 
 def evaluate(
     allocation: Allocation,
     matrix: CostMatrix,
-    cap: int = DEFAULT_CAP,
     table: Optional[Sequence[MmsResult]] = None,
 ) -> EvalReport:
     """Cost / exact MMS / ratio per agent, plus the max ratio.
 
-    `table` is `mms_table(matrix, cap)` when the caller already has it, so
+    `table` is `mms_table(matrix)` when the caller already has it, so
     several allocations of one instance share one set of shares; without it
-    the shares are solved here.
+    the shares are solved here, and a row of more than CAP items raises
+    MmsCapError.
     """
     problems = allocation.check_partition(matrix.m)
     if problems:
         raise ValueError("not a partition: " + "; ".join(problems))
     if table is None:
-        table = mms_table(matrix, cap=cap)
+        table = mms_table(matrix)
     per_agent = []
     for i in range(matrix.n):
         cost = matrix.cost_of(i, allocation.bundles[i])

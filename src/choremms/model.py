@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 
@@ -113,6 +113,11 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
         if len(problems) == found and not isfinite(sum(map(float, row))):
             problems.append(f"costs of row {i + 1} sum past the float range")
     return problems
+
+
+def is_int(value) -> bool:
+    """An integer, and not a bool, though bool is an int subclass."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def descending(costs: Sequence[float]) -> list[int]:
@@ -245,10 +250,16 @@ def parse_instance(doc: dict) -> CostMatrix:
 
 
 def header_problems(doc: dict, costs: list) -> list[str]:
-    """The optional "n" and "m" fields that disagree with a valid grid."""
+    """The optional "n" and "m" fields that are not integers, or that
+    disagree with a valid grid."""
     problems = []
-    if "n" in doc and doc["n"] != len(costs):
-        problems.append(f'instance "n"={doc["n"]} but costs has {len(costs)} rows')
-    if "m" in doc and doc["m"] != len(costs[0]):
-        problems.append(f'instance "m"={doc["m"]} but rows have {len(costs[0])} entries')
+    for key, size, grid in (
+        ("n", len(costs), f"costs has {len(costs)} rows"),
+        ("m", len(costs[0]), f"rows have {len(costs[0])} entries"),
+    ):
+        value = doc.get(key, size)
+        if not is_int(value):
+            problems.append(f'instance "{key}" must be an integer, got {json.dumps(value)}')
+        elif value != size:
+            problems.append(f'instance "{key}"={value} but {grid}')
     return problems

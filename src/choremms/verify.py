@@ -50,7 +50,7 @@ PROFIT_TOL = 1e-9
 # sp_check_ordinal enumerates all m! rankings, or all 4^m grid factor rows:
 # 5040 and 16384 at this many items
 MAX_ORDINAL_ITEMS = 7
-# the fewest Monte-Carlo trials a randomized check accepts, and its default
+# the Monte-Carlo trials of a randomized check's cross-check
 MC_TRIALS = 10_000
 # grid misreports, randdecl landings or Monte-Carlo trials per numpy block
 BLOCK = 1024
@@ -323,7 +323,6 @@ def sp_check_randomized(
     matrix: CostMatrix,
     agent: int,
     mode: str = "exact",
-    trials: int = MC_TRIALS,
     expected_cost: Optional[Callable[[CostMatrix, int, Labels], float]] = None,
 ) -> DeviationReport:
     """Compare the agent's truthful expected cost against every alternative
@@ -334,7 +333,7 @@ def sp_check_randomized(
     truthful one, built once, with the agent's set substituted. `mode`
     controls the cross-check of the truthful and best-deviation values the
     search found: "exact" enumerates all phase-1 landings, "montecarlo"
-    simulates at least 10^4 trials. A request the cross-check would refuse
+    simulates MC_TRIALS (10^4) trials. A request the cross-check would refuse
     is refused before the search.
     """
     n, m = matrix.n, matrix.m
@@ -343,10 +342,7 @@ def sp_check_randomized(
             raise ValueError(
                 f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
             )
-    elif mode == "montecarlo":
-        if trials < MC_TRIALS:
-            raise ValueError("montecarlo mode requires at least 10^4 trials")
-    else:
+    elif mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     default_oracle = expected_cost is None
     oracle = expected_cost or randdecl_expected_cost
@@ -381,7 +377,7 @@ def sp_check_randomized(
                     f"for the agent's labels {sorted(labels[agent])}"
                 )
     elif default_oracle:
-        est, stderr = mc_expected_cost(matrix, agent, truthful_labels, trials)
+        est, stderr = mc_expected_cost(matrix, agent, truthful_labels, MC_TRIALS)
         if not (math.isfinite(est) and math.isfinite(stderr)):
             raise ValueError(
                 f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "

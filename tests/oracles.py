@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from choremms.mms import DEFAULT_CAP, MmsCapError, MmsResult
+from choremms.mms import CAP, MmsCapError, MmsResult
 from choremms.model import Allocation, CostMatrix, Model
 from choremms.verify import _class_ratio_pairs
 
@@ -84,7 +84,7 @@ def sorted_bundles_reference(bundles: Sequence[set[int]], row: Sequence[float]) 
     return Allocation.from_lists(keyed)
 
 
-def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> MmsResult:
+def mms_exact_reference(row: Sequence[float], n: int) -> MmsResult:
     """mms_exact as it was before the closed-bundle bound: the same search
     with no bound, a recursive leaf and a set of the loads seen per node."""
     m = len(row)
@@ -92,9 +92,9 @@ def mms_exact_reference(row: Sequence[float], n: int, cap: int = DEFAULT_CAP) ->
         raise ValueError("agent count must be >= 1")
     if any(c < 0 for c in row):
         raise ValueError("costs must be nonnegative")
-    if m > cap:
+    if m > CAP:
         raise MmsCapError(
-            f"{m} items exceeds the exact-computation cap of {cap}; use mms_bounds"
+            f"{m} items exceeds the exact-computation cap of {CAP}; use mms_bounds"
         )
     total = float(sum(row))
     if n == 1:

@@ -75,6 +75,38 @@ def test_validate_lists_a_header_mismatch(capsys, tmp_path):
     assert err == 'error: instance "n"=3 but costs has 2 rows\n'
 
 
+# a header field that is given must be an integer (no bool, no float), and
+# only an integer one is compared with the grid
+HEADER_NOT_AN_INTEGER = [
+    ({"n": True, "costs": [[1, 2]]}, ['instance "n" must be an integer, got true']),
+    ({"n": 2.0, "costs": [[1, 2], [3, 4]]}, ['instance "n" must be an integer, got 2.0']),
+    ({"m": "2", "costs": [[1, 2]]}, ['instance "m" must be an integer, got "2"']),
+    ({"n": None, "m": 2, "costs": [[1, 2]]}, ['instance "n" must be an integer, got null']),
+    (
+        {"n": 3, "m": [2], "costs": [[1, 2], [3, 4]]},
+        ['instance "n"=3 but costs has 2 rows', 'instance "m" must be an integer, got [2]'],
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, violations", HEADER_NOT_AN_INTEGER)
+def test_validate_lists_a_header_that_is_not_an_integer(capsys, tmp_path, doc, violations):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_json(capsys, ["validate", "--instance", str(path)])
+    assert code == 1
+    assert out == {"ok": False, "violations": violations, "degenerate_agents": []}
+
+
+@pytest.mark.parametrize("doc, violations", HEADER_NOT_AN_INTEGER)
+def test_mms_refuses_a_header_that_is_not_an_integer(capsys, tmp_path, doc, violations):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["mms", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"error: {violations[0]}\n"
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, ["validate", "--instance", str(tmp_path / "nope.json")])
     assert code == 1
@@ -239,14 +271,8 @@ REFUSED_FLAGS = [
     for alg in ("seqpick", "roundrobin", "dc3")
 ] + [
     (["spcheck", "--alg", "seqpick", "--exact"], "--exact applies only to --alg randdecl"),
-    (
-        ["spcheck", "--alg", "roundrobin", "--trials", "20000"],
-        "--trials applies only to --alg randdecl",
-    ),
-    (
-        ["spcheck", "--alg", "randdecl", "--exact", "--trials", "20000"],
-        "--trials applies only without --exact",
-    ),
+    (["spcheck", "--alg", "roundrobin", "--exact"], "--exact applies only to --alg randdecl"),
+    (["spcheck", "--alg", "dc3", "--exact"], "--exact applies only to --alg randdecl"),
     (
         ["spcheck", "--alg", "randdecl", "--model", "cardinal", "--grid"],
         "--grid applies only to --model cardinal or public, not to randdecl",
@@ -288,6 +314,34 @@ def test_flags_the_algorithm_ignores_are_refused(capsys, instance, argv, message
     code, out, err = run(capsys, [*argv, "--instance", path])
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+# the share cap and the Monte-Carlo trial count are constants, not flags
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mms", "--cap", "20"], "--cap 20"),
+        (["allocate", "--alg", "seqpick", "--cap", "20"], "--cap 20"),
+        (["eval", "--cap", "8"], "--cap 8"),
+        (["spcheck", "--alg", "randdecl", "--trials", "20000"], "--trials 20000"),
+    ],
+)
+def test_work_limit_flags_are_unrecognized(capsys, instance, tmp_path, argv, flag):
+    path = instance([[3, 1, 2], [1, 4, 2], [2, 2, 1]])
+    if argv[0] == "eval":
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {"specs": [{"family": "uniform", "n": 2, "m": 5, "seed": 1}], "algorithms": ["seqpick"]}
+            )
+        )
+        files = ["--config", str(config), "--out", str(tmp_path / "table.csv")]
+    else:
+        files = ["--instance", path]
+    code, out, err = run(capsys, [*argv, *files])
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "table.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -686,7 +740,7 @@ def test_eval_output_is_the_same_at_any_worker_count(capsys, tmp_path):
             {
                 "specs": [
                     {"family": "uniform", "n": 2, "m": 7, "seed": 1},
-                    {"family": "correlated", "n": 3, "m": 9, "seed": 2},
+                    {"family": "correlated", "n": 3, "m": 21, "seed": 2},
                     {"family": "exponential", "n": 3, "m": 6, "seed": 4},
                     {"family": "fixture", "name": "public_65", "index": 6, "n": 2, "m": 6, "seed": 1},
                 ],
@@ -698,7 +752,7 @@ def test_eval_output_is_the_same_at_any_worker_count(capsys, tmp_path):
     runs = []
     for workers in ("1", "2", "4"):
         out_csv = tmp_path / f"table{workers}.csv"
-        argv = ["eval", "--config", str(config), "--out", str(out_csv), "--cap", "8"]
+        argv = ["eval", "--config", str(config), "--out", str(out_csv)]
         code, out, err = run(capsys, [*argv, "--workers", workers])
         assert code == 0
         runs.append((strip_runtime(out), strip_runtime(out_csv.read_text()), err))

@@ -109,9 +109,9 @@ def test_run_batch_solves_each_share_once_per_instance(monkeypatch):
     solved = []
     real = mms.mms_exact
 
-    def counting(row, n, cap=mms.DEFAULT_CAP):
+    def counting(row, n):
         solved.append((tuple(row), n))
-        return real(row, n, cap=cap)
+        return real(row, n)
 
     monkeypatch.setattr(mms, "mms_exact", counting)
     specs = [GenSpec("uniform", n=3, m=7, seed=5), GenSpec("exponential", n=2, m=8, seed=6)]
@@ -121,7 +121,7 @@ def test_run_batch_solves_each_share_once_per_instance(monkeypatch):
     assert len(set(solved)) == len(solved)
 
 
-def _cell_by_cell(specs, algorithms, seeds_per_spec, cap):
+def _cell_by_cell(specs, algorithms, seeds_per_spec):
     """The batch's contract, one allocate + evaluate per cell."""
     rows, failures = [], []
     for spec in specs:
@@ -130,7 +130,7 @@ def _cell_by_cell(specs, algorithms, seeds_per_spec, cap):
                 seed = spec.seed + k
                 try:
                     inst = generate(replace(spec, seed=seed))
-                    report = evaluate(allocate(inst, alg, seed=seed), inst, cap=cap)
+                    report = evaluate(allocate(inst, alg, seed=seed), inst)
                 except (MmsCapError, ValueError) as exc:
                     failures.append(BatchFailure(spec, alg, seed, str(exc)))
                     continue
@@ -140,22 +140,22 @@ def _cell_by_cell(specs, algorithms, seeds_per_spec, cap):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_batch_failures_match_cell_by_cell(workers):
-    # dc3 at n=2 fails its precondition; m=9 above cap=8 fails every cell that
-    # allocates, dc3 at n=3 included; the m=7 specs run clean
+    # dc3 at n=2 fails its precondition; m=21 above the cap fails every cell
+    # that allocates, dc3 at n=3 included; the m=7 specs run clean
     specs = [
         GenSpec("uniform", n=2, m=7, seed=1),
-        GenSpec("correlated", n=3, m=9, seed=2),
-        GenSpec("uniform", n=2, m=9, seed=3),
+        GenSpec("correlated", n=3, m=21, seed=2),
+        GenSpec("uniform", n=2, m=21, seed=3),
         GenSpec("exponential", n=3, m=7, seed=4),
     ]
     algorithms = ["dc3", "seqpick", "roundrobin", "randdecl"]
-    rows, failures = run_batch(specs, algorithms, 2, cap=8, workers=workers)
-    want_rows, want_failures = _cell_by_cell(specs, algorithms, 2, cap=8)
+    rows, failures = run_batch(specs, algorithms, 2, workers=workers)
+    want_rows, want_failures = _cell_by_cell(specs, algorithms, 2)
     assert [r[:6] for r in rows] == want_rows
     assert failures == want_failures
     assert {f.reason for f in failures} == {
         "dc3 requires n=3 (got n=2)",
-        "9 items exceeds the exact-computation cap of 8; use mms_bounds",
+        "21 items exceeds the exact-computation cap of 20; use mms_bounds",
     }
 
 

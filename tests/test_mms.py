@@ -58,8 +58,11 @@ def test_matches_bruteforce_oracle():
 def test_cap_refusal():
     with pytest.raises(MmsCapError, match="mms_bounds"):
         mms_exact(tuple(range(1, 23)), 2)
-    # the cap is a knob
-    assert mms_exact((1.0,) * 5, 2, cap=5).value == 3
+    # the boundary at the constant cap of 20
+    assert mms_exact((1.0,) * 20, 2).value == 10
+    message = "21 items exceeds the exact-computation cap of 20; use mms_bounds"
+    with pytest.raises(MmsCapError, match=f"^{message}$"):
+        mms_exact((1.0,) * 21, 2)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,9 @@ while it runs so that its dataclasses resolve.
 
 A referee is a fixed, seeded corpus of the function's arguments with a
 reference's outcome on each, and what of the function's result it compares.
+A mutant of one module may be caught by the referee of a function of
+another, which then runs from a fresh copy of its own module that calls
+the edited module's functions.
 
 oracles.mms_exact_reference referees mms_exact in value, witness and
 method, on these rows:
@@ -27,6 +30,18 @@ of integer costs 0..3, where ties, which the index tie-break settles, are
 common, at n 1..5 and m 1..12, each under a seeded pick sequence of 1..m
 agents.
 
+oracles.mc_expected_cost_reference referees mc_expected_cost's (mean,
+stderr), compared with ==, at trial counts on both sides of one and two
+BLOCK edges, on matrices of integer costs 0..3 and on matrices whose last
+agent has an item that absorbs each small cost added after it; it catches
+the deal in algorithms.randdecl_deal as well as the estimator's own sums.
+
+oracles.enum_expected_cost_reference referees enum_expected_cost, compared
+with ==, under randdecl's pooling rule and the inverted one, on
+test_referees.py's block-edge rows (n^m >= BLOCK, and an addition order
+other than the reference's moves the value) and on seeded matrices of
+integer costs 0..3 at n 2..4, m 1..5.
+
 Each unedited module must match its referee on every case, and every
 mutant must change at least one.
 """
@@ -43,9 +58,17 @@ import numpy as np
 import pytest
 
 import choremms
+from choremms.algorithms import label_count, label_sets
 from choremms.gen import GenSpec, generate
 from choremms.model import CostMatrix
-from oracles import mms_exact_reference, serial_pick_reference
+from choremms.verify import BLOCK
+from mutants import inverted_gather
+from oracles import (
+    enum_expected_cost_reference,
+    mc_expected_cost_reference,
+    mms_exact_reference,
+    serial_pick_reference,
+)
 
 SOURCE_DIR = Path(choremms.__file__).parent
 
@@ -130,6 +153,27 @@ MUTANTS = {
         "sorted(compress(items, free), key=row.__getitem__)",
         "sorted(reversed(list(compress(items, free))), key=row.__getitem__)",
         "serial_pick",
+    ),
+    # every trial's deal starts at agent 0, not at its drawn start
+    "randdecl_deal from agent 0": (
+        "algorithms",
+        "owner += starts[:, None] - 1",
+        "owner -= 1",
+        "mc_expected_cost",
+    ),
+    # a trial's cost adds the agent's items from the last column down
+    "Monte-Carlo columns reversed": (
+        "verify",
+        "for j in range(m):\n                acc += np.where(",
+        "for j in reversed(range(m)):\n                acc += np.where(",
+        "mc_expected_cost",
+    ),
+    # each block's landings are summed apart and then added to the total
+    "enumeration drops the carried total": (
+        "verify",
+        "costs[0] += total\n            total = float(np.cumsum(costs)[-1])",
+        "total += float(np.cumsum(costs)[-1])",
+        "enum_expected_cost",
     ),
 }
 
@@ -221,11 +265,82 @@ def serial_pick_corpus():
     return tuple(cases)
 
 
-# each function's referee: its corpus of (arguments, expected outcome)
-# pairs, and the outcome of the function's result that is compared
+def _absorbing_matrix(rng, n, m):
+    # the last agent's item 0 absorbs each small cost added after it, but
+    # not their sum: another addition order moves a trial's cost
+    rows = rng.random((n, m)).tolist()
+    rows[-1] = [1.0] + [6e-17] * (m - 1)
+    return CostMatrix.from_rows(rows)
+
+
+def _labels_with(matrix, rng):
+    # the truthful profile, or the last agent declaring other items
+    labels = label_sets(matrix)
+    if rng.random() < 0.5:
+        return labels, None
+    k = label_count(matrix.n, matrix.m)
+    declared = frozenset(rng.choice(matrix.m, k, replace=False).tolist())
+    return labels[:-1] + (declared,), (matrix.n - 1, declared)
+
+
+@lru_cache(maxsize=None)
+def mc_corpus():
+    """Seeded matrices at trial counts on both sides of one and two BLOCK
+    edges (trial 0 is randdecl; BLOCK + 1 fills one block exactly), with
+    the referee's (mean, stderr) on each."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for trials in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2):
+        for t in range(4):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+            if t % 2:
+                matrix = _absorbing_matrix(rng, n, m)
+            else:
+                matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
+            labels, override = _labels_with(matrix, rng)
+            seed = int(rng.integers(0, 2**31 - 1))
+            expected = mc_expected_cost_reference(matrix, n - 1, seed, trials, override)
+            cases.append(((matrix, n - 1, labels, trials, seed), expected))
+    return tuple(cases)
+
+
+# randdecl's pooling rule, and the mutant that inverts it
+GATHERS = (lambda item, recipient, labels: item in labels[recipient], inverted_gather)
+
+
+@lru_cache(maxsize=None)
+def enum_corpus():
+    """test_referees.py's block-edge rows, where n^m >= BLOCK and each
+    addition order moves the value, and seeded matrices of n^m < BLOCK,
+    under the default and the inverted pooling rule, with the referee's
+    expectation for every agent."""
+    rng = np.random.default_rng(2019)
+    matrices = []
+    for n, m in ((4, 5), (3, 7), (4, 6), (4, 7)):
+        rows = [[1e16 * (i + 1)] + [1.0] * (m - 1) for i in range(n)]
+        rows[-1] = [0.1 * (j + 1) for j in range(m)]
+        matrices.append(CostMatrix.from_rows(rows))
+    for _ in range(40):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        matrices.append(CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist()))
+    cases = []
+    for matrix in matrices:
+        labels, _ = _labels_with(matrix, rng)
+        for gather in GATHERS:
+            for agent in range(matrix.n):
+                expected = enum_expected_cost_reference(matrix, agent, labels, gather)
+                cases.append(((matrix, agent, labels, gather), expected))
+    return tuple(cases)
+
+
+# each function's referee: the module it lives in, its corpus of
+# (arguments, expected outcome) pairs, and the outcome of the function's
+# result that is compared
 REFEREES = {
-    "mms_exact": (mms_corpus, _mms_outcome),
-    "serial_pick": (serial_pick_corpus, lambda alloc: alloc.bundles),
+    "mms_exact": ("mms", mms_corpus, _mms_outcome),
+    "serial_pick": ("algorithms", serial_pick_corpus, lambda alloc: alloc.bundles),
+    "mc_expected_cost": ("verify", mc_corpus, lambda estimate: estimate),
+    "enum_expected_cost": ("verify", enum_corpus, lambda expectation: expectation),
 }
 
 
@@ -244,13 +359,31 @@ def _fresh_module(module, source):
         del sys.modules[name]
 
 
+@contextmanager
+def _edited_function(module, source, function):
+    """`function` as it runs with `module`'s source replaced by `source`.
+
+    A function of another module runs from a fresh copy of its own module,
+    in which each function or class it took from `module` is the edited
+    module's one."""
+    home = REFEREES[function][0]
+    with _fresh_module(module, source) as edited:
+        if home == module:
+            yield getattr(edited, function)
+            return
+        with _fresh_module(home, _source(home)) as host:
+            for name, value in list(vars(host).items()):
+                if getattr(value, "__module__", None) == f"choremms.{module}":
+                    setattr(host, name, getattr(edited, name))
+            yield getattr(host, function)
+
+
 def differing_rows(module, source, function, stop_at_first=False):
     """How many of the referee's cases `source`'s `function` gets other
     than the reference."""
-    corpus, outcome = REFEREES[function]
+    _, corpus, outcome = REFEREES[function]
     differ = 0
-    with _fresh_module(module, source) as fresh:
-        run = getattr(fresh, function)
+    with _edited_function(module, source, function) as run:
         for args, expected in corpus():
             if outcome(run(*args)) != expected:
                 differ += 1
