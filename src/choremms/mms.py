@@ -12,17 +12,25 @@ even the smallest item fits under the incumbent is closed, and the items
 left must fit in the room the open bundles have below the incumbent. The
 bound runs only where a bundle has closed or the incumbent has dropped, and
 never at the last item's node, where it could cut nothing the admission
-test keeps; that node places the item in a loop of its own. For n = 2 it is
-an exact subset-sum scan: numpy sums both bundles of every two-way split,
-in blocks, the way the branch-and-bound sums them, and picks the split that
-search would end on (value, witness and method alike). Exact MMS is
-NP-hard, so rows of more than CAP items are refused; for them only
-mms_bounds is available: the bracket the search starts from. Both
-functions refuse an agent count below 1 and negative costs.
+test keeps; that node places the item in a loop of its own. At n = 3 and 4,
+over the last _FILL_ITEMS items, bin completion's fill bound replaces it:
+an open bundle can take no more of the items left than its fit, the largest
+of their subset sums within its room, read from sorted tables built once per
+search, and the fits must add up to the items left. Its rounding slack keeps
+every leaf the search admits, so the value, witness and method are those
+the closed-bundle bound alone gives. At n >= 5 the tables did not pay for
+themselves. For n = 2 it is an exact subset-sum scan: numpy sums both
+bundles of every two-way split, in blocks, the way the branch-and-bound
+sums them, and picks the split that search would end on (value, witness
+and method alike). Exact MMS is NP-hard, so rows of more than CAP items are
+refused; for them only mms_bounds is available: the bracket the search
+starts from. Both functions refuse an agent count below 1 and negative
+costs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -130,17 +138,50 @@ def _branch_and_bound(
     search admitted (None when no leaf beat the start incumbent). A leaf is
     admitted when it beats the incumbent or, below a node where a bundle
     already holds exactly the incumbent, ties it.
+
+    Nodes are cut by the closed-bundle bound or, at n <= 4 with at most
+    _FILL_ITEMS items left, by the fill bound, which also counts that an
+    open bundle takes only what a subset of the items left sums to. Neither
+    cuts a node under which a leaf would be admitted, so the bounds decide
+    how many nodes are entered, never which leaves are admitted.
     """
     last = len(costs) - 1
     smallest = costs[-1]
     rest = costs + [0.0]  # rest[idx]: the cost of items[idx:]
     for idx in range(last - 1, -1, -1):
         rest[idx] += rest[idx + 1]
-    # Rounding margin of the bound below. Each sum it uses (a load, rest[idx],
-    # the room) adds at most m + n floats, with partial sums below about
-    # n * best_val, so it is off its exact value by less than (m + n) * n *
-    # best_val * 2**-53. The bound weighs a few such errors; margin allows
-    # sixteen, so it never cuts a node whose exact room would fit the rest.
+    # fills[idx]: the sorted subset sums of items[idx:] for the last
+    # _FILL_ITEMS items, None above them. Each table is the next one's sorted
+    # run merged with that run shifted by the item. Tables are built at n <= 4
+    # only. At n = 5 and 6 the fill bound lost to the closed-bundle bound:
+    # (5, 12) eval rows ran at 0.7x the speed and (6, 12) rows at 0.6x, and
+    # a correlated 6x20 row went 7.9 -> 11.7 s, while a correlated 5x20 row
+    # gained (1.6 -> 0.3 s).
+    fills: list[list[float] | None] = [None] * len(costs)
+    if n <= 4:
+        sums = [0.0]
+        for idx in range(last, max(last - _FILL_ITEMS, -1), -1):
+            c = costs[idx]
+            sums = sorted(sums + [x + c for x in sums])
+            fills[idx] = sums
+    # Rounding margin of both bounds below. Each sum they use (a load,
+    # rest[idx], the room) adds at most m + n floats, with partial sums below
+    # about n * best_val, so it is off its exact value by less than
+    # e = (m + n) * n * best_val * 2**-53. margin * best_val allows sixteen
+    # such errors. The closed-bundle bound weighs a few of them, so it never
+    # cuts a node whose exact room would fit the rest.
+    # The fill bound takes slack = margin * best_val on both of its tests. A
+    # leaf puts a subset S of items[idx:] on an open bundle, summed after the
+    # load in the search's order to below best_val; the table sums S in
+    # another order. Each of the two sums adds the at most m items of S to
+    # partial sums below best_val, so the table's S exceeds the exact room
+    # best_val - load by less than 2 * m * best_val * 2**-53 < 2e, and the
+    # float key best_val + slack - load is off by two roundings: the key
+    # never drops a subset a leaf can hold. The fits, each at least its
+    # table S, fall short of rest[idx]'s exact value by less than e in all,
+    # their n additions and rest[idx] itself are off by at most e each, so
+    # the fits of a node that holds a leaf never add up to less than
+    # rest[idx] minus the slack.
     margin = 8 * (m + n) * n * 2.0**-52
     assign = [0] * len(costs)
     best_assign: list[int] | None = None
@@ -168,17 +209,35 @@ def _branch_and_bound(
                     proven = True
                     return
             return
-        # Closed-bundle bound: a bundle is closed when even the smallest
-        # item lifts it to best_val, so the admission test below refuses it
-        # every item. A leaf under this node fits items[idx:] into the open
-        # bundles' room; without it, nothing here can become the incumbent.
-        # An item put in a bundle that stays open takes as much off the room
-        # as off the rest, so the bound runs only where a bundle has closed
-        # or best_val has dropped since it last ran at `checked` (0.0: run).
-        # A leaf node skips it: an open bundle alone has room best_val - load
-        # > smallest for the last item, so there the bound cuts only when
-        # every bundle is closed, and then the loop above admits nothing.
-        if checked != best_val:
+        # Neither bound runs at the last item's node: an open bundle alone
+        # has room best_val - load > smallest for the last item, so a bound
+        # there cuts only when every bundle is closed, and then the loop
+        # above admits nothing.
+        fill = fills[idx]
+        if fill is not None:
+            # Fill bound (bin completion's, Korf 2009): a bundle can take
+            # from items[idx:] no more than its fit, the largest subset sum
+            # that fits its room, and a closed bundle (below) only the empty
+            # sum. A leaf under this node puts all of items[idx:] somewhere,
+            # so the fits must add up to rest[idx]. The slack is inclusive: a
+            # subset the search's own sums admit is never lost to rounding.
+            slack = margin * best_val
+            key = best_val + slack
+            fits = 0.0
+            for load in loads:
+                if load + smallest < best_val:
+                    fits += fill[bisect_right(fill, key - load) - 1]
+            if fits < rest[idx] - slack:
+                return
+        elif checked != best_val:
+            # Closed-bundle bound: a bundle is closed when even the smallest
+            # item lifts it to best_val, so the admission test below refuses
+            # it every item. A leaf under this node fits items[idx:] into the
+            # open bundles' room; without it, nothing here can become the
+            # incumbent. An item put in a bundle that stays open takes as
+            # much off the room as off the rest, so the bound runs only where
+            # a bundle has closed or best_val has dropped since it last ran
+            # at `checked` (0.0: run).
             room = 0.0
             for load in loads:
                 if load + smallest >= best_val:
@@ -213,6 +272,11 @@ def _branch_and_bound(
 # The two-way scan enumerates splits in blocks of 2**_BLOCK_BITS: the last
 # items vary within a block, the ones before them are fixed per block.
 _BLOCK_BITS = 14
+# The branch-and-bound's fill bound tabulates the subset sums of the last
+# _FILL_ITEMS items (2**_FILL_ITEMS sums at most). 8 and 9 measured alike at
+# the eval benchmark's sizes; 6 and 7 left more nodes at (3, 14), and 10
+# cost more to build than it saved at (4, 13).
+_FILL_ITEMS = 8
 
 
 def _two_way_scan(

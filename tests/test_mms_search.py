@@ -2,8 +2,9 @@
 
 mms_exact prunes with the closed-bundle bound, which it skips where it
 cannot cut (no bundle closed and no incumbent drop since it last ran, and
-at the last item's node), and at n=2 scans every split instead of
-searching; it must return exactly what the search with no bound returns
+at the last item's node), at n = 3 and 4 with the fill bound over the last
+_FILL_ITEMS items, and at n=2 scans every split instead of searching; it
+must return exactly what the search with no bound returns
 (oracles.mms_exact_reference): the same value, compared with ==, the same
 witness bundles and the same method. Its value must also equal the
 brute-force minimum over every partition (oracles.mms_bruteforce).
@@ -14,14 +15,15 @@ integers nudged by 1e-15 to 1e-13, whose partitions tie up to rounding:
 there the bound's rounding margin decides what may be cut. The n=2
 property adds eighths with a few costs of 1e-300 to 1e-16, which a bundle
 absorbs without changing its float load, and runs to the cap of 20 items,
-past one scan block of 2**14 splits.
+past one scan block of 2**14 splits. The fill-bound property takes
+tie-heavy rows at the sizes where that bound runs.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choremms.mms import mms_exact
+from choremms.mms import _FILL_ITEMS, mms_exact
 from oracles import mms_bruteforce, mms_exact_reference
 
 
@@ -97,6 +99,49 @@ def _absorbed_rows(m_max):
 def test_two_agent_scan_matches_reference(row):
     got = mms_exact(row, 2)
     expected = mms_exact_reference(row, 2)
+    assert got.value == expected.value
+    assert got.witness.bundles == expected.witness.bundles
+    assert got.method == expected.method
+
+
+def _tie_rows():
+    # m from _FILL_ITEMS to 12. Integers 0..4 and eighths with costs a
+    # bundle absorbs add up exactly, so many leaves tie and a bundle often
+    # holds exactly the incumbent. Integers 1..4 times 0.1 tie in exact
+    # arithmetic but round by the order of addition, which the tables do
+    # not share with the search. Integers 0..4 times the least subnormal
+    # add up exactly with a slack that rounds to zero.
+    def of(values, size=12):
+        return st.lists(values, min_size=_FILL_ITEMS, max_size=size)
+
+    tiny = st.builds(lambda c, e: c * 10.0**e, st.floats(0.1, 1.0), st.integers(-300, -16))
+    eighths = st.builds(
+        lambda big, small: big + small,
+        of(st.integers(1, 16).map(lambda k: k / 8), 9),
+        st.lists(tiny, min_size=1, max_size=3),
+    )
+    return (
+        of(st.integers(0, 4).map(float))
+        | eighths
+        | of(st.integers(1, 4).map(lambda k: k * 0.1))
+        | of(st.integers(0, 4).map(lambda k: k * 5e-324))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_tie_rows(), n=st.sampled_from([3, 4]))
+# a fill with no slack on its key, or one that excludes a sum equal to the
+# room, cuts the subtree of the last admitted leaf
+@example(
+    row=[0.4, 0.2, 0.30000000000000004, 0.1, 0.30000000000000004, 0.4, 0.1, 0.1, 0.1, 0.4, 0.1],
+    n=3,
+)
+@example(row=[0.5, 0.9, 0.5, 0.8, 0.4, 0.2, 0.6, 0.7, 0.3, 0.6, 0.7, 0.8], n=4)
+# exact sums: the only leaf's fits add up to exactly the rest
+@example(row=[k * 5e-324 for k in (3, 3, 0, 0, 2, 0, 4, 2, 3, 4, 3)], n=3)
+def test_fill_bound_matches_reference_on_tied_rows(row, n):
+    got = mms_exact(row, n)
+    expected = mms_exact_reference(row, n)
     assert got.value == expected.value
     assert got.witness.bundles == expected.witness.bundles
     assert got.method == expected.method

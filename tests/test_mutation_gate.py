@@ -23,7 +23,12 @@ method, on these rows:
     integers and zeros, where LPT's ties and the parking of the zeros
     decide the witness;
   - every agent's row of the four generator families at (n, m) = (3, 14),
-    (4, 13) and (5, 12), the sizes the eval benchmark searches at.
+    (4, 13) and (5, 12), the sizes the eval benchmark searches at;
+  - three- and four-agent rows of 8 to 12 items, where the fill bound
+    runs: integers 1..4 times 0.1, whose sums round by the order of
+    addition, so the bound's slack decides what it keeps, and integers
+    0..4 times the least subnormal, whose sums are exact and whose slack
+    is zero, so the strictness of its cut decides.
 
 oracles.serial_pick_reference referees serial_pick's bundles on matrices
 of integer costs 0..3, where ties, which the index tie-break settles, are
@@ -33,8 +38,9 @@ agents.
 oracles.mc_expected_cost_reference referees mc_expected_cost's (mean,
 stderr), compared with ==, at trial counts on both sides of one and two
 BLOCK edges, on matrices of integer costs 0..3 and on matrices whose last
-agent has an item that absorbs each small cost added after it; it catches
-the deal in algorithms.randdecl_deal as well as the estimator's own sums.
+agent has an item that absorbs each small cost added after it, and on
+300-item matrices, whose item indices do not fit a byte; it catches the
+deal in algorithms.randdecl_deal as well as the estimator's own sums.
 
 oracles.enum_expected_cost_reference referees enum_expected_cost, compared
 with ==, under randdecl's pooling rule and the inverted one, on
@@ -140,6 +146,32 @@ MUTANTS = {
         "bundles[loads.index(min(loads))].update(zeros)",
         "mms_exact",
     ),
+    # the fill bound's key without the slack: a subset the search sums to
+    # below the incumbent, whose table sum rounds past the room, is lost
+    "fill key without slack": (
+        "mms",
+        "key = best_val + slack\n",
+        "key = best_val\n",
+        "mms_exact",
+    ),
+    # each table holds the sums of the items after its node's own
+    "fill table without its item": (
+        "mms",
+        "            c = costs[idx]\n"
+        "            sums = sorted(sums + [x + c for x in sums])\n"
+        "            fills[idx] = sums\n",
+        "            fills[idx] = sums\n"
+        "            c = costs[idx]\n"
+        "            sums = sorted(sums + [x + c for x in sums])\n",
+        "mms_exact",
+    ),
+    # the fill bound cuts a node whose fits add up to exactly the rest
+    "fill cut <=": (
+        "mms",
+        "if fits < rest[idx] - slack:",
+        "if fits <= rest[idx] - slack:",
+        "mms_exact",
+    ),
     "LPT takes the last least-loaded bundle": (
         "mms",
         "b = loads.index(min(loads))",
@@ -166,6 +198,22 @@ MUTANTS = {
         "verify",
         "for j in range(m):\n                acc += np.where(",
         "for j in reversed(range(m)):\n                acc += np.where(",
+        "mc_expected_cost",
+    ),
+    # the deal's permutation holds item indices in uint8, which wrap past
+    # item 255
+    "uint8 deal permutation": (
+        "verify",
+        "items = np.arange(m, dtype=np.min_scalar_type(m - 1))",
+        "items = np.arange(m, dtype=np.uint8)",
+        "mc_expected_cost",
+    ),
+    # a trial's cost is numpy's pairwise sum of the agent's columns
+    "Monte-Carlo costs by .sum(axis=1)": (
+        "verify",
+        "            for j in range(m):\n"
+        "                acc += np.where(owner[:, j] == agent, row[j], 0.0)\n",
+        "            acc += np.where(owner == agent, row, 0.0).sum(axis=1)\n",
         "mc_expected_cost",
     ),
     # each block's landings are summed apart and then added to the total
@@ -223,6 +271,20 @@ def _few_item_rows(rng, count):
     return rows
 
 
+def _fill_rows(rng, count):
+    # three and four agents, m from 8 to 12, where the fill bound runs:
+    # integers 1..4 times 0.1, whose sums tie in exact arithmetic but round
+    # by the order of addition, and integers 0..4 times the least subnormal,
+    # whose sums are exact and whose slack rounds to zero
+    rows = []
+    for t in range(count):
+        n = int(rng.integers(3, 5))
+        m = int(rng.integers(8, 13))
+        unit = 0.1 if t % 2 else 5e-324
+        rows.append((tuple((rng.integers(t % 2, 5, m) * unit).tolist()), n))
+    return rows
+
+
 def _family_rows(rng, seeds):
     # every agent's row of the generator families at the benchmarked sizes
     rows = []
@@ -247,6 +309,7 @@ def mms_corpus():
         + _kind_rows(rng, 2000)
         + _two_agent_rows(rng, 500)
         + _family_rows(rng, 3)
+        + _fill_rows(rng, 400)
     )
     return tuple(((row, n), _mms_outcome(mms_exact_reference(row, n))) for row, n in rows)
 
@@ -286,8 +349,9 @@ def _labels_with(matrix, rng):
 @lru_cache(maxsize=None)
 def mc_corpus():
     """Seeded matrices at trial counts on both sides of one and two BLOCK
-    edges (trial 0 is randdecl; BLOCK + 1 fills one block exactly), with
-    the referee's (mean, stderr) on each."""
+    edges (trial 0 is randdecl; BLOCK + 1 fills one block exactly), and one
+    of 300 items at BLOCK + 1 trials, with the referee's (mean, stderr) on
+    each."""
     rng = np.random.default_rng(2019)
     cases = []
     for trials in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2):
@@ -301,6 +365,12 @@ def mc_corpus():
             seed = int(rng.integers(0, 2**31 - 1))
             expected = mc_expected_cost_reference(matrix, n - 1, seed, trials, override)
             cases.append(((matrix, n - 1, labels, trials, seed), expected))
+    # 300 items: item indices past 255 need more than a byte
+    matrix = CostMatrix.from_rows(rng.integers(0, 4, (3, 300)).tolist())
+    labels, override = _labels_with(matrix, rng)
+    seed = int(rng.integers(0, 2**31 - 1))
+    expected = mc_expected_cost_reference(matrix, 2, seed, BLOCK + 1, override)
+    cases.append(((matrix, 2, labels, BLOCK + 1, seed), expected))
     return tuple(cases)
 
 
