@@ -2,7 +2,7 @@
 
 An agent's maxmin share is the smallest achievable maximum bundle cost over
 all n-partitions of the items, measured with the agent's own cost row. For
-n >= 3 the exact solver is a depth-first branch-and-bound over
+n >= 2 the exact solver is a depth-first branch-and-bound over
 item-to-bundle assignments: items in descending cost order, the incumbent
 seeded by a longest-processing-time greedy, and at each node the bundles
 tried in index order, each only when the item keeps it below the incumbent
@@ -12,17 +12,14 @@ even the smallest item fits under the incumbent is closed, and the items
 left must fit in the room the open bundles have below the incumbent. The
 bound runs only where a bundle has closed or the incumbent has dropped, and
 never at the last item's node, where it could cut nothing the admission
-test keeps; that node places the item in a loop of its own. At n = 3 and 4,
+test keeps; that node places the item in a loop of its own. At n = 2 to 4,
 over the last _FILL_ITEMS items, bin completion's fill bound replaces it:
 an open bundle can take no more of the items left than its fit, the largest
 of their subset sums within its room, read from sorted tables built once per
 search, and the fits must add up to the items left. Its rounding slack keeps
 every leaf the search admits, so the value, witness and method are those
 the closed-bundle bound alone gives. At n >= 5 the tables did not pay for
-themselves. For n = 2 it is an exact subset-sum scan: numpy sums both
-bundles of every two-way split, in blocks, the way the branch-and-bound
-sums them, and picks the split that search would end on (value, witness
-and method alike). Exact MMS is NP-hard, so rows of more than CAP items are
+themselves. Exact MMS is NP-hard, so rows of more than CAP items are
 refused; for them only mms_bounds is available: the bracket the search
 starts from. Both functions refuse an agent count below 1 and negative
 costs.
@@ -33,8 +30,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .model import Allocation, AgentEval, CostMatrix, EvalReport, descending, ratio_of
 
@@ -110,10 +105,7 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     best_assign: list[int] | None = None
     if best_val > lower:
         costs = [row[j] for j in items]
-        if n == 2:
-            best_val, best_assign = _two_way_scan(costs, best_val, lower)
-        else:
-            best_val, best_assign = _branch_and_bound(costs, n, m, best_val, lower)
+        best_val, best_assign = _branch_and_bound(costs, n, m, best_val, lower)
 
     if best_assign is not None:
         bundles = [set() for _ in range(n)]
@@ -152,8 +144,8 @@ def _branch_and_bound(
         rest[idx] += rest[idx + 1]
     # fills[idx]: the sorted subset sums of items[idx:] for the last
     # _FILL_ITEMS items, None above them. Each table is the next one's sorted
-    # run merged with that run shifted by the item. Tables are built at n <= 4
-    # only. At n = 5 and 6 the fill bound lost to the closed-bundle bound:
+    # run merged with that run shifted by the item. Tables are built at n = 2
+    # to 4 only. At n = 5 and 6 the fill bound lost to the closed-bundle bound:
     # (5, 12) eval rows ran at 0.7x the speed and (6, 12) rows at 0.6x, and
     # a correlated 6x20 row went 7.9 -> 11.7 s, while a correlated 5x20 row
     # gained (1.6 -> 0.3 s).
@@ -269,96 +261,11 @@ def _branch_and_bound(
     return best_val, best_assign
 
 
-# The two-way scan enumerates splits in blocks of 2**_BLOCK_BITS: the last
-# items vary within a block, the ones before them are fixed per block.
-_BLOCK_BITS = 14
 # The branch-and-bound's fill bound tabulates the subset sums of the last
 # _FILL_ITEMS items (2**_FILL_ITEMS sums at most). 8 and 9 measured alike at
 # the eval benchmark's sizes; 6 and 7 left more nodes at (3, 14), and 10
 # cost more to build than it saved at (4, 13).
 _FILL_ITEMS = 8
-
-
-def _two_way_scan(
-    costs: list[float], best_val: float, lower: float
-) -> tuple[float, list[int] | None]:
-    """What _branch_and_bound returns at n=2, from a scan of every split.
-
-    That search puts item 0 in bundle 0 and meets the splits in
-    lexicographic order of their assignments, bundle 0 first. It stops at
-    the first split <= `lower`; otherwise it ends on the first split of
-    least maximum load, or on a tie it admits after that (_last_tie).
-    Blocks are scanned in that order, and one whose fixed items already
-    load a bundle to the incumbent is skipped: none of its splits beats it.
-    """
-    k = len(costs)
-    bits = min(_BLOCK_BITS, k - 1)
-    fixed = k - 1 - bits  # items 1..fixed are set per block
-    size = 1 << bits
-    best_assign: list[int] | None = None
-    for block in range(1 << fixed):
-        head = [0] + [(block >> (fixed - t)) & 1 for t in range(1, fixed + 1)]
-        loads = [0.0, 0.0]
-        for b, c in zip(head, costs):
-            loads[b] += c
-        if max(loads) >= best_val:
-            continue
-        # Both loads of every split in the block, summed as the search sums
-        # them: the fixed items' load, then the block's items one at a time
-        # in order. Doubling puts item fixed+1+t on bit t of the index (set:
-        # bundle 1), so the search meets the indices in bit-reversed order.
-        load0 = np.empty(size)
-        load1 = np.empty(size)
-        load0[0], load1[0] = loads
-        width = 1
-        for c in costs[fixed + 1 :]:
-            load0[width : 2 * width] = load0[:width]
-            np.add(load1[:width], c, out=load1[width : 2 * width])
-            load0[:width] += c
-            width *= 2
-        worst = np.maximum(load0, load1)
-        least = float(worst.min())
-        if least <= lower:
-            hit = _first_in_search_order(np.flatnonzero(worst <= lower), bits)
-            return float(worst[hit]), head + [(hit >> t) & 1 for t in range(bits)]
-        if least < best_val:
-            best_val = least
-            hit = _first_in_search_order(np.flatnonzero(worst == least), bits)
-            best_assign = head + [(hit >> t) & 1 for t in range(bits)]
-    if best_assign is not None:
-        best_assign = _last_tie(costs, best_assign, best_val)
-    return best_val, best_assign
-
-
-def _first_in_search_order(hits: np.ndarray, bits: int) -> int:
-    """The index among `hits` whose bit-reversed value is smallest."""
-    order = np.zeros_like(hits)
-    for t in range(bits):
-        order |= ((hits >> t) & 1) << (bits - 1 - t)
-    return int(hits[np.argmin(order)])
-
-
-def _last_tie(costs: list[float], assign: list[int], best_val: float) -> list[int]:
-    """The last leaf the two-bundle search admits after `assign`, its first
-    split of load `best_val`.
-
-    Backtracking along `assign`, the search tries bundle 1 for each item d
-    that `assign` put in bundle 0. That branch admits a leaf, a tie, only
-    if bundle 0 already holds exactly best_val (item d was absorbed in
-    float: bundle 0 now refuses every item) and bundle 1 takes item d and
-    every item after it staying below best_val. The shallowest such d is
-    admitted last.
-    """
-    loads = [0.0, 0.0]
-    for d, b in enumerate(assign):
-        if b == 0 and loads[0] == best_val:
-            tail = loads[1]
-            for c in costs[d:]:
-                tail += c
-            if tail < best_val:
-                return assign[:d] + [1] * (len(assign) - d)
-        loads[b] += costs[d]
-    return assign
 
 
 def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:

@@ -2,9 +2,9 @@
 
 mms_exact prunes with the closed-bundle bound, which it skips where it
 cannot cut (no bundle closed and no incumbent drop since it last ran, and
-at the last item's node), at n = 3 and 4 with the fill bound over the last
-_FILL_ITEMS items, and at n=2 scans every split instead of searching; it
-must return exactly what the search with no bound returns
+at the last item's node), and at n = 2 to 4 with the fill bound over the
+last _FILL_ITEMS items; it must return exactly what the search with no
+bound returns
 (oracles.mms_exact_reference): the same value, compared with ==, the same
 witness bundles and the same method. Its value must also equal the
 brute-force minimum over every partition (oracles.mms_bruteforce).
@@ -14,9 +14,10 @@ half-steps, uniform floats, floats of mixed magnitude (1e-9 to 1e9), and
 integers nudged by 1e-15 to 1e-13, whose partitions tie up to rounding:
 there the bound's rounding margin decides what may be cut. The n=2
 property adds eighths with a few costs of 1e-300 to 1e-16, which a bundle
-absorbs without changing its float load, and runs to the cap of 20 items,
-past one scan block of 2**14 splits. The fill-bound property takes
-tie-heavy rows at the sizes where that bound runs.
+absorbs without changing its float load, so that a bundle holds exactly the
+incumbent and the search admits a tie below it, and runs to the cap of 20
+items. The fill-bound property takes tie-heavy rows at the sizes where that
+bound runs.
 """
 
 import pytest
@@ -91,12 +92,13 @@ def _absorbed_rows(m_max):
 # bundle 0 reaches the share exactly, absorbs the tiny item, and the search
 # still admits the split that moves every item from there to bundle 1
 @example(row=[1.0] * 8 + [0.5, 0.75, 0.75, 0.125, 9.826133882900746e-176])
-# 17 positive items: the share lies in the third of four scan blocks
+# 17 positive items: the share's split parts the two costliest items, so
+# the search reaches it only after the subtree that keeps them together
 @example(
     row=[0.6, 0.67, 0.01, 0.23, 0.48, 0.73, 0.83, 0.76, 0.34, 0.38, 0.86, 0.99, 0.48, 0.19]
     + [0.62, 0.54, 0.36]
 )
-def test_two_agent_scan_matches_reference(row):
+def test_two_agent_share_matches_reference(row):
     got = mms_exact(row, 2)
     expected = mms_exact_reference(row, 2)
     assert got.value == expected.value
@@ -129,7 +131,7 @@ def _tie_rows():
 
 
 @settings(max_examples=300, deadline=None)
-@given(row=_tie_rows(), n=st.sampled_from([3, 4]))
+@given(row=_tie_rows(), n=st.sampled_from([2, 3, 4]))
 # a fill with no slack on its key, or one that excludes a sum equal to the
 # room, cuts the subtree of the last admitted leaf
 @example(

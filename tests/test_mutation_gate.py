@@ -17,8 +17,9 @@ oracles.mms_exact_reference referees mms_exact in value, witness and
 method, on these rows:
   - rows of test_mms_search.py's five kinds (integers 0..4, half-steps,
     uniform floats, mixed magnitudes, nudged integers) at n 1..6, m 1..12;
-  - two-agent rows of eighths with costs a bundle absorbs, or of 15..20
-    uniform floats, which the scan reads in more than one block;
+  - two-agent rows of eighths with costs a bundle absorbs, where a bundle
+    holds exactly the incumbent and the search admits a tie below it, or
+    of 15..20 uniform floats, up to the item cap;
   - rows with at most a few more positive items than agents, small tied
     integers and zeros, where LPT's ties and the parking of the zeros
     decide the witness;
@@ -126,18 +127,6 @@ MUTANTS = {
         "mms",
         "if new_load >= best_val:\n                    continue  # closed",
         "if new_load > best_val:\n                    continue  # closed",
-        "mms_exact",
-    ),
-    "no tie rule": (
-        "mms",
-        "best_assign = _last_tie(costs, best_assign, best_val)",
-        "pass",
-        "mms_exact",
-    ),
-    "plain block order": (
-        "mms",
-        "return int(hits[np.argmin(order)])",
-        "return int(hits[0])",
         "mms_exact",
     ),
     "zeros to the lightest bundle": (
