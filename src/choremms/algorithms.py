@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,12 @@ ALGORITHMS = ("seqpick", "randdecl", "roundrobin", "dc3")
 
 # --- serial picking ----------------------------------------------------------
 
-def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
+Reports = tuple[int, Sequence[tuple[float, ...]]]
+
+
+def serial_pick(
+    matrix: CostMatrix, sequence: Sequence[int], reports: Optional[Reports] = None
+) -> Allocation | list[frozenset[int]]:
     """Serial dictatorship: each entry of `sequence` is an agent, who takes
     its cheapest unassigned item, ties going to the lower index.
 
@@ -47,19 +52,59 @@ def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
     agent sorts the items still free at its first turn, once: items only
     ever leave, so that order stays valid for its later turns. The sequence
     must have at most m entries.
+
+    Block form: with `reports=(agent, rows)`, each row a cost row of m
+    entries, it returns the agent's bundle (a frozenset of its picks in
+    pick order) when it reports each row in turn and every other agent its
+    row of `matrix`. The turns before the agent's first one never read its
+    row, so they are played once; each row then starts from a copy of that
+    state and is replayed only up to the agent's last turn, since a later
+    pick can take nothing from the agent. An agent with no turn holds
+    nothing under any row.
     """
     n, m = matrix.n, matrix.m
+    costs = list(matrix.costs)
     # one int object per item, shared by every agent's order
     items = list(range(m))
     free = bytearray(b"\x01") * m
     orders: list[Optional[list[int]]] = [None] * n
     pointers = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for i in sequence:
+    if reports is None:
+        _play(costs, items, sequence, free, orders, pointers, bundles)
+        return Allocation.from_lists(bundles)
+    agent, rows = reports
+    turns = [t for t, i in enumerate(sequence) if i == agent]
+    if not turns:
+        return [frozenset()] * len(rows)
+    _play(costs, items, sequence[: turns[0]], free, orders, pointers, bundles)
+    replay = sequence[turns[0] : turns[-1] + 1]
+    held = []
+    for row in rows:
+        costs[agent] = row
+        picks: list[list[int]] = [[] for _ in range(n)]
+        _play(costs, items, replay, free[:], orders[:], pointers[:], picks)
+        held.append(frozenset(picks[agent]))
+    return held
+
+
+def _play(
+    costs: list[tuple[float, ...]],
+    items: list[int],
+    turns: Sequence[int],
+    free: bytearray,
+    orders: list[Optional[list[int]]],
+    pointers: list[int],
+    bundles: list[list[int]],
+) -> None:
+    """serial_pick's turns, played on its state in place: `free` marks the
+    items not yet taken, `orders[i]` is agent i's sorted items (None before
+    its first turn) and `pointers[i]` how far into them it has taken."""
+    for i in turns:
         order = orders[i]
         if order is None:
             # a stable sort over ascending indices is the index tie-break
-            row = matrix.costs[i]
+            row = costs[i]
             order = orders[i] = sorted(compress(items, free), key=row.__getitem__)
         p = pointers[i]
         while not free[order[p]]:
@@ -68,7 +113,6 @@ def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
         free[j] = 0
         pointers[i] = p + 1
         bundles[i].append(j)
-    return Allocation.from_lists(bundles)
 
 
 # --- sequential picking ----------------------------------------------------
@@ -94,7 +138,7 @@ def build_schedule(n: int, m: int) -> PickSchedule:
     Requires m > n; with m <= n a one-item-each allocation is already
     optimal and seqpick is the wrong tool. The schedule is a frozen value of
     (n, m) alone, so it is built once per (n, m) and shared: a deviation
-    search runs seqpick thousands of times on one size.
+    search and a batch run call seqpick again and again on one size.
     """
     if n < 1:
         raise ValueError("agent count must be >= 1")
@@ -157,16 +201,20 @@ def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
     return problems
 
 
-def seqpick(matrix: CostMatrix) -> Allocation:
+def seqpick(
+    matrix: CostMatrix, reports: Optional[Reports] = None
+) -> Allocation | list[frozenset[int]]:
     """Agents n, n-1, ..., 1 each grab their a_i cheapest remaining items,
     with a_i from the instance's `build_schedule(n, m)`.
 
     Greedy is each picker's dominant strategy, so this doubles as the
     truthful play of the serial-dictatorship rule the schedule defines.
+    `reports` asks for `serial_pick`'s block form.
     """
     n = matrix.n
     counts = build_schedule(n, matrix.m).counts
-    return serial_pick(matrix, [i for i in reversed(range(n)) for _ in range(counts[i])])
+    sequence = [i for i in reversed(range(n)) for _ in range(counts[i])]
+    return serial_pick(matrix, sequence, reports)
 
 
 # --- randomized declare-and-redistribute ------------------------------------
@@ -303,14 +351,19 @@ def randdecl_expected_cost(
 
 # --- round robin -------------------------------------------------------------
 
-def roundrobin(matrix: CostMatrix, agent_order: Optional[Sequence[int]] = None) -> Allocation:
+def roundrobin(
+    matrix: CostMatrix,
+    agent_order: Optional[Sequence[int]] = None,
+    reports: Optional[Reports] = None,
+) -> Allocation | list[frozenset[int]]:
     """Agents take turns (in `agent_order`, default ascending) picking the
-    cheapest remaining item by their own row."""
+    cheapest remaining item by their own row. `reports` asks for
+    `serial_pick`'s block form."""
     n, m = matrix.n, matrix.m
     order = list(range(n)) if agent_order is None else list(agent_order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"agent order {order} is not a permutation of 0..{n - 1}")
-    return serial_pick(matrix, [order[t % n] for t in range(m)])
+    return serial_pick(matrix, [order[t % n] for t in range(m)], reports)
 
 
 # --- divide and choose for three agents --------------------------------------
@@ -365,13 +418,28 @@ def one_item_each(matrix: CostMatrix) -> Allocation:
     return Allocation.from_lists(bundles)
 
 
+def report_bundles(
+    run: Callable[[CostMatrix], Allocation], matrix: CostMatrix, reports: Reports
+) -> list[frozenset[int]]:
+    """For `reports=(agent, rows)`, the agent's bundle under `run` when it
+    reports each row and every other agent its row of `matrix`: one run per
+    row, on the matrix rebuilt with that row."""
+    agent, rows = reports
+    costs = matrix.costs
+    return [
+        run(CostMatrix(costs[:agent] + (tuple(row),) + costs[agent + 1 :])).bundles[agent]
+        for row in rows
+    ]
+
+
 def allocate(
     matrix: CostMatrix,
     algorithm: str,
     model: Model = Model.CARDINAL,
     seed: Optional[int] = None,
     agent_order: Optional[Sequence[int]] = None,
-) -> Allocation:
+    reports: Optional[Reports] = None,
+) -> Allocation | list[frozenset[int]]:
     """Run one of the four algorithms on an instance.
 
     When m <= n the algorithm is bypassed entirely in favour of a one-item-
@@ -381,10 +449,23 @@ def allocate(
     magnitudes; dc3 compares bundle costs, so it refuses that model. Every
     other model hands over the reported costs: public rankings only narrow
     the misreports a deviation search tries.
+
+    With `reports=(agent, rows)` it returns the agent's bundle under each
+    reported row, as `report_bundles` would: seqpick and roundrobin under
+    a reported-cost model run `serial_pick`'s block form, and every other
+    case runs once per rebuilt matrix.
     """
     check_algorithm(algorithm, model)
     if algorithm == "dc3" and matrix.n != 3:
         raise ValueError(f"dc3 requires n=3 (got n={matrix.n})")
+    if reports is not None and (
+        algorithm not in ("seqpick", "roundrobin")
+        or matrix.m <= matrix.n
+        or model is Model.ORDINAL
+    ):
+        return report_bundles(
+            lambda mat: allocate(mat, algorithm, model, seed, agent_order), matrix, reports
+        )
     if matrix.m <= matrix.n:
         return one_item_each(matrix)
     if algorithm == "randdecl" and seed is None:
@@ -395,9 +476,9 @@ def allocate(
         work = surrogate_matrix(rankings(matrix))
 
     if algorithm == "seqpick":
-        return seqpick(work)
+        return seqpick(work, reports)
     if algorithm == "randdecl":
         return randdecl(work, seed)
     if algorithm == "roundrobin":
-        return roundrobin(work, agent_order)
+        return roundrobin(work, agent_order, reports)
     return divide_choose_3(work)

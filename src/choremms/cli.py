@@ -9,6 +9,7 @@ failure (profitable deviation, witness mismatch, failed certification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -199,7 +200,10 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` reads
+    it and leaves it unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="choremms",
         description="Strategyproof maxmin-share chore allocation toolkit.",

@@ -10,11 +10,15 @@ rankings, in exact rational arithmetic.
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
 blocks of at most BLOCK rows, in `itertools.product` order. A grid
 block is filtered by the public ranking with one column comparison per
-adjacent pair, and the algorithm runs once per surviving misreport,
-in that order. A landing block adds each landing's sums column by column,
-and the total is carried from landing to landing, so the expectation is
-the one a per-landing loop computes, bit for bit. Monte-Carlo trials are
-dealt BLOCK at a time too.
+adjacent pair. A deviation search runs each distinct reported row once:
+a `Runner` takes BLOCK ranking misreports, or a grid block's survivors,
+in one call, and gets back the agent's bundle under each row
+(`serial_pick`'s block form for seqpick and roundrobin); any other
+algorithm runs once per rebuilt matrix. The costs are then scanned in
+enumeration order. A landing block adds each landing's sums column by
+column, and the total is carried from landing to landing, so the
+expectation is the one a per-landing loop computes, bit for bit.
+Monte-Carlo trials are dealt BLOCK at a time too.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -28,13 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algorithms import (
     Labels,
+    Reports,
     allocate,
     check_labels,
     label_count,
@@ -43,6 +48,7 @@ from .algorithms import (
     randdecl,
     randdecl_deal,
     randdecl_expected_cost,
+    report_bundles,
 )
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 
@@ -52,7 +58,8 @@ PROFIT_TOL = 1e-9
 MAX_ORDINAL_ITEMS = 7
 # the Monte-Carlo trials of a randomized check's cross-check
 MC_TRIALS = 10_000
-# grid misreports, randdecl landings or Monte-Carlo trials per numpy block
+# ranking or grid misreports, randdecl landings or Monte-Carlo trials per
+# block
 BLOCK = 1024
 
 
@@ -79,17 +86,31 @@ class DeviationReport:
         }
 
 
-def algorithm_runner(name: str):
-    """A matrix -> Allocation callable for the named deterministic algorithm.
+@dataclass(frozen=True)
+class Runner:
+    """A named deterministic algorithm, dispatched through `allocate`, so
+    the checkers see the same preconditions and m <= n bypass as the CLI.
 
-    The callable consumes whatever matrix the checker hands it (true,
-    surrogate, or misreported), which is exactly the reporting channel the
-    deviation search manipulates. It dispatches through `allocate`, so the
-    checkers see the same preconditions and m <= n bypass as the CLI.
+    Called on a matrix (true, surrogate, or misreported: exactly the
+    reporting channel the deviation search manipulates) it returns the
+    Allocation; with `reports=(agent, rows)` it returns the agent's bundle
+    under each reported row, which `sp_check_ordinal` asks for a block of
+    rows at a time.
     """
+
+    name: str
+
+    def __call__(
+        self, matrix: CostMatrix, reports: Optional[Reports] = None
+    ) -> Allocation | list[frozenset[int]]:
+        return allocate(matrix, self.name, reports=reports)
+
+
+def algorithm_runner(name: str) -> Runner:
+    """The Runner of the named deterministic algorithm."""
     if name not in ("seqpick", "roundrobin", "dc3"):
         raise ValueError(f"no deterministic runner for {name!r}")
-    return lambda mat: allocate(mat, name)
+    return Runner(name)
 
 
 def _product_blocks(base: int, m: int):
@@ -126,6 +147,11 @@ def sp_check_ordinal(
     The resulting bundle is always priced with the agent's *true* row.
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
     misreports is refused.
+
+    A `Runner` gets each block of reports it has not seen (BLOCK rankings,
+    then each grid block's survivors) in one call; any other callable runs
+    once per report, on the rebuilt matrix. Either way each distinct
+    reported row runs once, and the costs are scanned in enumeration order.
     """
     m = matrix.m
     grid = tuple(grid_factors)
@@ -151,13 +177,19 @@ def sp_check_ordinal(
     base = truthful_matrix.costs
     cache: dict[tuple[float, ...], float] = {}
 
-    def run_on(row: tuple[float, ...]) -> float:
-        if row not in cache:
-            alloc = algorithm(CostMatrix(base[:agent] + (row,) + base[agent + 1 :]))
-            cache[row] = sum(true_row[j] for j in alloc.bundles[agent])
-        return cache[row]
+    def costs_of(rows: list[tuple[float, ...]]) -> list[float]:
+        # the rows not cached yet run once each, all in one call
+        fresh = [row for row in dict.fromkeys(rows) if row not in cache]
+        if fresh:
+            if isinstance(algorithm, Runner):
+                bundles = algorithm(truthful_matrix, reports=(agent, fresh))
+            else:
+                bundles = report_bundles(algorithm, truthful_matrix, (agent, fresh))
+            for row, bundle in zip(fresh, bundles):
+                cache[row] = sum(true_row[j] for j in bundle)
+        return [cache[row] for row in rows]
 
-    truthful_cost = run_on(base[agent])
+    (truthful_cost,) = costs_of([base[agent]])
     best = truthful_cost
     best_desc = "truthful"
 
@@ -165,14 +197,19 @@ def sp_check_ordinal(
         # the value at ranking position k is the truthful report's k-th
         # largest entry, so every ranking misreport is a valid row
         values = sorted(base[agent], reverse=True)
+        perms = permutations(range(m))
         row = [0.0] * m
-        for perm in permutations(range(m)):
-            for pos, j in enumerate(perm):
-                row[j] = values[pos]
-            cost = run_on(tuple(row))
-            if cost < best:
-                best = cost
-                best_desc = f"ranking {tuple(j + 1 for j in perm)}"
+        # BLOCK rankings at a time, so a block's rows and bundles stay small
+        while block := list(islice(perms, BLOCK)):
+            reports = []
+            for perm in block:
+                for pos, j in enumerate(perm):
+                    row[j] = values[pos]
+                reports.append(tuple(row))
+            for perm, cost in zip(block, costs_of(reports)):
+                if cost < best:
+                    best = cost
+                    best_desc = f"ranking {tuple(j + 1 for j in perm)}"
 
     if include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING):
         factors = np.array(grid, dtype=float)
@@ -190,15 +227,17 @@ def sp_check_ordinal(
             # up to MAX_ORDINAL_ITEMS entries of at most 1e300 sum to a
             # finite float: such a row is a valid report as it stands
             safe = ((rows >= 0.0) & (rows <= 1e300)).all(axis=1)[survivors].tolist()
-            for k, row, ok in zip(survivors.tolist(), rows[survivors].tolist(), safe):
+            reports = []
+            for row, ok in zip(rows[survivors].tolist(), safe):
                 if ok:
-                    cost = run_on(tuple(row))
+                    reports.append(tuple(row))
                 else:
                     # validate the whole report: an entry or the row's sum
                     # may have left the float range
                     reported = list(base)
                     reported[agent] = row
-                    cost = run_on(CostMatrix.from_rows(reported).costs[agent])
+                    reports.append(CostMatrix.from_rows(reported).costs[agent])
+            for k, cost in zip(survivors.tolist(), costs_of(reports)):
                 if cost < best:
                     best = cost
                     best_desc = f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"

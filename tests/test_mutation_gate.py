@@ -1,13 +1,13 @@
 """Mutation gate: each referee must catch a broken library module.
 
 Each mutant is a text edit `(module, old, new)` of the library's source,
-with the name of the function whose referee must catch it. `old` must
+with the name of the referee that must catch it. `old` must
 occur exactly once, so a refactor that rewrites a pattern fails here and
 updates the gate instead of silently skipping the mutant. The edited
 source runs as a fresh module of the package, registered in `sys.modules`
 while it runs so that its dataclasses resolve.
 
-A referee is a fixed, seeded corpus of the function's arguments with a
+A referee is a function, a fixed, seeded corpus of its arguments with a
 reference's outcome on each, and what of the function's result it compares.
 A mutant of one module may be caught by the referee of a function of
 another, which then runs from a fresh copy of its own module that calls
@@ -35,6 +35,16 @@ oracles.serial_pick_reference referees serial_pick's bundles on matrices
 of integer costs 0..3, where ties, which the index tie-break settles, are
 common, at n 1..5 and m 1..12, each under a seeded pick sequence of 1..m
 agents.
+
+oracles.serial_pick_reference, run once per rebuilt matrix, referees
+serial_pick's block form ("serial_pick block"): a seeded agent's bundle
+under each of 1..4 reported rows, in order, on the same kind of matrices
+at n 1..5 and m 1..8, under seqpick's schedule, roundrobin's sequence or
+a seeded sequence of 1..m agents, so that some agents have no turn. Its
+first cases are two rows whose replay takes at most half of the items
+the prefix leaves free, so that the second row never runs out of items:
+a free set the rows share shows as a wrong bundle there, not as an
+IndexError.
 
 oracles.mc_expected_cost_reference referees mc_expected_cost's (mean,
 stderr), compared with ==, at trial counts on both sides of one and two
@@ -65,7 +75,7 @@ import numpy as np
 import pytest
 
 import choremms
-from choremms.algorithms import label_count, label_sets
+from choremms.algorithms import build_schedule, label_count, label_sets
 from choremms.gen import GenSpec, generate
 from choremms.model import CostMatrix
 from choremms.verify import BLOCK
@@ -174,6 +184,20 @@ MUTANTS = {
         "sorted(compress(items, free), key=row.__getitem__)",
         "sorted(reversed(list(compress(items, free))), key=row.__getitem__)",
         "serial_pick",
+    ),
+    # a row's replay stops before the agent's last turn
+    "block replay short of the last turn": (
+        "algorithms",
+        "replay = sequence[turns[0] : turns[-1] + 1]",
+        "replay = sequence[turns[0] : turns[-1]]",
+        "serial_pick block",
+    ),
+    # every row plays on the prefix's own free items, not on a copy
+    "block rows share the free items": (
+        "algorithms",
+        "_play(costs, items, replay, free[:], orders[:], pointers[:], picks)",
+        "_play(costs, items, replay, free, orders[:], pointers[:], picks)",
+        "serial_pick block",
     ),
     # every trial's deal starts at agent 0, not at its drawn start
     "randdecl_deal from agent 0": (
@@ -317,6 +341,48 @@ def serial_pick_corpus():
     return tuple(cases)
 
 
+def _block_case(rng, short):
+    # a short case (None when the draw is not one) is two rows whose
+    # replay takes at most half of the items the prefix leaves free
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 9))
+    matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
+    kind = int(rng.integers(0, 3))
+    if kind == 0 and m > n:
+        counts = build_schedule(n, m).counts
+        sequence = [i for i in reversed(range(n)) for _ in range(counts[i])]
+    elif kind == 1:
+        sequence = [t % n for t in range(m)]
+    else:
+        sequence = rng.integers(0, n, int(rng.integers(1, m + 1))).tolist()
+    agent = int(rng.integers(0, n))
+    turns = [t for t, i in enumerate(sequence) if i == agent]
+    if short and not (turns and 2 * (turns[-1] - turns[0] + 1) <= m - turns[0]):
+        return None
+    count = 2 if short else int(rng.integers(1, 5))
+    rows = [tuple(row) for row in (rng.integers(0, 4, (count, m)) * 1.0).tolist()]
+    expected = [
+        serial_pick_reference(
+            CostMatrix(matrix.costs[:agent] + (row,) + matrix.costs[agent + 1 :]), sequence
+        )[agent]
+        for row in rows
+    ]
+    return (matrix, sequence, (agent, rows)), expected
+
+
+@lru_cache(maxsize=None)
+def serial_pick_block_corpus():
+    """Seeded block cases, the short replays of two rows first, with the
+    referee's bundle for each row."""
+    rng = np.random.default_rng(2019)
+    short = []
+    while len(short) < 100:
+        case = _block_case(rng, short=True)
+        if case is not None:
+            short.append(case)
+    return tuple(short + [_block_case(rng, short=False) for _ in range(1000)])
+
+
 def _absorbing_matrix(rng, n, m):
     # the last agent's item 0 absorbs each small cost added after it, but
     # not their sum: another addition order moves a trial's cost
@@ -392,14 +458,25 @@ def enum_corpus():
     return tuple(cases)
 
 
-# each function's referee: the module it lives in, its corpus of
-# (arguments, expected outcome) pairs, and the outcome of the function's
-# result that is compared
+# each referee: the function it runs and the module it lives in, its
+# corpus of (arguments, expected outcome) pairs, and the outcome of the
+# function's result that is compared
 REFEREES = {
-    "mms_exact": ("mms", mms_corpus, _mms_outcome),
-    "serial_pick": ("algorithms", serial_pick_corpus, lambda alloc: alloc.bundles),
-    "mc_expected_cost": ("verify", mc_corpus, lambda estimate: estimate),
-    "enum_expected_cost": ("verify", enum_corpus, lambda expectation: expectation),
+    "mms_exact": ("mms_exact", "mms", mms_corpus, _mms_outcome),
+    "serial_pick": ("serial_pick", "algorithms", serial_pick_corpus, lambda alloc: alloc.bundles),
+    "serial_pick block": (
+        "serial_pick",
+        "algorithms",
+        serial_pick_block_corpus,
+        lambda bundles: bundles,
+    ),
+    "mc_expected_cost": ("mc_expected_cost", "verify", mc_corpus, lambda estimate: estimate),
+    "enum_expected_cost": (
+        "enum_expected_cost",
+        "verify",
+        enum_corpus,
+        lambda expectation: expectation,
+    ),
 }
 
 
@@ -419,13 +496,14 @@ def _fresh_module(module, source):
 
 
 @contextmanager
-def _edited_function(module, source, function):
-    """`function` as it runs with `module`'s source replaced by `source`.
+def _edited_function(module, source, referee):
+    """The referee's function as it runs with `module`'s source replaced by
+    `source`.
 
     A function of another module runs from a fresh copy of its own module,
     in which each function or class it took from `module` is the edited
     module's one."""
-    home = REFEREES[function][0]
+    function, home = REFEREES[referee][:2]
     with _fresh_module(module, source) as edited:
         if home == module:
             yield getattr(edited, function)
@@ -437,12 +515,12 @@ def _edited_function(module, source, function):
             yield getattr(host, function)
 
 
-def differing_rows(module, source, function, stop_at_first=False):
-    """How many of the referee's cases `source`'s `function` gets other
-    than the reference."""
-    _, corpus, outcome = REFEREES[function]
+def differing_rows(module, source, referee, stop_at_first=False):
+    """How many of the referee's cases its function, run from `source`,
+    gets other than the reference."""
+    _, _, corpus, outcome = REFEREES[referee]
     differ = 0
-    with _edited_function(module, source, function) as run:
+    with _edited_function(module, source, referee) as run:
         for args, expected in corpus():
             if outcome(run(*args)) != expected:
                 differ += 1
@@ -456,13 +534,13 @@ def _source(module):
 
 
 def test_unedited_module_matches_the_referee_on_every_row():
-    for module, function in {(module, function) for module, _, _, function in MUTANTS.values()}:
-        assert differing_rows(module, _source(module), function) == 0, function
+    for module, referee in {(module, referee) for module, _, _, referee in MUTANTS.values()}:
+        assert differing_rows(module, _source(module), referee) == 0, referee
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_is_caught(mutant):
-    module, old, new, function = MUTANTS[mutant]
+    module, old, new, referee = MUTANTS[mutant]
     source = _source(module)
     assert source.count(old) == 1, f"{mutant}: the pattern must occur exactly once"
-    assert differing_rows(module, source.replace(old, new), function, stop_at_first=True) == 1
+    assert differing_rows(module, source.replace(old, new), referee, stop_at_first=True) == 1

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -100,6 +101,36 @@ def test_deviation_search_refuses_factorial_blowup():
     inst = CostMatrix.from_rows([list(range(1, 9)), list(range(8, 0, -1))])
     with pytest.raises(ValueError, match="misreports"):
         sp_check_ordinal(algorithm_runner("seqpick"), inst, 0)
+
+
+@pytest.mark.parametrize("runner", ["block", "per matrix"])
+def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runner):
+    # the 5! rankings of the tied true row name 5!/(2! 2!) = 30 distinct
+    # rows, and the 4^5 grid rows repeat some of them
+    matrix = CostMatrix.from_rows([[2, 2, 1, 1, 3], [1, 2, 3, 4, 5]])
+    true_row = matrix.costs[0]
+    run = []
+    if runner == "block":
+        engine = algorithms.serial_pick
+
+        def recording(mat, sequence, reports=None):
+            assert reports is not None and reports[0] == 0
+            run.extend(reports[1])
+            return engine(mat, sequence, reports)
+
+        monkeypatch.setattr(algorithms, "serial_pick", recording)
+        algorithm = algorithm_runner("roundrobin")
+    else:
+
+        def algorithm(mat):
+            run.append(mat.costs[0])
+            return allocate(mat, "roundrobin")
+
+    sp_check_ordinal(algorithm, matrix, 0, model=Model.CARDINAL, include_grid=True)
+    factors = product((0.5, 1.0, 2.0, 3.0), repeat=5)
+    grid = {tuple(f * c for f, c in zip(fs, true_row)) for fs in factors}
+    assert len(run) == len(set(run))
+    assert set(run) == set(permutations(true_row)) | grid
 
 
 def test_deviation_report_jsonable_is_one_indexed():
