@@ -10,7 +10,7 @@ All of them take a cost matrix and return a partition of the items:
     back out evenly;
   - roundrobin: agents take turns picking their cheapest remaining item
     (seqpick and roundrobin share one engine, serial_pick, and differ only
-    in the pick sequence);
+    in the pick sequence, which pick_sequence gives);
   - divide_choose_3: three fixed bundles built from agent 1's ranking,
     agents 2 and 3 choose in turn, agent 1 keeps the leftover.
 
@@ -24,9 +24,9 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress, groupby
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -113,6 +113,71 @@ def _play(
         free[j] = 0
         pointers[i] = p + 1
         bundles[i].append(j)
+
+
+def pick_tree(matrix: CostMatrix, sequence: Sequence[int], agent: int) -> Iterator[frozenset[int]]:
+    """The leaves of `agent`'s pick tree under `serial_pick(matrix,
+    sequence)`: every bundle it can end with, whatever row it reports.
+
+    At each of its turns the agent takes some free item, and every other
+    agent picks by its row of `matrix`, through `_play`. Every reported row,
+    its index tie-break included, yields one of these bundles, and a strict
+    ranking that puts a leaf's picks first yields that leaf. A run of the
+    agent's consecutive turns takes one set of items, since no other pick
+    falls between them; the turns after its last one take nothing from it.
+    Leaves come one at a time, so a caller that stops early walks no further.
+    """
+    n, m = matrix.n, matrix.m
+    costs = list(matrix.costs)
+    items = list(range(m))
+    free = bytearray(b"\x01") * m
+    orders: list[Optional[list[int]]] = [None] * n
+    pointers = [0] * n
+    # the other agents' picks, which no leaf reads
+    taken: list[list[int]] = [[] for _ in range(n)]
+    turns = [t for t, i in enumerate(sequence) if i == agent]
+    if not turns:
+        yield frozenset()
+        return
+    _play(costs, items, sequence[: turns[0]], free, orders, pointers, taken)
+    # the agent's runs of turns alternate with the others', from its first
+    # turn to its last
+    span = sequence[turns[0] : turns[-1] + 1]
+    runs = [list(run) for _, run in groupby(span, lambda i: i == agent)]
+
+    # runs[k] is one of the agent's, runs[k + 1] the others' turns after it
+    def walk(k, free, orders, pointers, held):
+        for picks in combinations(compress(items, free), len(runs[k])):
+            if k + 1 == len(runs):
+                yield frozenset(held + picks)
+                continue
+            left = free[:]
+            for j in picks:
+                left[j] = 0
+            later_orders, later_pointers = orders[:], pointers[:]
+            _play(costs, items, runs[k + 1], left, later_orders, later_pointers, taken)
+            yield from walk(k + 2, left, later_orders, later_pointers, held + picks)
+
+    yield from walk(0, free, orders, pointers, ())
+
+
+def pick_sequence(
+    algorithm: str, n: int, m: int, agent_order: Optional[Sequence[int]] = None
+) -> list[int]:
+    """The agent of each pick under seqpick or roundrobin on n agents and m
+    items. seqpick's agents n, ..., 1 each take their `build_schedule(n, m)`
+    count of picks in one run; roundrobin's take one pick each in
+    `agent_order` (default ascending), round after round, until m items are
+    picked. The engines and the deviation search's prover both read it."""
+    if algorithm == "seqpick":
+        counts = build_schedule(n, m).counts
+        return [i for i in reversed(range(n)) for _ in range(counts[i])]
+    if algorithm != "roundrobin":
+        raise ValueError(f"{algorithm!r} is no serial-pick rule")
+    order = list(range(n)) if agent_order is None else list(agent_order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"agent order {order} is not a permutation of 0..{n - 1}")
+    return [order[t % n] for t in range(m)]
 
 
 # --- sequential picking ----------------------------------------------------
@@ -211,10 +276,7 @@ def seqpick(
     truthful play of the serial-dictatorship rule the schedule defines.
     `reports` asks for `serial_pick`'s block form.
     """
-    n = matrix.n
-    counts = build_schedule(n, matrix.m).counts
-    sequence = [i for i in reversed(range(n)) for _ in range(counts[i])]
-    return serial_pick(matrix, sequence, reports)
+    return serial_pick(matrix, pick_sequence("seqpick", matrix.n, matrix.m), reports)
 
 
 # --- randomized declare-and-redistribute ------------------------------------
@@ -359,11 +421,8 @@ def roundrobin(
     """Agents take turns (in `agent_order`, default ascending) picking the
     cheapest remaining item by their own row. `reports` asks for
     `serial_pick`'s block form."""
-    n, m = matrix.n, matrix.m
-    order = list(range(n)) if agent_order is None else list(agent_order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"agent order {order} is not a permutation of 0..{n - 1}")
-    return serial_pick(matrix, [order[t % n] for t in range(m)], reports)
+    sequence = pick_sequence("roundrobin", matrix.n, matrix.m, agent_order)
+    return serial_pick(matrix, sequence, reports)
 
 
 # --- divide and choose for three agents --------------------------------------

@@ -1,7 +1,7 @@
 """Strategyproofness, monotonicity and lower-bound witness checks.
 
 Everything here is exhaustive or closed-form at desk scale: deviation
-searches enumerate every ranking misreport (all m! of them), every
+searches cover every ranking misreport (all m! of them), every
 magnitude-grid misreport or every alternative label set, monotonicity is
 probed with seeded single-entry perturbations, and the two witness values
 come from brute force over a fixed 2-agent 4-item family with identical
@@ -19,6 +19,14 @@ enumeration order. A landing block adds each landing's sums column by
 column, and the total is carried from landing to landing, so the
 expectation is the one a per-landing loop computes, bit for bit.
 Monte-Carlo trials are dealt BLOCK at a time too.
+
+A seqpick or roundrobin `Runner` check on m > n items first walks the
+agent's pick tree (`algorithms.pick_tree`): every bundle any report can
+give it. When no leaf is cheaper than the truth, no misreport is, and the
+check reports "truthful" with nothing enumerated. It enumerates as below
+when some leaf is cheaper, so that the deviation named is the first
+cheapest in enumeration order, and when a grid row may need validating
+(a negative factor, or an entry past 1e300), so that a refusal stays one.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -45,6 +53,8 @@ from .algorithms import (
     label_count,
     label_matrix,
     label_sets,
+    pick_sequence,
+    pick_tree,
     randdecl,
     randdecl_deal,
     randdecl_expected_cost,
@@ -148,17 +158,22 @@ def sp_check_ordinal(
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
     misreports is refused.
 
-    A `Runner` gets each block of reports it has not seen (BLOCK rankings,
-    then each grid block's survivors) in one call; any other callable runs
-    once per report, on the rebuilt matrix. Either way each distinct
-    reported row runs once, and the costs are scanned in enumeration order.
+    A seqpick or roundrobin `Runner` on m > n items is first asked for
+    the truthful row alone: when no leaf of the agent's pick tree is
+    cheaper (and every grid row is a valid report as it stands), neither is
+    any misreport, and none is enumerated. Otherwise a `Runner` gets each
+    block of reports it has not seen (BLOCK rankings, then each grid
+    block's survivors) in one call; any other callable runs once per
+    report, on the rebuilt matrix. Either way each distinct reported row
+    runs once, and the costs are scanned in enumeration order.
     """
-    m = matrix.m
+    n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
+    grid_on = include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING)
     searched = []
     if model in (Model.ORDINAL, Model.CARDINAL):
         searched.append(f"{m}! = {math.factorial(m)} ranking misreports")
-    if include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING):
+    if grid_on:
         searched.append(f"{len(grid)}^{m} = {len(grid) ** m} grid misreports")
     # a public-ranking check without the grid enumerates nothing
     if m > MAX_ORDINAL_ITEMS and searched:
@@ -177,6 +192,9 @@ def sp_check_ordinal(
     base = truthful_matrix.costs
     cache: dict[tuple[float, ...], float] = {}
 
+    def price(bundle: frozenset[int]) -> float:
+        return sum(true_row[j] for j in bundle)
+
     def costs_of(rows: list[tuple[float, ...]]) -> list[float]:
         # the rows not cached yet run once each, all in one call
         fresh = [row for row in dict.fromkeys(rows) if row not in cache]
@@ -186,12 +204,33 @@ def sp_check_ordinal(
             else:
                 bundles = report_bundles(algorithm, truthful_matrix, (agent, fresh))
             for row, bundle in zip(fresh, bundles):
-                cache[row] = sum(true_row[j] for j in bundle)
+                cache[row] = price(bundle)
         return [cache[row] for row in rows]
 
     (truthful_cost,) = costs_of([base[agent]])
     best = truthful_cost
     best_desc = "truthful"
+
+    # Every report's bundle is a leaf of the agent's pick tree, so when no
+    # leaf is cheaper than the truth no report is. Enumeration would then
+    # name nothing, nor refuse a grid row: entries of at most 1e300 are a
+    # valid report as they stand (see below).
+    if (
+        searched
+        and isinstance(algorithm, Runner)
+        and algorithm.name in ("seqpick", "roundrobin")
+        and m > n
+        and (not grid_on or all(0.0 <= f and f * max(true_row) <= 1e300 for f in grid))
+    ):
+        sequence = pick_sequence(algorithm.name, n, m)
+        leaves = pick_tree(truthful_matrix, sequence, agent)
+        if not any(price(leaf) < truthful_cost for leaf in leaves):
+            return DeviationReport(
+                agent=agent,
+                truthful_cost=truthful_cost,
+                best_deviation_cost=best,
+                deviation=best_desc,
+            )
 
     if model in (Model.ORDINAL, Model.CARDINAL):
         # the value at ranking position k is the truthful report's k-th
@@ -211,7 +250,7 @@ def sp_check_ordinal(
                     best = cost
                     best_desc = f"ranking {tuple(j + 1 for j in perm)}"
 
-    if include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING):
+    if grid_on:
         factors = np.array(grid, dtype=float)
         truth = np.array(true_row)
         order = true_orders[agent]

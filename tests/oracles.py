@@ -18,7 +18,8 @@ as it was before the closed-bundle bound, with its own LPT start and bundle
 order, which the faster one must match in value, witness and method. The
 witness grid minimizes those pairs' mix over a fine grid of p instead of at
 the exact crossing, and strip_runtime drops the eval CSV's one column that
-is not byte-stable.
+is not byte-stable. The pick-tree oracle runs the serial-pick oracle once
+per strict ranking the agent can report.
 """
 
 from __future__ import annotations
@@ -190,6 +191,21 @@ def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[in
         bundles[i].add(j)
         remaining.remove(j)
     return tuple(frozenset(b) for b in bundles)
+
+
+def pick_tree_reference(matrix, sequence: Sequence[int], agent: int) -> set[frozenset[int]]:
+    """The agent's serial_pick_reference bundles when it reports each of
+    the m! strict rankings, as costs 1..m from its first-ranked item on,
+    and every other agent its row of `matrix`."""
+    m = len(matrix.costs[0])
+    bundles = set()
+    for perm in permutations(range(m)):
+        row = [0.0] * m
+        for pos, j in enumerate(perm):
+            row[j] = float(pos + 1)
+        costs = matrix.costs[:agent] + (tuple(row),) + matrix.costs[agent + 1 :]
+        bundles.add(serial_pick_reference(CostMatrix(costs), sequence)[agent])
+    return bundles
 
 
 def randdecl_reference(

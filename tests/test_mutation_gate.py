@@ -46,6 +46,13 @@ the prefix leaves free, so that the second row never runs out of items:
 a free set the rows share shows as a wrong bundle there, not as an
 IndexError.
 
+oracles.pick_tree_reference referees pick_tree's leaves, compared as a
+set: the agent's serial_pick_reference bundle under each of its m!
+strict rankings, since a ranking that puts a leaf's picks first reaches
+it. The matrices are of integer costs 0..3 at n 1..4 and m 1..6, with a
+seeded agent under seqpick's schedule, roundrobin's sequence or a seeded
+sequence of 1..m agents.
+
 oracles.mc_expected_cost_reference referees mc_expected_cost's (mean,
 stderr), compared with ==, at trial counts on both sides of one and two
 BLOCK edges, on matrices of integer costs 0..3 and on matrices whose last
@@ -84,6 +91,7 @@ from oracles import (
     enum_expected_cost_reference,
     mc_expected_cost_reference,
     mms_exact_reference,
+    pick_tree_reference,
     serial_pick_reference,
 )
 
@@ -198,6 +206,27 @@ MUTANTS = {
         "_play(costs, items, replay, free[:], orders[:], pointers[:], picks)",
         "_play(costs, items, replay, free, orders[:], pointers[:], picks)",
         "serial_pick block",
+    ),
+    # an own turn never takes the last free item
+    "pick tree skips a free item": (
+        "algorithms",
+        "combinations(compress(items, free), len(runs[k]))",
+        "combinations(list(compress(items, free))[:-1], len(runs[k]))",
+        "pick_tree",
+    ),
+    # the others' picks between two runs of the agent's turns are played
+    # before its run takes its items, not after
+    "pick tree others pick first": (
+        "algorithms",
+        "            for j in picks:\n"
+        "                left[j] = 0\n"
+        "            later_orders, later_pointers = orders[:], pointers[:]\n"
+        "            _play(costs, items, runs[k + 1], left, later_orders, later_pointers, taken)\n",
+        "            later_orders, later_pointers = orders[:], pointers[:]\n"
+        "            _play(costs, items, runs[k + 1], left, later_orders, later_pointers, taken)\n"
+        "            for j in picks:\n"
+        "                left[j] = 0\n",
+        "pick_tree",
     ),
     # every trial's deal starts at agent 0, not at its drawn start
     "randdecl_deal from agent 0": (
@@ -383,6 +412,28 @@ def serial_pick_block_corpus():
     return tuple(short + [_block_case(rng, short=False) for _ in range(1000)])
 
 
+@lru_cache(maxsize=None)
+def pick_tree_corpus():
+    """Seeded tied matrices, pick sequences and agents with the referee's
+    leaf set."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for t in range(300):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 7))
+        matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
+        if t % 3 == 0 and m > n:
+            counts = build_schedule(n, m).counts
+            sequence = [i for i in reversed(range(n)) for _ in range(counts[i])]
+        elif t % 3 == 1:
+            sequence = [k % n for k in range(m)]
+        else:
+            sequence = rng.integers(0, n, int(rng.integers(1, m + 1))).tolist()
+        agent = int(rng.integers(0, n))
+        cases.append(((matrix, sequence, agent), pick_tree_reference(matrix, sequence, agent)))
+    return tuple(cases)
+
+
 def _absorbing_matrix(rng, n, m):
     # the last agent's item 0 absorbs each small cost added after it, but
     # not their sum: another addition order moves a trial's cost
@@ -470,6 +521,7 @@ REFEREES = {
         serial_pick_block_corpus,
         lambda bundles: bundles,
     ),
+    "pick_tree": ("pick_tree", "algorithms", pick_tree_corpus, set),
     "mc_expected_cost": ("mc_expected_cost", "verify", mc_corpus, lambda estimate: estimate),
     "enum_expected_cost": (
         "enum_expected_cost",

@@ -8,24 +8,31 @@ does, its Monte-Carlo estimate must match a reference that takes the same
 draws and deals them with its own code, and sp_check_ordinal, which shares
 every row but the deviating agent's between misreports and enumerates grid
 misreports in blocks, must report exactly what a search that rebuilds every
-reported matrix reports. The exact randdecl expectation, which enumerates
+reported matrix reports; the pick tree's cheapest leaf, which settles a
+passing serial-pick check before any misreport runs, must be the ordinal
+search's best cost. The exact randdecl expectation, which enumerates
 landings in blocks, must equal a loop over the landings bit for bit. Costs
 are drawn from 0..3 so that ties are common.
 """
+
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choremms import algorithms
 from choremms.algorithms import (
     label_count,
     label_sets,
+    pick_sequence,
+    pick_tree,
     randdecl,
     randdecl_deal,
     randdecl_expected_cost,
 )
-from choremms.model import CostMatrix, Model, rank, validate
+from choremms.model import CostMatrix, Model, rank, rankings, surrogate_matrix, validate
 from choremms.verify import (
     BLOCK,
     algorithm_runner,
@@ -338,3 +345,89 @@ def test_sp_check_ordinal_matches_reference_across_grid_blocks(name, model, agen
     ) == deviation_search_reference(algorithm, matrix, agent, model, True)
     if pinned is not None:
         assert report.deviation == pinned
+
+
+@st.composite
+def serial_pick_checks(draw, max_m):
+    """A seqpick or roundrobin check on n = 2-3 agents and m > n items,
+    with costs 0..3, so that ties are common, or with distinct costs in
+    [0, 1], so that a report can gain less than one."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, max_m))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    else:
+        row = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m, unique=True)
+    matrix = CostMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
+    name = draw(st.sampled_from(["seqpick", "roundrobin"]))
+    return name, matrix, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(check=serial_pick_checks(max_m=6))
+def test_pick_tree_least_cost_is_the_ordinal_search_best(check):
+    # a strict ranking that puts a leaf's picks first reaches that leaf, so
+    # under the ordinal model the tree's cheapest leaf is the best report
+    name, matrix, agent = check
+    true_row = matrix.costs[agent]
+    sequence = pick_sequence(name, matrix.n, matrix.m)
+    leaves = pick_tree(surrogate_matrix(rankings(matrix)), sequence, agent)
+    least = min(sum(true_row[j] for j in leaf) for leaf in leaves)
+    reference = deviation_search_reference(RUNNERS[name], matrix, agent, Model.ORDINAL, False)
+    assert least == reference[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    check=serial_pick_checks(max_m=5),
+    model=st.sampled_from(list(Model)),
+    include_grid=st.booleans(),
+)
+def test_the_proof_hides_no_cheaper_report(check, model, include_grid):
+    # a passing check settled by the pick tree reports "truthful" exactly
+    # where the rebuilt-matrix search finds nothing cheaper
+    name, matrix, agent = check
+    report = sp_check_ordinal(RUNNERS[name], matrix, agent, model=model, include_grid=include_grid)
+    assert (
+        report.truthful_cost,
+        report.best_deviation_cost,
+        report.deviation,
+        report.profitable,
+    ) == deviation_search_reference(RUNNERS[name], matrix, agent, model, include_grid)
+
+
+@pytest.mark.parametrize(
+    "rows, factors, refusal",
+    [
+        # a negative factor makes a negative cost, which the report's
+        # validation refuses
+        ([[3, 1, 2, 4], [1, 2, 3, 4]], (1.0, -1.0), "negative cost"),
+        # factors 2 and 3 take 1e300 past 1e300, so each such row is
+        # validated as a whole report, which accepts it
+        ([[1e300, 1, 2, 4], [1, 2, 3, 4]], (0.5, 1.0, 2.0, 3.0), None),
+    ],
+)
+def test_a_grid_past_the_valid_rows_is_enumerated(monkeypatch, rows, factors, refusal):
+    matrix = CostMatrix.from_rows(rows)
+    run = []
+    engine = algorithms.serial_pick
+
+    def recording(mat, sequence, reports=None):
+        run.extend(reports[1])
+        return engine(mat, sequence, reports)
+
+    monkeypatch.setattr(algorithms, "serial_pick", recording)
+
+    def check():
+        runner = RUNNERS["seqpick"]
+        return sp_check_ordinal(
+            runner, matrix, 0, model=Model.CARDINAL, include_grid=True, grid_factors=factors
+        )
+
+    if refusal is None:
+        assert check().deviation == "truthful"
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            check()
+    # the enumeration ran, and not the truthful row alone
+    assert set(permutations(matrix.costs[0])) <= set(run)

@@ -105,9 +105,14 @@ def test_deviation_search_refuses_factorial_blowup():
 
 @pytest.mark.parametrize("runner", ["block", "per matrix"])
 def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runner):
-    # the 5! rankings of the tied true row name 5!/(2! 2!) = 30 distinct
-    # rows, and the 4^5 grid rows repeat some of them
-    matrix = CostMatrix.from_rows([[2, 2, 1, 1, 3], [1, 2, 3, 4, 5]])
+    # the 5! rankings of each tied true row name 5!/(2! 2!) = 30 distinct
+    # rows, and the 4^5 grid rows repeat some of them. The block case's
+    # agent gains by a misreport (7 -> 5), so its check enumerates rather
+    # than proves; a plain callable always enumerates.
+    if runner == "block":
+        matrix = CostMatrix.from_rows([[1, 4, 4, 2, 2], [3, 2, 5, 1, 5]])
+    else:
+        matrix = CostMatrix.from_rows([[2, 2, 1, 1, 3], [1, 2, 3, 4, 5]])
     true_row = matrix.costs[0]
     run = []
     if runner == "block":
@@ -131,6 +136,35 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
     grid = {tuple(f * c for f, c in zip(fs, true_row)) for fs in factors}
     assert len(run) == len(set(run))
     assert set(run) == set(permutations(true_row)) | grid
+
+
+@pytest.mark.parametrize(
+    "name, model, grid",
+    [
+        ("seqpick", Model.ORDINAL, False),
+        ("seqpick", Model.CARDINAL, True),
+        ("roundrobin", Model.PUBLIC_RANKING, True),
+    ],
+)
+def test_a_passing_serial_pick_check_runs_the_truthful_row_alone(monkeypatch, name, model, grid):
+    # the agent's pick tree has no leaf cheaper than the truth, so no
+    # misreport is enumerated, even at the item limit
+    rng = np.random.default_rng(2019)
+    matrix = uniform_instance(rng, 3, 7)
+    run = []
+    engine = algorithms.serial_pick
+
+    def recording(mat, sequence, reports=None):
+        run.extend(reports[1])
+        return engine(mat, sequence, reports)
+
+    monkeypatch.setattr(algorithms, "serial_pick", recording)
+    for agent in range(3):
+        run.clear()
+        runner = algorithm_runner(name)
+        rep = sp_check_ordinal(runner, matrix, agent, model=model, include_grid=grid)
+        assert rep.deviation == "truthful"
+        assert len(run) == 1
 
 
 def test_deviation_report_jsonable_is_one_indexed():
