@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, compress, groupby
 from numbers import Integral
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def pick_sequence(
     items. seqpick's agents n, ..., 1 each take their `build_schedule(n, m)`
     count of picks in one run; roundrobin's take one pick each in
     `agent_order` (default ascending), round after round, until m items are
-    picked. The engines and the deviation search's prover both read it."""
+    picked. The engines and the deviation search both read it."""
     if algorithm == "seqpick":
         counts = build_schedule(n, m).counts
         return [i for i in reversed(range(n)) for _ in range(counts[i])]
@@ -266,17 +266,14 @@ def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
     return problems
 
 
-def seqpick(
-    matrix: CostMatrix, reports: Optional[Reports] = None
-) -> Allocation | list[frozenset[int]]:
+def seqpick(matrix: CostMatrix) -> Allocation:
     """Agents n, n-1, ..., 1 each grab their a_i cheapest remaining items,
     with a_i from the instance's `build_schedule(n, m)`.
 
     Greedy is each picker's dominant strategy, so this doubles as the
     truthful play of the serial-dictatorship rule the schedule defines.
-    `reports` asks for `serial_pick`'s block form.
     """
-    return serial_pick(matrix, pick_sequence("seqpick", matrix.n, matrix.m), reports)
+    return serial_pick(matrix, pick_sequence("seqpick", matrix.n, matrix.m))
 
 
 # --- randomized declare-and-redistribute ------------------------------------
@@ -413,16 +410,10 @@ def randdecl_expected_cost(
 
 # --- round robin -------------------------------------------------------------
 
-def roundrobin(
-    matrix: CostMatrix,
-    agent_order: Optional[Sequence[int]] = None,
-    reports: Optional[Reports] = None,
-) -> Allocation | list[frozenset[int]]:
+def roundrobin(matrix: CostMatrix, agent_order: Optional[Sequence[int]] = None) -> Allocation:
     """Agents take turns (in `agent_order`, default ascending) picking the
-    cheapest remaining item by their own row. `reports` asks for
-    `serial_pick`'s block form."""
-    sequence = pick_sequence("roundrobin", matrix.n, matrix.m, agent_order)
-    return serial_pick(matrix, sequence, reports)
+    cheapest remaining item by their own row."""
+    return serial_pick(matrix, pick_sequence("roundrobin", matrix.n, matrix.m, agent_order))
 
 
 # --- divide and choose for three agents --------------------------------------
@@ -477,28 +468,13 @@ def one_item_each(matrix: CostMatrix) -> Allocation:
     return Allocation.from_lists(bundles)
 
 
-def report_bundles(
-    run: Callable[[CostMatrix], Allocation], matrix: CostMatrix, reports: Reports
-) -> list[frozenset[int]]:
-    """For `reports=(agent, rows)`, the agent's bundle under `run` when it
-    reports each row and every other agent its row of `matrix`: one run per
-    row, on the matrix rebuilt with that row."""
-    agent, rows = reports
-    costs = matrix.costs
-    return [
-        run(CostMatrix(costs[:agent] + (tuple(row),) + costs[agent + 1 :])).bundles[agent]
-        for row in rows
-    ]
-
-
 def allocate(
     matrix: CostMatrix,
     algorithm: str,
     model: Model = Model.CARDINAL,
     seed: Optional[int] = None,
     agent_order: Optional[Sequence[int]] = None,
-    reports: Optional[Reports] = None,
-) -> Allocation | list[frozenset[int]]:
+) -> Allocation:
     """Run one of the four algorithms on an instance.
 
     When m <= n the algorithm is bypassed entirely in favour of a one-item-
@@ -508,23 +484,10 @@ def allocate(
     magnitudes; dc3 compares bundle costs, so it refuses that model. Every
     other model hands over the reported costs: public rankings only narrow
     the misreports a deviation search tries.
-
-    With `reports=(agent, rows)` it returns the agent's bundle under each
-    reported row, as `report_bundles` would: seqpick and roundrobin under
-    a reported-cost model run `serial_pick`'s block form, and every other
-    case runs once per rebuilt matrix.
     """
     check_algorithm(algorithm, model)
     if algorithm == "dc3" and matrix.n != 3:
         raise ValueError(f"dc3 requires n=3 (got n={matrix.n})")
-    if reports is not None and (
-        algorithm not in ("seqpick", "roundrobin")
-        or matrix.m <= matrix.n
-        or model is Model.ORDINAL
-    ):
-        return report_bundles(
-            lambda mat: allocate(mat, algorithm, model, seed, agent_order), matrix, reports
-        )
     if matrix.m <= matrix.n:
         return one_item_each(matrix)
     if algorithm == "randdecl" and seed is None:
@@ -535,9 +498,9 @@ def allocate(
         work = surrogate_matrix(rankings(matrix))
 
     if algorithm == "seqpick":
-        return seqpick(work, reports)
+        return seqpick(work)
     if algorithm == "randdecl":
         return randdecl(work, seed)
     if algorithm == "roundrobin":
-        return roundrobin(work, agent_order, reports)
+        return roundrobin(work, agent_order)
     return divide_choose_3(work)

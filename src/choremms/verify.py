@@ -10,14 +10,15 @@ rankings, in exact rational arithmetic.
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
 blocks of at most BLOCK rows, in `itertools.product` order. A grid
 block is filtered by the public ranking with one column comparison per
-adjacent pair. A deviation search runs each distinct reported row once:
-a `Runner` takes BLOCK ranking misreports, or a grid block's survivors,
-in one call, and gets back the agent's bundle under each row
-(`serial_pick`'s block form for seqpick and roundrobin); any other
-algorithm runs once per rebuilt matrix. The costs are then scanned in
-enumeration order. A landing block adds each landing's sums column by
-column, and the total is carried from landing to landing, so the
-expectation is the one a per-landing loop computes, bit for bit.
+adjacent pair. A deviation search runs each distinct reported row once.
+A seqpick or roundrobin `Runner` on m > n items hands BLOCK ranking
+misreports, or a grid block's survivors, to `serial_pick`'s block form in
+one call, which gives back the agent's bundle under each row; every other
+algorithm, and the truthful row, runs once per reported matrix. The costs
+are then scanned in enumeration order. A landing block adds each
+landing's sums column by column, and the total is carried from landing
+to landing, so the expectation is the one a per-landing loop computes,
+bit for bit.
 Monte-Carlo trials are dealt BLOCK at a time too.
 
 A seqpick or roundrobin `Runner` check on m > n items first walks the
@@ -47,7 +48,6 @@ import numpy as np
 
 from .algorithms import (
     Labels,
-    Reports,
     allocate,
     check_labels,
     label_count,
@@ -58,7 +58,7 @@ from .algorithms import (
     randdecl,
     randdecl_deal,
     randdecl_expected_cost,
-    report_bundles,
+    serial_pick,
 )
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 
@@ -66,6 +66,9 @@ PROFIT_TOL = 1e-9
 # sp_check_ordinal enumerates all m! rankings, or all 4^m grid factor rows:
 # 5040 and 16384 at this many items
 MAX_ORDINAL_ITEMS = 7
+# a randomized check searches at most this many label sets, and its exact
+# cross-check enumerates at most this many phase-1 landings
+MAX_ENUMERATION = 200_000
 # the Monte-Carlo trials of a randomized check's cross-check
 MC_TRIALS = 10_000
 # ranking or grid misreports, randdecl landings or Monte-Carlo trials per
@@ -103,17 +106,14 @@ class Runner:
 
     Called on a matrix (true, surrogate, or misreported: exactly the
     reporting channel the deviation search manipulates) it returns the
-    Allocation; with `reports=(agent, rows)` it returns the agent's bundle
-    under each reported row, which `sp_check_ordinal` asks for a block of
-    rows at a time.
+    Allocation. Its name also tells `sp_check_ordinal` which seqpick or
+    roundrobin checks it may run on `serial_pick`'s block form.
     """
 
     name: str
 
-    def __call__(
-        self, matrix: CostMatrix, reports: Optional[Reports] = None
-    ) -> Allocation | list[frozenset[int]]:
-        return allocate(matrix, self.name, reports=reports)
+    def __call__(self, matrix: CostMatrix) -> Allocation:
+        return allocate(matrix, self.name)
 
 
 def algorithm_runner(name: str) -> Runner:
@@ -158,14 +158,17 @@ def sp_check_ordinal(
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
     misreports is refused.
 
-    A seqpick or roundrobin `Runner` on m > n items is first asked for
-    the truthful row alone: when no leaf of the agent's pick tree is
-    cheaper (and every grid row is a valid report as it stands), neither is
-    any misreport, and none is enumerated. Otherwise a `Runner` gets each
-    block of reports it has not seen (BLOCK rankings, then each grid
-    block's survivors) in one call; any other callable runs once per
-    report, on the rebuilt matrix. Either way each distinct reported row
-    runs once, and the costs are scanned in enumeration order.
+    The truthful row runs by one call of `algorithm` on the truthful
+    matrix. For a seqpick or roundrobin `Runner` on m > n items the check
+    then takes the rule's pick sequence, once: when no leaf of the agent's
+    pick tree is cheaper than the truth (and every grid row is a valid
+    report as it stands), neither is any misreport, and none is
+    enumerated. Otherwise each block of reports not seen yet (BLOCK
+    rankings, then each grid block's survivors) runs in one
+    `serial_pick` block-form call on that sequence. Every other case (dc3,
+    the m <= n bypass, any other callable) runs once per report, on the
+    rebuilt matrix. Either way each distinct reported row runs once, and
+    the costs are scanned in enumeration order.
     """
     n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
@@ -187,6 +190,18 @@ def sp_check_ordinal(
     truthful_matrix = (
         surrogate_matrix(true_orders) if model is Model.ORDINAL else matrix
     )
+    # the engine of the misreports: serial_pick's block form on this pick
+    # sequence, or one run per reported matrix when it is None
+    sequence = None
+    if isinstance(algorithm, Runner) and algorithm.name in ("seqpick", "roundrobin") and m > n:
+        sequence = pick_sequence(algorithm.name, n, m)
+    # Every ranking misreport is a valid row. A grid row is one as it
+    # stands when its entries lie in [0, 1e300], since up to
+    # MAX_ORDINAL_ITEMS of them sum to a finite float; the true costs are
+    # nonnegative, so the factors and the largest cost tell for every row.
+    valid_as_they_stand = not grid_on or all(
+        0.0 <= f and f * max(true_row) <= 1e300 for f in grid
+    )
     # Every misreport changes the agent's row alone: the other rows are
     # shared, and the agent's reported row is the cache key.
     base = truthful_matrix.costs
@@ -196,33 +211,27 @@ def sp_check_ordinal(
         return sum(true_row[j] for j in bundle)
 
     def costs_of(rows: list[tuple[float, ...]]) -> list[float]:
-        # the rows not cached yet run once each, all in one call
+        # the rows not cached yet run once each
         fresh = [row for row in dict.fromkeys(rows) if row not in cache]
-        if fresh:
-            if isinstance(algorithm, Runner):
-                bundles = algorithm(truthful_matrix, reports=(agent, fresh))
-            else:
-                bundles = report_bundles(algorithm, truthful_matrix, (agent, fresh))
-            for row, bundle in zip(fresh, bundles):
-                cache[row] = price(bundle)
+        if sequence is not None and fresh:
+            bundles = serial_pick(truthful_matrix, sequence, (agent, fresh))
+        else:
+            bundles = [
+                algorithm(CostMatrix(base[:agent] + (row,) + base[agent + 1 :])).bundles[agent]
+                for row in fresh
+            ]
+        for row, bundle in zip(fresh, bundles):
+            cache[row] = price(bundle)
         return [cache[row] for row in rows]
 
-    (truthful_cost,) = costs_of([base[agent]])
+    truthful_cost = cache[base[agent]] = price(algorithm(truthful_matrix).bundles[agent])
     best = truthful_cost
     best_desc = "truthful"
 
     # Every report's bundle is a leaf of the agent's pick tree, so when no
     # leaf is cheaper than the truth no report is. Enumeration would then
-    # name nothing, nor refuse a grid row: entries of at most 1e300 are a
-    # valid report as they stand (see below).
-    if (
-        searched
-        and isinstance(algorithm, Runner)
-        and algorithm.name in ("seqpick", "roundrobin")
-        and m > n
-        and (not grid_on or all(0.0 <= f and f * max(true_row) <= 1e300 for f in grid))
-    ):
-        sequence = pick_sequence(algorithm.name, n, m)
+    # name nothing, nor refuse a grid row.
+    if searched and sequence is not None and valid_as_they_stand:
         leaves = pick_tree(truthful_matrix, sequence, agent)
         if not any(price(leaf) < truthful_cost for leaf in leaves):
             return DeviationReport(
@@ -263,19 +272,14 @@ def sp_check_ordinal(
                 for a, b in zip(order, order[1:]):
                     keep &= rows[:, a] >= rows[:, b]
             survivors = np.flatnonzero(keep)
-            # up to MAX_ORDINAL_ITEMS entries of at most 1e300 sum to a
-            # finite float: such a row is a valid report as it stands
-            safe = ((rows >= 0.0) & (rows <= 1e300)).all(axis=1)[survivors].tolist()
-            reports = []
-            for row, ok in zip(rows[survivors].tolist(), safe):
-                if ok:
-                    reports.append(tuple(row))
-                else:
-                    # validate the whole report: an entry or the row's sum
-                    # may have left the float range
+            reports = list(map(tuple, rows[survivors].tolist()))
+            if not valid_as_they_stand:
+                # validate each whole report: an entry or the row's sum may
+                # have left the float range
+                for k, row in enumerate(reports):
                     reported = list(base)
                     reported[agent] = row
-                    reports.append(CostMatrix.from_rows(reported).costs[agent])
+                    reports[k] = CostMatrix.from_rows(reported).costs[agent]
             for k, cost in zip(survivors.tolist(), costs_of(reports)):
                 if cost < best:
                     best = cost
@@ -412,16 +416,24 @@ def sp_check_randomized(
     controls the cross-check of the truthful and best-deviation values the
     search found: "exact" enumerates all phase-1 landings, "montecarlo"
     simulates MC_TRIALS (10^4) trials. A request the cross-check would refuse
-    is refused before the search.
+    is refused before the search, and so is a search of more than
+    MAX_ENUMERATION label sets.
     """
     n, m = matrix.n, matrix.m
     if mode == "exact":
-        if n**m > 200_000:
+        if n**m > MAX_ENUMERATION:
             raise ValueError(
                 f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
             )
     elif mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
+    k = label_count(n, m)
+    if (sets := math.comb(m, k)) > MAX_ENUMERATION:
+        raise ValueError(
+            f"{m} items means C({m}, {k}) = {sets} label sets; the randomized "
+            f"deviation search takes at most {MAX_ENUMERATION} of them, so check an "
+            "instance with fewer items"
+        )
     default_oracle = expected_cost is None
     oracle = expected_cost or randdecl_expected_cost
     truthful_labels = label_sets(matrix)
@@ -429,7 +441,7 @@ def sp_check_randomized(
     best = truthful
     best_labels = truthful_labels
     best_desc = "truthful"
-    for combo in combinations(range(m), label_count(n, m)):
+    for combo in combinations(range(m), k):
         labels = truthful_labels[:agent] + (frozenset(combo),) + truthful_labels[agent + 1 :]
         cost = oracle(matrix, agent, labels)
         if cost < best:

@@ -5,6 +5,7 @@ import sys
 from dataclasses import MISSING
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import choremms
@@ -550,6 +551,19 @@ def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+def test_spcheck_randdecl_refuses_too_many_label_sets(capsys, instance):
+    # 8 agents declare 13 of 64 items each: C(64, 13) label sets
+    rng = np.random.default_rng(2019)
+    path = instance(rng.uniform(0.0, 1.0, (8, 64)).tolist())
+    code, out, err = run(capsys, ["spcheck", "--instance", path, "--alg", "randdecl"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 64 items means C(64, 13) = 13136858812224 label sets; the randomized "
+        "deviation search takes at most 200000 of them, so check an instance with "
+        "fewer items\n"
+    )
 
 
 OVERFLOW_RUNS = {

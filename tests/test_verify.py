@@ -108,7 +108,8 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
     # the 5! rankings of each tied true row name 5!/(2! 2!) = 30 distinct
     # rows, and the 4^5 grid rows repeat some of them. The block case's
     # agent gains by a misreport (7 -> 5), so its check enumerates rather
-    # than proves; a plain callable always enumerates.
+    # than proves; a plain callable always enumerates. The block engine
+    # records the misreports only: the truthful row runs by a plain call.
     if runner == "block":
         matrix = CostMatrix.from_rows([[1, 4, 4, 2, 2], [3, 2, 5, 1, 5]])
     else:
@@ -123,7 +124,7 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
             run.extend(reports[1])
             return engine(mat, sequence, reports)
 
-        monkeypatch.setattr(algorithms, "serial_pick", recording)
+        monkeypatch.setattr(verify, "serial_pick", recording)
         algorithm = algorithm_runner("roundrobin")
     else:
 
@@ -135,7 +136,8 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
     factors = product((0.5, 1.0, 2.0, 3.0), repeat=5)
     grid = {tuple(f * c for f, c in zip(fs, true_row)) for fs in factors}
     assert len(run) == len(set(run))
-    assert set(run) == set(permutations(true_row)) | grid
+    assert (true_row in run) == (runner == "per matrix")
+    assert set(run) | {true_row} == set(permutations(true_row)) | grid
 
 
 @pytest.mark.parametrize(
@@ -148,23 +150,27 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
 )
 def test_a_passing_serial_pick_check_runs_the_truthful_row_alone(monkeypatch, name, model, grid):
     # the agent's pick tree has no leaf cheaper than the truth, so no
-    # misreport is enumerated, even at the item limit
+    # misreport is enumerated, even at the item limit: the runner's one
+    # call is the truthful row's, and the block engine never runs
     rng = np.random.default_rng(2019)
     matrix = uniform_instance(rng, 3, 7)
-    run = []
-    engine = algorithms.serial_pick
+    calls = []
+    blocks = []
+    engine = verify.allocate
 
-    def recording(mat, sequence, reports=None):
-        run.extend(reports[1])
-        return engine(mat, sequence, reports)
+    def counting(mat, alg):
+        calls.append(mat.costs)
+        return engine(mat, alg)
 
-    monkeypatch.setattr(algorithms, "serial_pick", recording)
+    monkeypatch.setattr(verify, "allocate", counting)
+    monkeypatch.setattr(verify, "serial_pick", lambda *args: blocks.append(args))
     for agent in range(3):
-        run.clear()
+        calls.clear()
         runner = algorithm_runner(name)
         rep = sp_check_ordinal(runner, matrix, agent, model=model, include_grid=grid)
         assert rep.deviation == "truthful"
-        assert len(run) == 1
+        assert len(calls) == 1
+    assert blocks == []
 
 
 def test_deviation_report_jsonable_is_one_indexed():
@@ -204,6 +210,32 @@ def test_exact_mode_refuses_huge_enumeration():
     inst = uniform_instance(np.random.default_rng(0), 4, 12)
     with pytest.raises(ValueError, match="infeasible"):
         sp_check_randomized(inst, 0, mode="exact")
+
+
+def test_randomized_search_refuses_too_many_label_sets(monkeypatch):
+    # 4 agents declare 5 items each: C(32, 5) = 201376 label sets is past
+    # the limit, and the refusal comes before any set is priced
+    inst = uniform_instance(np.random.default_rng(0), 4, 32)
+    priced = []
+
+    def oracle(matrix, agent, labels):
+        priced.append(labels[agent])
+        return 0.0
+
+    with pytest.raises(ValueError, match=r"^32 items means C\(32, 5\) = 201376 label sets;"):
+        sp_check_randomized(inst, 0, mode="montecarlo", expected_cost=oracle)
+    assert priced == []
+    # exact mode refuses its 4^32 landings first, with its own message
+    with pytest.raises(ValueError, match="^exact enumeration of 4\\^32 landings is infeasible"):
+        sp_check_randomized(inst, 0, mode="exact")
+    # a count at the limit is searched: 2x6 has C(6, 2) = 15 label sets
+    monkeypatch.setattr(verify, "MAX_ENUMERATION", 15)
+    inst = uniform_instance(np.random.default_rng(0), 2, 6)
+    sp_check_randomized(inst, 0, mode="montecarlo", expected_cost=oracle)
+    assert len(priced) == 1 + 15
+    inst = uniform_instance(np.random.default_rng(0), 2, 7)
+    with pytest.raises(ValueError, match=r"C\(7, 2\) = 21 label sets"):
+        sp_check_randomized(inst, 0, mode="montecarlo", expected_cost=oracle)
 
 
 def test_randdecl_overflow_is_refused_not_passed(recwarn):
