@@ -39,12 +39,7 @@ ALGORITHMS = ("seqpick", "randdecl", "roundrobin", "dc3")
 
 # --- serial picking ----------------------------------------------------------
 
-Reports = tuple[int, Sequence[tuple[float, ...]]]
-
-
-def serial_pick(
-    matrix: CostMatrix, sequence: Sequence[int], reports: Optional[Reports] = None
-) -> Allocation | list[frozenset[int]]:
+def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
     """Serial dictatorship: each entry of `sequence` is an agent, who takes
     its cheapest unassigned item, ties going to the lower index.
 
@@ -52,15 +47,6 @@ def serial_pick(
     agent sorts the items still free at its first turn, once: items only
     ever leave, so that order stays valid for its later turns. The sequence
     must have at most m entries.
-
-    Block form: with `reports=(agent, rows)`, each row a cost row of m
-    entries, it returns the agent's bundle (a frozenset of its picks in
-    pick order) when it reports each row in turn and every other agent its
-    row of `matrix`. The turns before the agent's first one never read its
-    row, so they are played once; each row then starts from a copy of that
-    state and is replayed only up to the agent's last turn, since a later
-    pick can take nothing from the agent. An agent with no turn holds
-    nothing under any row.
     """
     n, m = matrix.n, matrix.m
     costs = list(matrix.costs)
@@ -70,22 +56,8 @@ def serial_pick(
     orders: list[Optional[list[int]]] = [None] * n
     pointers = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    if reports is None:
-        _play(costs, items, sequence, free, orders, pointers, bundles)
-        return Allocation.from_lists(bundles)
-    agent, rows = reports
-    turns = [t for t, i in enumerate(sequence) if i == agent]
-    if not turns:
-        return [frozenset()] * len(rows)
-    _play(costs, items, sequence[: turns[0]], free, orders, pointers, bundles)
-    replay = sequence[turns[0] : turns[-1] + 1]
-    held = []
-    for row in rows:
-        costs[agent] = row
-        picks: list[list[int]] = [[] for _ in range(n)]
-        _play(costs, items, replay, free[:], orders[:], pointers[:], picks)
-        held.append(frozenset(picks[agent]))
-    return held
+    _play(costs, items, sequence, free, orders, pointers, bundles)
+    return Allocation.from_lists(bundles)
 
 
 def _play(

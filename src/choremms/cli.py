@@ -16,7 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import algorithms, gen, mms, verify
-from .model import CostMatrix, Model, header_problems, instance_costs, load_instance, validate
+from .model import (
+    CostMatrix,
+    Model,
+    header_problems,
+    instance_costs,
+    load_instance,
+    read_json,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,8 +78,7 @@ def _agents(agent, n: int) -> list[int]:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.instance) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.instance)
     costs = instance_costs(doc)
     problems = validate(costs) or header_problems(doc, costs)
     degenerate = []
@@ -183,8 +190,7 @@ def _cmd_witness(args) -> int:
 def _cmd_eval(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.config)
     specs, algs, seeds_per_spec = gen.specs_from_config(doc)
     rows, failures = gen.run_batch(specs, algs, seeds_per_spec, workers=args.workers)
     text = gen.rows_to_csv(rows)

@@ -218,11 +218,19 @@ class EvalReport:
 
 # --- instance file format ------------------------------------------------
 
+def read_json(path: str):
+    """The JSON document in the file at `path`. One nested too deeply for
+    the parser is refused with a ValueError, as malformed JSON is."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON in {path} is nested too deeply to read") from None
+
+
 def load_instance(path: str) -> CostMatrix:
     """Read a JSON instance {"n": int, "m": int, "costs": [[...], ...]}."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return parse_instance(doc)
+    return parse_instance(read_json(path))
 
 
 def instance_costs(doc) -> list:

@@ -10,24 +10,25 @@ rankings, in exact rational arithmetic.
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
 blocks of at most BLOCK rows, in `itertools.product` order. A grid
 block is filtered by the public ranking with one column comparison per
-adjacent pair. A deviation search runs each distinct reported row once.
-A seqpick or roundrobin `Runner` on m > n items hands BLOCK ranking
-misreports, or a grid block's survivors, to `serial_pick`'s block form in
-one call, which gives back the agent's bundle under each row; every other
-algorithm, and the truthful row, runs once per reported matrix. The costs
-are then scanned in enumeration order. A landing block adds each
-landing's sums column by column, and the total is carried from landing
-to landing, so the expectation is the one a per-landing loop computes,
-bit for bit.
+adjacent pair. A deviation search runs each report on the rebuilt
+matrix, the truthful one first, and scans the costs in enumeration
+order. It runs each distinct reported row once; for a seqpick or
+roundrobin `Runner` on m > n items, each distinct ranking of the row
+once, since the rule reads the row only through its stable ascending
+order. A landing block adds each landing's sums column by column, and
+the total is carried from landing to landing, so the expectation is the
+one a per-landing loop computes, bit for bit.
 Monte-Carlo trials are dealt BLOCK at a time too.
 
 A seqpick or roundrobin `Runner` check on m > n items first walks the
 agent's pick tree (`algorithms.pick_tree`): every bundle any report can
 give it. When no leaf is cheaper than the truth, no misreport is, and the
-check reports "truthful" with nothing enumerated. It enumerates as below
-when some leaf is cheaper, so that the deviation named is the first
-cheapest in enumeration order, and when a grid row may need validating
-(a negative factor, or an entry past 1e300), so that a refusal stays one.
+check reports "truthful" with nothing enumerated. Otherwise it enumerates
+as below, so that the deviation named is the first cheapest in
+enumeration order, and stops at the first report as cheap as the
+cheapest leaf: no later report can be strictly cheaper. A grid that may
+hold invalid rows (a negative factor, or an entry past 1e300) is
+enumerated in full, without the tree, so that a refusal stays one.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,7 +59,6 @@ from .algorithms import (
     randdecl,
     randdecl_deal,
     randdecl_expected_cost,
-    serial_pick,
 )
 from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
 
@@ -71,8 +71,7 @@ MAX_ORDINAL_ITEMS = 7
 MAX_ENUMERATION = 200_000
 # the Monte-Carlo trials of a randomized check's cross-check
 MC_TRIALS = 10_000
-# ranking or grid misreports, randdecl landings or Monte-Carlo trials per
-# block
+# grid misreports, randdecl landings or Monte-Carlo trials per block
 BLOCK = 1024
 
 
@@ -106,8 +105,10 @@ class Runner:
 
     Called on a matrix (true, surrogate, or misreported: exactly the
     reporting channel the deviation search manipulates) it returns the
-    Allocation. Its name also tells `sp_check_ordinal` which seqpick or
-    roundrobin checks it may run on `serial_pick`'s block form.
+    Allocation. Its name also tells `sp_check_ordinal` when the rule is
+    seqpick or roundrobin, which read an agent's row only through its
+    ranking: the check then runs one report per distinct ranking and
+    bounds the search by the agent's pick tree.
     """
 
     name: str
@@ -121,6 +122,14 @@ def algorithm_runner(name: str) -> Runner:
     if name not in ("seqpick", "roundrobin", "dc3"):
         raise ValueError(f"no deterministic runner for {name!r}")
     return Runner(name)
+
+
+def _ascending_order(row: Sequence[float]) -> tuple[int, ...]:
+    """The row's items by ascending cost, ties by ascending index: the
+    stable sort `algorithms._play` gives an agent's row. A serial-pick rule
+    reads the row through this order alone, since an agent's sort of the
+    items still free is this order restricted to them."""
+    return tuple(sorted(range(len(row)), key=row.__getitem__))
 
 
 def _product_blocks(base: int, m: int):
@@ -158,17 +167,19 @@ def sp_check_ordinal(
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
     misreports is refused.
 
-    The truthful row runs by one call of `algorithm` on the truthful
-    matrix. For a seqpick or roundrobin `Runner` on m > n items the check
-    then takes the rule's pick sequence, once: when no leaf of the agent's
-    pick tree is cheaper than the truth (and every grid row is a valid
-    report as it stands), neither is any misreport, and none is
-    enumerated. Otherwise each block of reports not seen yet (BLOCK
-    rankings, then each grid block's survivors) runs in one
-    `serial_pick` block-form call on that sequence. Every other case (dc3,
-    the m <= n bypass, any other callable) runs once per report, on the
-    rebuilt matrix. Either way each distinct reported row runs once, and
-    the costs are scanned in enumeration order.
+    Every report, the truthful one first, runs by one call of `algorithm`
+    on the rebuilt matrix, and the costs are scanned in enumeration order.
+    Each distinct reported row runs once. For a seqpick or roundrobin
+    `Runner` on m > n items, each distinct ranking runs once: the cache is
+    keyed by the row's stable ascending order, the order `_play` sorts by,
+    so the rule's bundle depends on nothing else. Such a check also prices
+    every leaf of the agent's pick tree, which holds every bundle a valid
+    report can give it (when every grid row is valid as it stands). If the
+    cheapest leaf is no cheaper than the truth, neither is any misreport,
+    and none is enumerated. Otherwise the enumeration stops at the first
+    report that costs as little as that leaf, skipping the grid if the
+    rankings reach it: no later report can be strictly cheaper, so the
+    deviation named is the one a full enumeration names.
     """
     n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
@@ -190,11 +201,14 @@ def sp_check_ordinal(
     truthful_matrix = (
         surrogate_matrix(true_orders) if model is Model.ORDINAL else matrix
     )
-    # the engine of the misreports: serial_pick's block form on this pick
-    # sequence, or one run per reported matrix when it is None
+    # the pick sequence of a seqpick or roundrobin Runner on m > n items
     sequence = None
     if isinstance(algorithm, Runner) and algorithm.name in ("seqpick", "roundrobin") and m > n:
         sequence = pick_sequence(algorithm.name, n, m)
+    # Every misreport changes the agent's row alone: the other rows are
+    # shared, so the agent's reported row keys the cache, or its ascending
+    # order does where the rule reads the row through nothing else
+    key = tuple if sequence is None else _ascending_order
     # Every ranking misreport is a valid row. A grid row is one as it
     # stands when its entries lie in [0, 1e300], since up to
     # MAX_ORDINAL_ITEMS of them sum to a finite float; the true costs are
@@ -202,38 +216,32 @@ def sp_check_ordinal(
     valid_as_they_stand = not grid_on or all(
         0.0 <= f and f * max(true_row) <= 1e300 for f in grid
     )
-    # Every misreport changes the agent's row alone: the other rows are
-    # shared, and the agent's reported row is the cache key.
     base = truthful_matrix.costs
-    cache: dict[tuple[float, ...], float] = {}
+    cache: dict[tuple, float] = {}
 
     def price(bundle: frozenset[int]) -> float:
         return sum(true_row[j] for j in bundle)
 
-    def costs_of(rows: list[tuple[float, ...]]) -> list[float]:
-        # the rows not cached yet run once each
-        fresh = [row for row in dict.fromkeys(rows) if row not in cache]
-        if sequence is not None and fresh:
-            bundles = serial_pick(truthful_matrix, sequence, (agent, fresh))
-        else:
-            bundles = [
-                algorithm(CostMatrix(base[:agent] + (row,) + base[agent + 1 :])).bundles[agent]
-                for row in fresh
-            ]
-        for row, bundle in zip(fresh, bundles):
-            cache[row] = price(bundle)
-        return [cache[row] for row in rows]
+    def cost_of(row: tuple[float, ...]) -> float:
+        k = key(row)
+        if k not in cache:
+            reported = CostMatrix(base[:agent] + (row,) + base[agent + 1 :])
+            cache[k] = price(algorithm(reported).bundles[agent])
+        return cache[k]
 
-    truthful_cost = cache[base[agent]] = price(algorithm(truthful_matrix).bundles[agent])
+    truthful_cost = cost_of(base[agent])
     best = truthful_cost
     best_desc = "truthful"
 
-    # Every report's bundle is a leaf of the agent's pick tree, so when no
-    # leaf is cheaper than the truth no report is. Enumeration would then
-    # name nothing, nor refuse a grid row.
+    # Every valid report's bundle is a leaf of the agent's pick tree, so no
+    # report costs less than the cheapest leaf. When that is no cheaper than
+    # the truth, enumeration would name nothing, nor refuse a grid row; else
+    # it stops once it has found a report that cheap, since no later one can
+    # be strictly cheaper.
+    least = -math.inf
     if searched and sequence is not None and valid_as_they_stand:
-        leaves = pick_tree(truthful_matrix, sequence, agent)
-        if not any(price(leaf) < truthful_cost for leaf in leaves):
+        least = min(map(price, pick_tree(truthful_matrix, sequence, agent)))
+        if least >= truthful_cost:
             return DeviationReport(
                 agent=agent,
                 truthful_cost=truthful_cost,
@@ -245,25 +253,24 @@ def sp_check_ordinal(
         # the value at ranking position k is the truthful report's k-th
         # largest entry, so every ranking misreport is a valid row
         values = sorted(base[agent], reverse=True)
-        perms = permutations(range(m))
         row = [0.0] * m
-        # BLOCK rankings at a time, so a block's rows and bundles stay small
-        while block := list(islice(perms, BLOCK)):
-            reports = []
-            for perm in block:
-                for pos, j in enumerate(perm):
-                    row[j] = values[pos]
-                reports.append(tuple(row))
-            for perm, cost in zip(block, costs_of(reports)):
-                if cost < best:
-                    best = cost
-                    best_desc = f"ranking {tuple(j + 1 for j in perm)}"
+        for perm in permutations(range(m)):
+            for pos, j in enumerate(perm):
+                row[j] = values[pos]
+            cost = cost_of(tuple(row))
+            if cost < best:
+                best = cost
+                best_desc = f"ranking {tuple(j + 1 for j in perm)}"
+                if best <= least:
+                    break
 
     if grid_on:
         factors = np.array(grid, dtype=float)
         truth = np.array(true_row)
         order = true_orders[agent]
         for digits in _product_blocks(len(grid), m):
+            if best <= least:
+                break
             # factor x cost can overflow to inf, which validation refuses
             with np.errstate(over="ignore"):
                 rows = factors[digits] * truth
@@ -272,18 +279,19 @@ def sp_check_ordinal(
                 for a, b in zip(order, order[1:]):
                     keep &= rows[:, a] >= rows[:, b]
             survivors = np.flatnonzero(keep)
-            reports = list(map(tuple, rows[survivors].tolist()))
-            if not valid_as_they_stand:
-                # validate each whole report: an entry or the row's sum may
-                # have left the float range
-                for k, row in enumerate(reports):
+            for k, row in zip(survivors.tolist(), rows[survivors].tolist()):
+                if not valid_as_they_stand:
+                    # validate the whole report: an entry or the row's sum
+                    # may have left the float range
                     reported = list(base)
                     reported[agent] = row
-                    reports[k] = CostMatrix.from_rows(reported).costs[agent]
-            for k, cost in zip(survivors.tolist(), costs_of(reports)):
+                    row = CostMatrix.from_rows(reported).costs[agent]
+                cost = cost_of(tuple(row))
                 if cost < best:
                     best = cost
                     best_desc = f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"
+                    if best <= least:
+                        break
 
     if model is Model.PUBLIC_RANKING and not include_grid:
         best_desc = "none (ordinal report channel closed under public rankings)"

@@ -144,6 +144,26 @@ def test_malformed_instance_is_a_clean_error(capsys, tmp_path, text, command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "--instance"],
+        ["mms", "--instance"],
+        ["eval", "--out", "table.csv", "--config"],
+    ],
+)
+def test_deeply_nested_json_is_a_clean_error(capsys, tmp_path, command):
+    # deeper than the JSON parser's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [str(tmp_path / arg) if arg == "table.csv" else arg for arg in command]
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: JSON in {path} is nested too deeply to read\n"
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_mms_all_agents(capsys, instance):
     path = instance([[3, 1, 1, 1], [1, 1, 1, 1]])
     code, doc, _ = run_json(capsys, ["mms", "--instance", path])

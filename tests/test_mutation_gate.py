@@ -36,16 +36,6 @@ of integer costs 0..3, where ties, which the index tie-break settles, are
 common, at n 1..5 and m 1..12, each under a seeded pick sequence of 1..m
 agents.
 
-oracles.serial_pick_reference, run once per rebuilt matrix, referees
-serial_pick's block form ("serial_pick block"): a seeded agent's bundle
-under each of 1..4 reported rows, in order, on the same kind of matrices
-at n 1..5 and m 1..8, under seqpick's schedule, roundrobin's sequence or
-a seeded sequence of 1..m agents, so that some agents have no turn. Its
-first cases are two rows whose replay takes at most half of the items
-the prefix leaves free, so that the second row never runs out of items:
-a free set the rows share shows as a wrong bundle there, not as an
-IndexError.
-
 oracles.pick_tree_reference referees pick_tree's leaves, compared as a
 set: the agent's serial_pick_reference bundle under each of its m!
 strict rankings, since a ranking that puts a leaf's picks first reaches
@@ -66,6 +56,14 @@ test_referees.py's block-edge rows (n^m >= BLOCK, and an addition order
 other than the reference's moves the value) and on seeded matrices of
 integer costs 0..3 at n 2..4, m 1..5.
 
+oracles.deviation_search_reference referees sp_check_ordinal's report
+(truthful cost, best deviation cost, deviation named, profitable) on
+seeded checks at n 2..3 and m n+1..5, of integer costs 0..3 or of
+distinct floats, under every model with the grid on and off: seqpick,
+roundrobin, and dc3 at n = 3, each a Runner of the checked module, so
+that the check keys its cache by ranking and stops at the cheapest leaf
+of the pick tree where it does for the CLI.
+
 Each unedited module must match its referee on every case, and every
 mutant must change at least one.
 """
@@ -76,6 +74,7 @@ import sys
 import types
 from contextlib import contextmanager
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +83,11 @@ import pytest
 import choremms
 from choremms.algorithms import build_schedule, label_count, label_sets
 from choremms.gen import GenSpec, generate
-from choremms.model import CostMatrix
-from choremms.verify import BLOCK
+from choremms.model import CostMatrix, Model
+from choremms.verify import BLOCK, algorithm_runner
 from mutants import inverted_gather
 from oracles import (
+    deviation_search_reference,
     enum_expected_cost_reference,
     mc_expected_cost_reference,
     mms_exact_reference,
@@ -193,20 +193,6 @@ MUTANTS = {
         "sorted(reversed(list(compress(items, free))), key=row.__getitem__)",
         "serial_pick",
     ),
-    # a row's replay stops before the agent's last turn
-    "block replay short of the last turn": (
-        "algorithms",
-        "replay = sequence[turns[0] : turns[-1] + 1]",
-        "replay = sequence[turns[0] : turns[-1]]",
-        "serial_pick block",
-    ),
-    # every row plays on the prefix's own free items, not on a copy
-    "block rows share the free items": (
-        "algorithms",
-        "_play(costs, items, replay, free[:], orders[:], pointers[:], picks)",
-        "_play(costs, items, replay, free, orders[:], pointers[:], picks)",
-        "serial_pick block",
-    ),
     # an own turn never takes the last free item
     "pick tree skips a free item": (
         "algorithms",
@@ -234,6 +220,30 @@ MUTANTS = {
         "owner += starts[:, None] - 1",
         "owner -= 1",
         "mc_expected_cost",
+    ),
+    # the cache key drops the order: every ranking of one multiset of costs
+    # shares the truthful report's cost
+    "ranking key without the order": (
+        "verify",
+        "return tuple(sorted(range(len(row)), key=row.__getitem__))",
+        "return tuple(sorted(row))",
+        "sp_check_ordinal",
+    ),
+    # dc3 compares bundle sums, so two rows of one ranking can give it
+    # different bundles
+    "ranking key for dc3": (
+        "verify",
+        "key = tuple if sequence is None else _ascending_order",
+        "key = _ascending_order if isinstance(algorithm, Runner) and m > n else tuple",
+        "sp_check_ordinal",
+    ),
+    # the rankings stop at the first profitable report, which need not be
+    # as cheap as the cheapest leaf
+    "stop at the first profitable ranking": (
+        "verify",
+        "                if best <= least:\n                    break\n",
+        "                if best < truthful_cost:\n                    break\n",
+        "sp_check_ordinal",
     ),
     # a trial's cost adds the agent's items from the last column down
     "Monte-Carlo columns reversed": (
@@ -370,48 +380,6 @@ def serial_pick_corpus():
     return tuple(cases)
 
 
-def _block_case(rng, short):
-    # a short case (None when the draw is not one) is two rows whose
-    # replay takes at most half of the items the prefix leaves free
-    n = int(rng.integers(1, 6))
-    m = int(rng.integers(1, 9))
-    matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
-    kind = int(rng.integers(0, 3))
-    if kind == 0 and m > n:
-        counts = build_schedule(n, m).counts
-        sequence = [i for i in reversed(range(n)) for _ in range(counts[i])]
-    elif kind == 1:
-        sequence = [t % n for t in range(m)]
-    else:
-        sequence = rng.integers(0, n, int(rng.integers(1, m + 1))).tolist()
-    agent = int(rng.integers(0, n))
-    turns = [t for t, i in enumerate(sequence) if i == agent]
-    if short and not (turns and 2 * (turns[-1] - turns[0] + 1) <= m - turns[0]):
-        return None
-    count = 2 if short else int(rng.integers(1, 5))
-    rows = [tuple(row) for row in (rng.integers(0, 4, (count, m)) * 1.0).tolist()]
-    expected = [
-        serial_pick_reference(
-            CostMatrix(matrix.costs[:agent] + (row,) + matrix.costs[agent + 1 :]), sequence
-        )[agent]
-        for row in rows
-    ]
-    return (matrix, sequence, (agent, rows)), expected
-
-
-@lru_cache(maxsize=None)
-def serial_pick_block_corpus():
-    """Seeded block cases, the short replays of two rows first, with the
-    referee's bundle for each row."""
-    rng = np.random.default_rng(2019)
-    short = []
-    while len(short) < 100:
-        case = _block_case(rng, short=True)
-        if case is not None:
-            short.append(case)
-    return tuple(short + [_block_case(rng, short=False) for _ in range(1000)])
-
-
 @lru_cache(maxsize=None)
 def pick_tree_corpus():
     """Seeded tied matrices, pick sequences and agents with the referee's
@@ -480,6 +448,53 @@ def mc_corpus():
     return tuple(cases)
 
 
+# every (algorithm, model, grid) kind of check, dc3 under the two models
+# that give it costs
+SP_CHECK_KINDS = [
+    (name, model, include_grid)
+    for name in ("seqpick", "roundrobin", "dc3")
+    for model in Model
+    for include_grid in (False, True)
+    if not (name == "dc3" and model is Model.ORDINAL)
+]
+
+
+@lru_cache(maxsize=None)
+def sp_check_corpus():
+    """Seeded deviation checks, each kind in turn, with the referee's
+    report on each."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for t in range(30 * len(SP_CHECK_KINDS)):
+        name, model, include_grid = SP_CHECK_KINDS[t % len(SP_CHECK_KINDS)]
+        n = 3 if name == "dc3" else int(rng.integers(2, 4))
+        m = int(rng.integers(n + 1, 6))
+        tied = t // len(SP_CHECK_KINDS) % 2
+        if tied:
+            costs = rng.integers(0, 4, (n, m)).tolist()
+        else:
+            costs = rng.permutation(np.arange(1, n * m + 1) / (n * m)).reshape(n, m).tolist()
+        # dc3's divider, agent 1, is the one agent whose report can move its
+        # own bundle, and the ties in its report decide its ranking
+        agent = 0 if name == "dc3" and tied else int(rng.integers(0, n))
+        matrix = CostMatrix.from_rows(costs)
+        expected = deviation_search_reference(
+            algorithm_runner(name), matrix, agent, model, include_grid
+        )
+        cases.append(((name, matrix, agent, model, include_grid), expected))
+    return tuple(cases)
+
+
+def _sp_check(verify):
+    """`verify.sp_check_ordinal` on the named algorithm's Runner of
+    `verify` itself, which the check recognises by class."""
+    return lambda name, *args: verify.sp_check_ordinal(verify.algorithm_runner(name), *args)
+
+
+def _report(report):
+    return report.truthful_cost, report.best_deviation_cost, report.deviation, report.profitable
+
+
 # randdecl's pooling rule, and the mutant that inverts it
 GATHERS = (lambda item, recipient, labels: item in labels[recipient], inverted_gather)
 
@@ -509,18 +524,12 @@ def enum_corpus():
     return tuple(cases)
 
 
-# each referee: the function it runs and the module it lives in, its
-# corpus of (arguments, expected outcome) pairs, and the outcome of the
-# function's result that is compared
+# each referee: the function it runs (its name, or what takes the module
+# to it) and the module it lives in, its corpus of (arguments, expected
+# outcome) pairs, and the outcome of the function's result that is compared
 REFEREES = {
     "mms_exact": ("mms_exact", "mms", mms_corpus, _mms_outcome),
     "serial_pick": ("serial_pick", "algorithms", serial_pick_corpus, lambda alloc: alloc.bundles),
-    "serial_pick block": (
-        "serial_pick",
-        "algorithms",
-        serial_pick_block_corpus,
-        lambda bundles: bundles,
-    ),
     "pick_tree": ("pick_tree", "algorithms", pick_tree_corpus, set),
     "mc_expected_cost": ("mc_expected_cost", "verify", mc_corpus, lambda estimate: estimate),
     "enum_expected_cost": (
@@ -529,6 +538,7 @@ REFEREES = {
         enum_corpus,
         lambda expectation: expectation,
     ),
+    "sp_check_ordinal": (_sp_check, "verify", sp_check_corpus, _report),
 }
 
 
@@ -556,15 +566,17 @@ def _edited_function(module, source, referee):
     in which each function or class it took from `module` is the edited
     module's one."""
     function, home = REFEREES[referee][:2]
+    if isinstance(function, str):
+        function = attrgetter(function)
     with _fresh_module(module, source) as edited:
         if home == module:
-            yield getattr(edited, function)
+            yield function(edited)
             return
         with _fresh_module(home, _source(home)) as host:
             for name, value in list(vars(host).items()):
                 if getattr(value, "__module__", None) == f"choremms.{module}":
                     setattr(host, name, getattr(edited, name))
-            yield getattr(host, function)
+            yield function(host)
 
 
 def differing_rows(module, source, referee, stop_at_first=False):

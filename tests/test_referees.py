@@ -9,8 +9,8 @@ draws and deals them with its own code, and sp_check_ordinal, which shares
 every row but the deviating agent's between misreports and enumerates grid
 misreports in blocks, must report exactly what a search that rebuilds every
 reported matrix reports; the pick tree's cheapest leaf, which settles a
-passing serial-pick check before any misreport runs, must be the ordinal
-search's best cost. The exact randdecl expectation, which enumerates
+passing serial-pick check before any misreport runs and stops a failing
+one's search, must be the ordinal search's best cost. The exact randdecl expectation, which enumerates
 landings in blocks, must equal a loop over the landings bit for bit. Costs
 are drawn from 0..3 so that ties are common.
 """
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choremms import algorithms, verify
+from choremms import verify
 from choremms.algorithms import (
     label_count,
     label_sets,
@@ -410,13 +410,13 @@ def test_the_proof_hides_no_cheaper_report(check, model, include_grid):
 def test_a_grid_past_the_valid_rows_is_enumerated(monkeypatch, rows, factors, refusal):
     matrix = CostMatrix.from_rows(rows)
     run = []
-    engine = algorithms.serial_pick
+    engine = verify.allocate
 
-    def recording(mat, sequence, reports=None):
-        run.extend(reports[1])
-        return engine(mat, sequence, reports)
+    def recording(mat, alg):
+        run.append(mat.costs[0])
+        return engine(mat, alg)
 
-    monkeypatch.setattr(verify, "serial_pick", recording)
+    monkeypatch.setattr(verify, "allocate", recording)
 
     def check():
         runner = RUNNERS["seqpick"]
@@ -429,6 +429,6 @@ def test_a_grid_past_the_valid_rows_is_enumerated(monkeypatch, rows, factors, re
     else:
         with pytest.raises(ValueError, match=refusal):
             check()
-    # the enumeration ran its misreports through the block engine; the
-    # truthful row runs by a plain call
-    assert set(permutations(matrix.costs[0])) - {matrix.costs[0]} <= set(run)
+    # the enumeration ran every ranking misreport, the truthful row first
+    assert run[0] == matrix.costs[0]
+    assert set(permutations(matrix.costs[0])) <= set(run)

@@ -1,6 +1,7 @@
 """Property tests: the serial-pick engine behind seqpick, roundrobin and
 the inverted-greed mutant against the rescanning reference in oracles.py,
-and its block form against one run per rebuilt matrix.
+and the rule's reading of a reported row only through its ranking, which
+lets the deviation search run one report per distinct ranking.
 
 Costs are drawn from 0..3 so that ties, which the index tie-break
 settles, are common.
@@ -11,14 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choremms.algorithms import (
-    allocate,
-    build_schedule,
-    pick_sequence,
-    roundrobin,
-    seqpick,
-    serial_pick,
-)
+from choremms.algorithms import allocate, build_schedule, roundrobin, seqpick
 from choremms.model import CostMatrix, rankings, surrogate_matrix
 from mutants import greedy_worst_seqpick
 from oracles import serial_pick_reference
@@ -73,49 +67,44 @@ def test_greedy_worst_seqpick_takes_most_expensive_first(matrix):
     assert alloc.bundles == serial_pick_reference(negated, schedule_sequence(matrix))
 
 
-def per_row(matrix, algorithm, agent, rows):
-    """The agent's bundle under each row, from one `allocate` per rebuilt
-    matrix."""
-    bundles = []
-    for row in rows:
-        reported = matrix.costs[:agent] + (row,) + matrix.costs[agent + 1 :]
-        bundles.append(allocate(CostMatrix(reported), algorithm).bundles[agent])
-    return bundles
-
-
-def assert_block_matches_per_row(matrix, algorithm, agent, rows):
-    sequence = pick_sequence(algorithm, matrix.n, matrix.m)
-    block = serial_pick(matrix, sequence, (agent, rows))
-    expected = per_row(matrix, algorithm, agent, rows)
-    assert block == expected
-    # the same frozensets, built in the same pick order, iterate alike, so
-    # a deviation cost adds the same floats in the same order
-    assert [list(b) for b in block] == [list(b) for b in expected]
+def assert_one_ranking_one_bundle(matrix, algorithm, agent, row):
+    """The agent's bundle when it reports `row`, and when it reports the
+    distinct costs 1, 2, ... along the row's stable ascending order, the
+    order serial_pick sorts its items by, ties going to the lower index."""
+    order = sorted(range(matrix.m), key=row.__getitem__)
+    strict = [0.0] * matrix.m
+    for rank, j in enumerate(order):
+        strict[j] = float(rank + 1)
+    bundles = [
+        allocate(CostMatrix(matrix.costs[:agent] + (r,) + matrix.costs[agent + 1 :]), algorithm)
+        .bundles[agent]
+        for r in (tuple(row), tuple(strict))
+    ]
+    assert bundles[0] == bundles[1]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_block_form_matches_one_run_per_rebuilt_matrix(data):
+def test_rows_of_one_ranking_give_one_bundle(data):
     """seqpick and roundrobin at n 1..5, m n+1..8, where the deviation
-    search runs them on the block form."""
+    search keys its cache by the reported row's ranking."""
     n = data.draw(st.integers(1, 5))
     m = data.draw(st.integers(n + 1, 8))
     row = st.lists(st.integers(0, 3), min_size=m, max_size=m)
     matrix = CostMatrix.from_rows(data.draw(st.lists(row, min_size=n, max_size=n)))
     algorithm = data.draw(st.sampled_from(["seqpick", "roundrobin"]))
     agent = data.draw(st.integers(0, n - 1))
-    rows = data.draw(st.lists(row.map(lambda r: tuple(map(float, r))), min_size=1, max_size=6))
-    assert_block_matches_per_row(matrix, algorithm, agent, rows)
+    assert_one_ranking_one_bundle(matrix, algorithm, agent, data.draw(row))
 
 
 @pytest.mark.parametrize("algorithm", ["seqpick", "roundrobin"])
 @pytest.mark.parametrize("agent", range(5))
-def test_block_form_for_every_place_in_the_sequence(algorithm, agent):
+def test_one_ranking_one_bundle_at_every_place_in_the_sequence(algorithm, agent):
     """n=5, m=6: seqpick's schedule (2, 2, 0, 0, 2) gives agents 3 and 4
     (indices 2, 3) no turn; agent 5 picks first and agent 1 last, in both
     sequences."""
     assert build_schedule(5, 6).counts[2:4] == (0, 0)
     rng = np.random.default_rng(agent)
     matrix = CostMatrix.from_rows(rng.integers(0, 4, (5, 6)).tolist())
-    rows = [tuple(row) for row in (rng.integers(0, 4, (40, 6)) * 1.0).tolist()]
-    assert_block_matches_per_row(matrix, algorithm, agent, rows)
+    for row in rng.integers(0, 4, (40, 6)).tolist():
+        assert_one_ranking_one_bundle(matrix, algorithm, agent, [float(c) for c in row])

@@ -7,7 +7,7 @@ import pytest
 
 from choremms import algorithms, verify
 from choremms.algorithms import allocate, label_count
-from choremms.model import Allocation, CostMatrix, Model
+from choremms.model import Allocation, CostMatrix, Model, rankings
 from choremms.verify import (
     algorithm_runner,
     enum_expected_cost,
@@ -103,41 +103,88 @@ def test_deviation_search_refuses_factorial_blowup():
         sp_check_ordinal(algorithm_runner("seqpick"), inst, 0)
 
 
-@pytest.mark.parametrize("runner", ["block", "per matrix"])
+@pytest.mark.parametrize("runner", ["per matrix"])
 def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runner):
-    # the 5! rankings of each tied true row name 5!/(2! 2!) = 30 distinct
-    # rows, and the 4^5 grid rows repeat some of them. The block case's
-    # agent gains by a misreport (7 -> 5), so its check enumerates rather
-    # than proves; a plain callable always enumerates. The block engine
-    # records the misreports only: the truthful row runs by a plain call.
-    if runner == "block":
-        matrix = CostMatrix.from_rows([[1, 4, 4, 2, 2], [3, 2, 5, 1, 5]])
-    else:
-        matrix = CostMatrix.from_rows([[2, 2, 1, 1, 3], [1, 2, 3, 4, 5]])
+    # the 5! rankings of the tied true row name 5!/(2! 2!) = 30 distinct
+    # rows, and the 4^5 grid rows repeat some of them; a plain callable
+    # always enumerates, and runs each distinct row once, the truthful one
+    # included
+    matrix = CostMatrix.from_rows([[2, 2, 1, 1, 3], [1, 2, 3, 4, 5]])
     true_row = matrix.costs[0]
     run = []
-    if runner == "block":
-        engine = algorithms.serial_pick
 
-        def recording(mat, sequence, reports=None):
-            assert reports is not None and reports[0] == 0
-            run.extend(reports[1])
-            return engine(mat, sequence, reports)
-
-        monkeypatch.setattr(verify, "serial_pick", recording)
-        algorithm = algorithm_runner("roundrobin")
-    else:
-
-        def algorithm(mat):
-            run.append(mat.costs[0])
-            return allocate(mat, "roundrobin")
+    def algorithm(mat):
+        run.append(mat.costs[0])
+        return allocate(mat, "roundrobin")
 
     sp_check_ordinal(algorithm, matrix, 0, model=Model.CARDINAL, include_grid=True)
     factors = product((0.5, 1.0, 2.0, 3.0), repeat=5)
     grid = {tuple(f * c for f, c in zip(fs, true_row)) for fs in factors}
     assert len(run) == len(set(run))
-    assert (true_row in run) == (runner == "per matrix")
-    assert set(run) | {true_row} == set(permutations(true_row)) | grid
+    assert set(run) == set(permutations(true_row)) | grid
+
+
+def ascending_order(row):
+    return tuple(sorted(range(len(row)), key=row.__getitem__))
+
+
+def recording_allocate(monkeypatch, agent):
+    """The agent's rows that a Runner runs, in order, from here on."""
+    run = []
+    engine = verify.allocate
+
+    def recording(mat, alg):
+        run.append(mat.costs[agent])
+        return engine(mat, alg)
+
+    monkeypatch.setattr(verify, "allocate", recording)
+    return run
+
+
+def test_a_serial_pick_check_runs_each_distinct_ranking_once(monkeypatch):
+    # a roundrobin runner reads the agent's row only through its stable
+    # ascending order, so the check runs one row per distinct order. Under
+    # public rankings some pick-tree leaf is cheaper than the truth (7), but
+    # no ranking-consistent grid row reaches it: the check enumerates the
+    # whole grid, whose survivors hold more distinct rows than orders
+    matrix = CostMatrix.from_rows([[1, 4, 4, 2, 2], [3, 2, 5, 1, 5]])
+    true_row = matrix.costs[0]
+    run = recording_allocate(monkeypatch, 0)
+    rep = sp_check_ordinal(
+        algorithm_runner("roundrobin"), matrix, 0, model=Model.PUBLIC_RANKING, include_grid=True
+    )
+    assert (rep.truthful_cost, rep.deviation) == (7.0, "truthful")
+    order = rankings(matrix)[0]
+    survivors = set()
+    for fs in product((0.5, 1.0, 2.0, 3.0), repeat=5):
+        row = tuple(f * c for f, c in zip(fs, true_row))
+        if all(row[a] >= row[b] for a, b in zip(order, order[1:])):
+            survivors.add(row)
+    orders = [ascending_order(row) for row in run]
+    assert run[0] == true_row
+    assert len(orders) == len(set(orders)) > 1
+    assert set(orders) == {ascending_order(row) for row in survivors | {true_row}}
+    assert len(survivors) > len(orders)
+
+
+def test_a_failing_serial_pick_check_stops_at_the_cheapest_leaf(monkeypatch):
+    # the agent's cheapest leaf costs 9, which a ranking misreport reaches:
+    # the check names that first such ranking and runs nothing after it,
+    # the grid included
+    matrix = CostMatrix.from_rows([[4, 2, 4, 3, 3, 1, 4], [1, 4, 1, 4, 2, 4, 2]])
+    run = recording_allocate(monkeypatch, 0)
+    rep = sp_check_ordinal(
+        algorithm_runner("roundrobin"), matrix, 0, model=Model.CARDINAL, include_grid=True
+    )
+    assert (rep.best_deviation_cost, rep.deviation) == (9.0, "ranking (1, 2, 3, 4, 7, 5, 6)")
+    true_row = matrix.costs[0]
+    values = sorted(true_row, reverse=True)
+    named = [0.0] * 7
+    for pos, j in enumerate((0, 1, 2, 3, 6, 4, 5)):
+        named[j] = values[pos]
+    assert ascending_order(run[-1]) == ascending_order(tuple(named))
+    assert all(sorted(row) == sorted(true_row) for row in run)
+    assert len(run) < len(set(permutations(true_row)))
 
 
 @pytest.mark.parametrize(
@@ -151,26 +198,16 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
 def test_a_passing_serial_pick_check_runs_the_truthful_row_alone(monkeypatch, name, model, grid):
     # the agent's pick tree has no leaf cheaper than the truth, so no
     # misreport is enumerated, even at the item limit: the runner's one
-    # call is the truthful row's, and the block engine never runs
+    # call is the truthful row's
     rng = np.random.default_rng(2019)
     matrix = uniform_instance(rng, 3, 7)
-    calls = []
-    blocks = []
-    engine = verify.allocate
-
-    def counting(mat, alg):
-        calls.append(mat.costs)
-        return engine(mat, alg)
-
-    monkeypatch.setattr(verify, "allocate", counting)
-    monkeypatch.setattr(verify, "serial_pick", lambda *args: blocks.append(args))
+    run = recording_allocate(monkeypatch, 0)
     for agent in range(3):
-        calls.clear()
+        run.clear()
         runner = algorithm_runner(name)
         rep = sp_check_ordinal(runner, matrix, agent, model=model, include_grid=grid)
         assert rep.deviation == "truthful"
-        assert len(calls) == 1
-    assert blocks == []
+        assert len(run) == 1
 
 
 def test_deviation_report_jsonable_is_one_indexed():
