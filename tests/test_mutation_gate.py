@@ -229,8 +229,9 @@ MUTANTS = {
         "return tuple(sorted(row))",
         "sp_check_ordinal",
     ),
-    # dc3 compares bundle sums, so two rows of one ranking can give it
-    # different bundles
+    # dc3 reads more than the ascending order: its choosers compare bundle
+    # sums, and its divider's `model.rank` reads ties the order does not
+    # show, so two rows of one ascending order can give it two bundles
     "ranking key for dc3": (
         "verify",
         "key = tuple if sequence is None else _ascending_order",
