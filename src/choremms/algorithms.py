@@ -12,7 +12,9 @@ All of them take a cost matrix and return a partition of the items:
     (seqpick and roundrobin share one engine, serial_pick, and differ only
     in the pick sequence, which pick_sequence gives);
   - divide_choose_3: three fixed bundles built from agent 1's ranking,
-    agents 2 and 3 choose in turn, agent 1 keeps the leftover.
+    agents 2 and 3 choose in turn, agent 1 keeps the leftover (its cut and
+    its choice, dc3_cut and dc3_choose, also give dc3_offer: every bundle
+    a chooser can end with).
 
 Randomness is always owned by the call through an explicit seed; there is
 no global generator.
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, compress, groupby
 from numbers import Integral
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -257,7 +259,21 @@ def label_count(n: int, m: int) -> int:
     return min(int(math.floor(n * math.sqrt(math.log2(n)))), m)
 
 
-def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
+class CheckedLabels(tuple):
+    """A label profile known to be valid for every instance of its `len`
+    agents and `m` items, which `check_labels` then passes without reading
+    it: `label_sets` returns one, and a label search builds one per
+    candidate from the truthful sets and a k-subset of the items."""
+
+    m: int
+
+    def __new__(cls, labels: Iterable[frozenset[int]], m: int) -> "CheckedLabels":
+        profile = super().__new__(cls, labels)
+        profile.m = m
+        return profile
+
+
+def label_sets(matrix: CostMatrix) -> CheckedLabels:
     """Truthful labels: each agent's top-K items by cost (canonical ties).
 
     A stable ascending sort of the negated costs keeps equal costs, both
@@ -265,7 +281,7 @@ def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
     """
     k = label_count(matrix.n, matrix.m)
     top = np.argsort(np.negative(matrix.costs), axis=1, kind="stable")[:, :k]
-    return tuple(map(frozenset, top.tolist()))
+    return CheckedLabels(map(frozenset, top.tolist()), matrix.m)
 
 
 Labels = Sequence[frozenset[int]]
@@ -274,10 +290,13 @@ Labels = Sequence[frozenset[int]]
 def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
     """The truthful `label_sets` when `labels` is None, else `labels` after
     checking one set per agent, of the canonical size, naming only integer
-    items 0..m-1 (a bool is no item, a numpy integer is)."""
+    items 0..m-1 (a bool is no item, a numpy integer is). A `CheckedLabels`
+    of the instance's shape is passed as it is."""
     if labels is None:
         return label_sets(matrix)
     n, m = matrix.n, matrix.m
+    if type(labels) is CheckedLabels and (len(labels), labels.m) == (n, m):
+        return labels
     k = label_count(n, m)
     if len(labels) != n:
         raise ValueError(f"label profile must have {n} sets, got {len(labels)}")
@@ -394,27 +413,47 @@ def divide_choose_3(matrix: CostMatrix) -> Allocation:
     """Three fixed bundles cut along agent 1's ranking; agents 2 then 3 take
     their cheapest available bundle, agent 1 keeps the last one.
 
-    With items relabelled in agent 1's descending order, the bundles are the
-    top item alone, the even positions, and the remaining odd positions.
+    The cut is `dc3_cut` and each choice `dc3_choose`, which `dc3_offer`
+    shares to tell a chooser every bundle it can end with.
     """
     n = matrix.n
     if n != 3:
         raise ValueError(f"divide_choose_3 requires n=3 (got n={n})")
-    order = rank(matrix, 0)
-    s1 = {order[0]}
-    s2 = {order[pos] for pos in range(1, matrix.m, 2)}
-    s3 = {order[pos] for pos in range(2, matrix.m, 2)}
-    candidates = [s1, s2, s3]
-
-    def cheapest(agent: int, available: list[int]) -> int:
-        row = matrix.row(agent)
-        return min(available, key=lambda b: (sum(row[j] for j in candidates[b]), b))
-
-    pick2 = cheapest(1, [0, 1, 2])
+    bundles = dc3_cut(rank(matrix, 0))
+    pick2 = dc3_choose(matrix.row(1), bundles, [0, 1, 2])
     left = [b for b in (0, 1, 2) if b != pick2]
-    pick3 = cheapest(2, left)
+    pick3 = dc3_choose(matrix.row(2), bundles, left)
     pick1 = next(b for b in left if b != pick3)
-    return Allocation.from_lists([candidates[pick1], candidates[pick2], candidates[pick3]])
+    return Allocation.from_lists([bundles[pick1], bundles[pick2], bundles[pick3]])
+
+
+def dc3_cut(order: Sequence[int]) -> list[set[int]]:
+    """dc3's three bundles along the divider's ranking `order` (descending,
+    as `model.rank` gives it): the top item alone, the even positions, and
+    the remaining odd positions."""
+    return [
+        {order[0]},
+        {order[pos] for pos in range(1, len(order), 2)},
+        {order[pos] for pos in range(2, len(order), 2)},
+    ]
+
+
+def dc3_choose(row: Sequence[float], bundles: Sequence[set[int]], available: list[int]) -> int:
+    """The chooser's pick among the `available` bundles: the cheapest by its
+    `row`, ties going to the lower bundle index."""
+    return min(available, key=lambda b: (sum(row[j] for j in bundles[b]), b))
+
+
+def dc3_offer(matrix: CostMatrix, agent: int) -> list[frozenset[int]]:
+    """The bundles divide_choose_3 on `matrix` offers the chooser of index
+    `agent` (1 or 2), whatever row it reports: all three to the first
+    chooser, and to the second the two that the first one's row leaves. A
+    chooser's report moves neither the cut nor an earlier pick."""
+    bundles = dc3_cut(rank(matrix, 0))
+    available = [0, 1, 2]
+    if agent == 2:
+        available.remove(dc3_choose(matrix.row(1), bundles, available))
+    return [frozenset(bundles[b]) for b in available]
 
 
 # --- dispatcher ----------------------------------------------------------------

@@ -64,7 +64,7 @@ class CostMatrix:
             problems = validate(rows)
             if problems:
                 raise ValueError("invalid cost matrix: " + "; ".join(problems))
-        return cls(tuple(tuple(float(c) for c in row) for row in rows))
+        return cls(tuple(tuple(map(float, row)) for row in rows))
 
 
 def validate(rows: Sequence[Sequence[float]]) -> list[str]:

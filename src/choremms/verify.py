@@ -15,20 +15,26 @@ matrix, the truthful one first, and scans the costs in enumeration
 order. It runs each distinct reported row once; for a seqpick or
 roundrobin `Runner` on m > n items, each distinct ranking of the row
 once, since the rule reads the row only through its stable ascending
-order. A landing block adds each landing's sums column by column, and
-the total is carried from landing to landing, so the expectation is the
-one a per-landing loop computes, bit for bit.
+order; and for dc3's divider (agent index 0) on 3 agents and m > 3
+items, each distinct `model.rank` order of the row once, since the cut
+reads it through nothing else. A landing block adds each landing's sums
+column by column, and the total is carried from landing to landing, so
+the expectation is the one a per-landing loop computes, bit for bit.
 Monte-Carlo trials are dealt BLOCK at a time too.
 
-A seqpick or roundrobin `Runner` check on m > n items first walks the
-agent's pick tree (`algorithms.pick_tree`): every bundle any report can
-give it. When no leaf is cheaper than the truth, no misreport is, and the
-check reports "truthful" with nothing enumerated. Otherwise it enumerates
-as below, so that the deviation named is the first cheapest in
-enumeration order, and stops at the first report as cheap as the
-cheapest leaf: no later report can be strictly cheaper. A grid that may
-hold invalid rows (a negative factor, or an entry past 1e300) is
-enumerated in full, without the tree, so that a refusal stays one.
+Where the rule tells every bundle any report can give the agent, its
+leaves, the check prices them first: the agent's pick tree
+(`algorithms.pick_tree`) for a seqpick or roundrobin `Runner` on m > n
+items, and the bundles on offer (`algorithms.dc3_offer`) for a dc3
+`Runner`'s chooser on 3 agents and m > 3 items. When no leaf is cheaper
+than the truth, no misreport is, and the check reports "truthful" with
+nothing enumerated; a dc3 chooser's truthful report always takes the
+cheapest bundle on offer. Otherwise it enumerates as below, so that the
+deviation named is the first cheapest in enumeration order, and stops at
+the first report as cheap as the cheapest leaf: no later report can be
+strictly cheaper. A grid that may hold invalid rows (a negative factor,
+or an entry past 1e300) is enumerated in full, without the leaves, so
+that a refusal stays one.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -43,14 +49,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .algorithms import (
+    CheckedLabels,
     Labels,
     allocate,
     check_labels,
+    dc3_offer,
     label_count,
     label_matrix,
     label_sets,
@@ -60,7 +68,7 @@ from .algorithms import (
     randdecl_deal,
     randdecl_expected_cost,
 )
-from .model import Allocation, CostMatrix, Model, rankings, surrogate_matrix
+from .model import Allocation, CostMatrix, Model, descending, rankings, surrogate_matrix
 
 PROFIT_TOL = 1e-9
 # sp_check_ordinal enumerates all m! rankings, or all 4^m grid factor rows:
@@ -105,10 +113,12 @@ class Runner:
 
     Called on a matrix (true, surrogate, or misreported: exactly the
     reporting channel the deviation search manipulates) it returns the
-    Allocation. Its name also tells `sp_check_ordinal` when the rule is
-    seqpick or roundrobin, which read an agent's row only through its
-    ranking: the check then runs one report per distinct ranking and
-    bounds the search by the agent's pick tree.
+    Allocation. Its name also tells `sp_check_ordinal` what the rule
+    reads of an agent's row (see `_reading`). seqpick and roundrobin read
+    it only through its ranking: the check then runs one report per
+    distinct ranking and bounds the search by the agent's pick tree. dc3
+    reads its divider's row only through `model.rank`, which keys that
+    check, and bounds each chooser's search by the bundles on offer.
     """
 
     name: str
@@ -130,6 +140,43 @@ def _ascending_order(row: Sequence[float]) -> tuple[int, ...]:
     reads the row through this order alone, since an agent's sort of the
     items still free is this order restricted to them."""
     return tuple(sorted(range(len(row)), key=row.__getitem__))
+
+
+def _descending_order(row: Sequence[float]) -> tuple[int, ...]:
+    """The row's items by descending cost, ties by ascending index: the
+    order `model.rank` gives an agent's row, along which dc3's divider
+    cuts its bundles. The divider's row is read through nothing else."""
+    return tuple(descending(row))
+
+
+def _reading(
+    algorithm: Callable[[CostMatrix], Allocation], matrix: CostMatrix, agent: int
+) -> tuple[Callable[[Sequence[float]], tuple], Optional[Iterable[frozenset[int]]]]:
+    """What `algorithm` reads of the agent's reported row when the other
+    agents report their rows of `matrix`, as (key, leaves).
+
+    Two rows of one key give the agent one bundle. Every valid report gives
+    it one of the leaves, when they are known (else None):
+      - a seqpick or roundrobin Runner on m > n items reads the row through
+        its stable ascending order alone, and the leaves are the agent's
+        pick tree (walked only when read);
+      - a dc3 Runner on n = 3 agents and m > 3 items reads the divider's
+        row (agent index 0) through its `model.rank` order alone, with no
+        leaves; a chooser's row picks among the bundles on offer
+        (`dc3_offer`), so those are its leaves, and the row itself is the
+        key;
+      - any other check is keyed by the row itself, with no leaves.
+    """
+    n, m = matrix.n, matrix.m
+    if isinstance(algorithm, Runner) and m > n:
+        if algorithm.name in ("seqpick", "roundrobin"):
+            sequence = pick_sequence(algorithm.name, n, m)
+            return _ascending_order, pick_tree(matrix, sequence, agent)
+        if algorithm.name == "dc3" and n == 3:
+            if agent == 0:
+                return _descending_order, None
+            return tuple, dc3_offer(matrix, agent)
+    return tuple, None
 
 
 def _product_blocks(base: int, m: int):
@@ -169,17 +216,25 @@ def sp_check_ordinal(
 
     Every report, the truthful one first, runs by one call of `algorithm`
     on the rebuilt matrix, and the costs are scanned in enumeration order.
-    Each distinct reported row runs once. For a seqpick or roundrobin
-    `Runner` on m > n items, each distinct ranking runs once: the cache is
-    keyed by the row's stable ascending order, the order `_play` sorts by,
-    so the rule's bundle depends on nothing else. Such a check also prices
-    every leaf of the agent's pick tree, which holds every bundle a valid
-    report can give it (when every grid row is valid as it stands). If the
-    cheapest leaf is no cheaper than the truth, neither is any misreport,
-    and none is enumerated. Otherwise the enumeration stops at the first
-    report that costs as little as that leaf, skipping the grid if the
-    rankings reach it: no later report can be strictly cheaper, so the
-    deviation named is the one a full enumeration names.
+    The cache is keyed by what the rule reads of the row (`_reading`), so
+    two rows of one key run once:
+      - for a seqpick or roundrobin `Runner` on m > n items, the row's
+        stable ascending order, the order `_play` sorts by;
+      - for dc3's divider (agent index 0) under a dc3 `Runner` on 3
+        agents and m > 3 items, the row's `model.rank` order, the order
+        the divider cuts along;
+      - for anything else, the row itself.
+    Where the rule also tells the agent's leaves, every bundle a valid
+    report can give it, the check prices them first (when every grid row
+    is valid as it stands): the pick tree of a seqpick or roundrobin
+    agent, and the bundles on offer to a dc3 chooser (all three to the
+    first, index 1; to the second the two that the first one's truthful
+    row leaves). If the cheapest leaf is no cheaper than the truth,
+    neither is any misreport, and none is enumerated. Otherwise the
+    enumeration stops at the first report that costs as little as that
+    leaf, skipping the grid if the rankings reach it: no later report can
+    be strictly cheaper, so the deviation named is the one a full
+    enumeration names.
     """
     n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
@@ -201,14 +256,9 @@ def sp_check_ordinal(
     truthful_matrix = (
         surrogate_matrix(true_orders) if model is Model.ORDINAL else matrix
     )
-    # the pick sequence of a seqpick or roundrobin Runner on m > n items
-    sequence = None
-    if isinstance(algorithm, Runner) and algorithm.name in ("seqpick", "roundrobin") and m > n:
-        sequence = pick_sequence(algorithm.name, n, m)
     # Every misreport changes the agent's row alone: the other rows are
-    # shared, so the agent's reported row keys the cache, or its ascending
-    # order does where the rule reads the row through nothing else
-    key = tuple if sequence is None else _ascending_order
+    # shared, so what the rule reads of the agent's row keys the cache
+    key, leaves = _reading(algorithm, truthful_matrix, agent)
     # Every ranking misreport is a valid row. A grid row is one as it
     # stands when its entries lie in [0, 1e300], since up to
     # MAX_ORDINAL_ITEMS of them sum to a finite float; the true costs are
@@ -233,14 +283,13 @@ def sp_check_ordinal(
     best = truthful_cost
     best_desc = "truthful"
 
-    # Every valid report's bundle is a leaf of the agent's pick tree, so no
-    # report costs less than the cheapest leaf. When that is no cheaper than
-    # the truth, enumeration would name nothing, nor refuse a grid row; else
-    # it stops once it has found a report that cheap, since no later one can
-    # be strictly cheaper.
+    # Every valid report's bundle is a leaf, so no report costs less than
+    # the cheapest leaf. When that is no cheaper than the truth, enumeration
+    # would name nothing, nor refuse a grid row; else it stops once it has
+    # found a report that cheap, since no later one can be strictly cheaper.
     least = -math.inf
-    if searched and sequence is not None and valid_as_they_stand:
-        least = min(map(price, pick_tree(truthful_matrix, sequence, agent)))
+    if searched and leaves is not None and valid_as_they_stand:
+        least = min(map(price, leaves))
         if least >= truthful_cost:
             return DeviationReport(
                 agent=agent,
@@ -420,12 +469,14 @@ def sp_check_randomized(
 
     The search itself uses the closed-form expectation (or a caller-supplied
     one, e.g. for a mutant), called with the whole declared profile: the
-    truthful one, built once, with the agent's set substituted. `mode`
-    controls the cross-check of the truthful and best-deviation values the
-    search found: "exact" enumerates all phase-1 landings, "montecarlo"
-    simulates MC_TRIALS (10^4) trials. A request the cross-check would refuse
-    is refused before the search, and so is a search of more than
-    MAX_ENUMERATION label sets.
+    truthful one, built once, with the agent's set substituted. Each such
+    profile is a `CheckedLabels`, valid by construction, so the closed form
+    scores it without checking it again. `mode` controls the cross-check
+    of the truthful and best-deviation values the search found: "exact"
+    enumerates all phase-1 landings, "montecarlo" simulates MC_TRIALS
+    (10^4) trials. A request the cross-check would refuse is refused
+    before the search, and so is a search of more than MAX_ENUMERATION
+    label sets.
     """
     n, m = matrix.n, matrix.m
     if mode == "exact":
@@ -450,7 +501,9 @@ def sp_check_randomized(
     best_labels = truthful_labels
     best_desc = "truthful"
     for combo in combinations(range(m), k):
-        labels = truthful_labels[:agent] + (frozenset(combo),) + truthful_labels[agent + 1 :]
+        labels = CheckedLabels(
+            truthful_labels[:agent] + (frozenset(combo),) + truthful_labels[agent + 1 :], m
+        )
         cost = oracle(matrix, agent, labels)
         if cost < best:
             best = cost

@@ -61,8 +61,15 @@ oracles.deviation_search_reference referees sp_check_ordinal's report
 seeded checks at n 2..3 and m n+1..5, of integer costs 0..3 or of
 distinct floats, under every model with the grid on and off: seqpick,
 roundrobin, and dc3 at n = 3, each a Runner of the checked module, so
-that the check keys its cache by ranking and stops at the cheapest leaf
-of the pick tree where it does for the CLI.
+that the check keys its cache and stops at the cheapest leaf where it
+does for the CLI: by the ascending order and the pick tree for seqpick
+and roundrobin, by the divider's `model.rank` order and the chooser's
+offer for dc3. The tied dc3 cases check the divider, whose key the
+ranking-key mutant replaces. No mutant of the offer is listed: a dc3
+chooser never profits, so no offer, however wrong, changes a report.
+The offer's referees are test_dc3.py's property that a chooser's bundle
+lies in its offer and test_verify.py's count of the runs of a passing
+chooser check.
 
 Each unedited module must match its referee on every case, and every
 mutant must change at least one.
@@ -229,13 +236,13 @@ MUTANTS = {
         "return tuple(sorted(row))",
         "sp_check_ordinal",
     ),
-    # dc3 reads more than the ascending order: its choosers compare bundle
-    # sums, and its divider's `model.rank` reads ties the order does not
-    # show, so two rows of one ascending order can give it two bundles
+    # dc3's divider is keyed by the ascending order, not `model.rank`'s:
+    # the two read ties apart, so two rows of one ascending order can give
+    # it two bundles, and two of one ranking share a key no more
     "ranking key for dc3": (
         "verify",
-        "key = tuple if sequence is None else _ascending_order",
-        "key = _ascending_order if isinstance(algorithm, Runner) and m > n else tuple",
+        "return _descending_order, None",
+        "return _ascending_order, None",
         "sp_check_ordinal",
     ),
     # the rankings stop at the first profitable report, which need not be

@@ -128,6 +128,10 @@ def ascending_order(row):
     return tuple(sorted(range(len(row)), key=row.__getitem__))
 
 
+def descending_order(row):
+    return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
+
+
 def recording_allocate(monkeypatch, agent):
     """The agent's rows that a Runner runs, in order, from here on."""
     run = []
@@ -206,6 +210,51 @@ def test_a_passing_serial_pick_check_runs_the_truthful_row_alone(monkeypatch, na
         run.clear()
         runner = algorithm_runner(name)
         rep = sp_check_ordinal(runner, matrix, agent, model=model, include_grid=grid)
+        assert rep.deviation == "truthful"
+        assert len(run) == 1
+
+
+def test_a_public_grid_divider_check_runs_each_distinct_ranking_once(monkeypatch):
+    # dc3's divider reads its row only through its `model.rank` order, so
+    # the check runs one row per distinct order. A grid row that ties two
+    # items the public ranking orders against their indices (4 and 1, 2
+    # and 5) reverses them in that order: the survivors hold four orders
+    matrix = CostMatrix.from_rows([[2, 4, 3, 1, 2], [1, 2, 3, 4, 5], [3, 1, 1, 2, 4]])
+    true_row = matrix.costs[0]
+    run = recording_allocate(monkeypatch, 0)
+    rep = sp_check_ordinal(
+        algorithm_runner("dc3"), matrix, 0, model=Model.PUBLIC_RANKING, include_grid=True
+    )
+    assert rep.deviation == "truthful"
+    order = rankings(matrix)[0]
+    survivors = set()
+    for fs in product((0.5, 1.0, 2.0, 3.0), repeat=5):
+        row = tuple(f * c for f, c in zip(fs, true_row))
+        if all(row[a] >= row[b] for a, b in zip(order, order[1:])):
+            survivors.add(row)
+    orders = [descending_order(row) for row in run]
+    assert run[0] == true_row
+    assert len(orders) == len(set(orders)) == 4
+    assert set(orders) == {descending_order(row) for row in survivors | {true_row}}
+    assert len(survivors) > len(orders)
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [(Model.CARDINAL, False), (Model.CARDINAL, True), (Model.PUBLIC_RANKING, True)],
+)
+def test_a_passing_chooser_check_runs_the_truthful_row_alone(monkeypatch, model, grid):
+    # a dc3 chooser ends with a bundle on offer, and its truthful row takes
+    # the cheapest, so no misreport is enumerated, even at the item limit:
+    # the runner's one call is the truthful row's
+    rng = np.random.default_rng(2019)
+    matrix = uniform_instance(rng, 3, 7)
+    run = recording_allocate(monkeypatch, 0)
+    for agent in (1, 2):
+        run.clear()
+        rep = sp_check_ordinal(
+            algorithm_runner("dc3"), matrix, agent, model=model, include_grid=grid
+        )
         assert rep.deviation == "truthful"
         assert len(run) == 1
 
@@ -327,6 +376,24 @@ def test_exact_cross_check_enumerates_each_distinct_profile_once(monkeypatch):
     monkeypatch.setattr(verify, "enum_expected_cost", counting(inverted_pool_expected_cost))
     assert sp_check_randomized(inst, 0, mode="exact").profitable
     assert len(calls) == 2 and calls[0] != calls[1]
+
+
+@pytest.mark.parametrize("mode", ["exact", "montecarlo"])
+def test_a_randomized_check_checks_no_profile_it_built(monkeypatch, mode):
+    # the truthful profile and every candidate built from it are
+    # CheckedLabels, which check_labels passes unread: the one label_count
+    # call is label_sets' own
+    calls = []
+    real = algorithms.label_count
+
+    def counting(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(algorithms, "label_count", counting)
+    inst = CostMatrix.from_rows([[3, 1, 2, 1, 5], [1, 1, 1, 3, 2]])
+    assert not sp_check_randomized(inst, 0, mode=mode).profitable
+    assert calls == [(2, 5)]
 
 
 @pytest.mark.parametrize("mode", ["exact", "montecarlo"])
