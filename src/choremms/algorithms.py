@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, compress, groupby
 from numbers import Integral
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -259,29 +259,16 @@ def label_count(n: int, m: int) -> int:
     return min(int(math.floor(n * math.sqrt(math.log2(n)))), m)
 
 
-class CheckedLabels(tuple):
-    """A label profile known to be valid for every instance of its `len`
-    agents and `m` items, which `check_labels` then passes without reading
-    it: `label_sets` returns one, and a label search builds one per
-    candidate from the truthful sets and a k-subset of the items."""
-
-    m: int
-
-    def __new__(cls, labels: Iterable[frozenset[int]], m: int) -> "CheckedLabels":
-        profile = super().__new__(cls, labels)
-        profile.m = m
-        return profile
-
-
-def label_sets(matrix: CostMatrix) -> CheckedLabels:
+def label_sets(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
     """Truthful labels: each agent's top-K items by cost (canonical ties).
 
     A stable ascending sort of the negated costs keeps equal costs, both
-    zeros included, in ascending index order, as `rank` does.
+    zeros included, in ascending index order, as `rank` does. The profile
+    is a plain tuple: passed back as `labels`, it is checked like any other.
     """
     k = label_count(matrix.n, matrix.m)
     top = np.argsort(np.negative(matrix.costs), axis=1, kind="stable")[:, :k]
-    return CheckedLabels(map(frozenset, top.tolist()), matrix.m)
+    return tuple(map(frozenset, top.tolist()))
 
 
 Labels = Sequence[frozenset[int]]
@@ -290,13 +277,11 @@ Labels = Sequence[frozenset[int]]
 def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
     """The truthful `label_sets` when `labels` is None, else `labels` after
     checking one set per agent, of the canonical size, naming only integer
-    items 0..m-1 (a bool is no item, a numpy integer is). A `CheckedLabels`
-    of the instance's shape is passed as it is."""
+    items 0..m-1 (a bool is no item, a numpy integer is). Every profile
+    is checked this one way, whoever built it."""
     if labels is None:
         return label_sets(matrix)
     n, m = matrix.n, matrix.m
-    if type(labels) is CheckedLabels and (len(labels), labels.m) == (n, m):
-        return labels
     k = label_count(n, m)
     if len(labels) != n:
         raise ValueError(f"label profile must have {n} sets, got {len(labels)}")

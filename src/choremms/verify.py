@@ -29,12 +29,14 @@ items, and the bundles on offer (`algorithms.dc3_offer`) for a dc3
 `Runner`'s chooser on 3 agents and m > 3 items. When no leaf is cheaper
 than the truth, no misreport is, and the check reports "truthful" with
 nothing enumerated; a dc3 chooser's truthful report always takes the
-cheapest bundle on offer. Otherwise it enumerates as below, so that the
-deviation named is the first cheapest in enumeration order, and stops at
-the first report as cheap as the cheapest leaf: no later report can be
-strictly cheaper. A grid that may hold invalid rows (a negative factor,
-or an entry past 1e300) is enumerated in full, without the leaves, so
-that a refusal stays one.
+cheapest bundle on offer. Otherwise one scan consumes the misreports as
+one stream, the rankings and then the grid rows, so that the deviation
+named is the first cheapest in enumeration order. It has one stop, at the
+first report as cheap as the cheapest leaf, in either channel: no later
+report can be strictly cheaper, and leaving the scan ends the stream. A
+grid that may hold invalid rows (a negative factor, or an entry past
+1e300) is enumerated in full, without the leaves, so that a refusal stays
+one.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -54,7 +56,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .algorithms import (
-    CheckedLabels,
     Labels,
     allocate,
     check_labels,
@@ -214,8 +215,11 @@ def sp_check_ordinal(
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
     misreports is refused.
 
-    Every report, the truthful one first, runs by one call of `algorithm`
-    on the rebuilt matrix, and the costs are scanned in enumeration order.
+    The misreports come as one stream, in enumeration order: the rankings,
+    then the grid rows (those that keep the public ranking, under that
+    model). One scan runs every report, the truthful one first, by one call
+    of `algorithm` on the rebuilt matrix, and names the first cheapest; a
+    name is formatted only when its report improves on the best so far.
     The cache is keyed by what the rule reads of the row (`_reading`), so
     two rows of one key run once:
       - for a seqpick or roundrobin `Runner` on m > n items, the row's
@@ -230,11 +234,11 @@ def sp_check_ordinal(
     agent, and the bundles on offer to a dc3 chooser (all three to the
     first, index 1; to the second the two that the first one's truthful
     row leaves). If the cheapest leaf is no cheaper than the truth,
-    neither is any misreport, and none is enumerated. Otherwise the
-    enumeration stops at the first report that costs as little as that
-    leaf, skipping the grid if the rankings reach it: no later report can
-    be strictly cheaper, so the deviation named is the one a full
-    enumeration names.
+    neither is any misreport, and there is nothing to scan. Otherwise the
+    scan stops at the first report, ranking or grid row, that costs as
+    little as that leaf, and the rest of the stream is never made: no later
+    report can be strictly cheaper, so the deviation named is the one a
+    full enumeration names.
     """
     n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
@@ -279,68 +283,61 @@ def sp_check_ordinal(
             cache[k] = price(algorithm(reported).bundles[agent])
         return cache[k]
 
+    def misreports():
+        """Every misreport as (row, name), in enumeration order: the
+        rankings, then the grid rows; a name is formatted when called."""
+        if model in (Model.ORDINAL, Model.CARDINAL):
+            # the value at ranking position k is the truthful report's k-th
+            # largest entry, so every ranking misreport is a valid row
+            values = sorted(base[agent], reverse=True)
+            row = [0.0] * m
+            for perm in permutations(range(m)):
+                for pos, j in enumerate(perm):
+                    row[j] = values[pos]
+                yield tuple(row), lambda perm=perm: f"ranking {tuple(j + 1 for j in perm)}"
+        if grid_on:
+            factors = np.array(grid, dtype=float)
+            truth = np.array(true_row)
+            order = true_orders[agent]
+            for digits in _product_blocks(len(grid), m):
+                # factor x cost can overflow to inf, which validation refuses
+                with np.errstate(over="ignore"):
+                    rows = factors[digits] * truth
+                keep = np.ones(len(rows), dtype=bool)
+                if model is Model.PUBLIC_RANKING:
+                    for a, b in zip(order, order[1:]):
+                        keep &= rows[:, a] >= rows[:, b]
+                survivors = np.flatnonzero(keep)
+                for k, row in zip(survivors.tolist(), rows[survivors].tolist()):
+                    if not valid_as_they_stand:
+                        # validate the whole report: an entry or the row's
+                        # sum may have left the float range
+                        reported = list(base)
+                        reported[agent] = row
+                        row = CostMatrix.from_rows(reported).costs[agent]
+                    yield tuple(row), lambda k=k, digits=digits: (
+                        f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"
+                    )
+
     truthful_cost = cost_of(base[agent])
     best = truthful_cost
     best_desc = "truthful"
 
     # Every valid report's bundle is a leaf, so no report costs less than
-    # the cheapest leaf. When that is no cheaper than the truth, enumeration
-    # would name nothing, nor refuse a grid row; else it stops once it has
-    # found a report that cheap, since no later one can be strictly cheaper.
+    # the cheapest leaf. When that is no cheaper than the truth, there is
+    # nothing to scan: enumeration would name nothing, nor refuse a grid
+    # row. Else the scan stops once it has found a report that cheap, since
+    # no later one can be strictly cheaper.
     least = -math.inf
     if searched and leaves is not None and valid_as_they_stand:
         least = min(map(price, leaves))
-        if least >= truthful_cost:
-            return DeviationReport(
-                agent=agent,
-                truthful_cost=truthful_cost,
-                best_deviation_cost=best,
-                deviation=best_desc,
-            )
-
-    if model in (Model.ORDINAL, Model.CARDINAL):
-        # the value at ranking position k is the truthful report's k-th
-        # largest entry, so every ranking misreport is a valid row
-        values = sorted(base[agent], reverse=True)
-        row = [0.0] * m
-        for perm in permutations(range(m)):
-            for pos, j in enumerate(perm):
-                row[j] = values[pos]
-            cost = cost_of(tuple(row))
-            if cost < best:
-                best = cost
-                best_desc = f"ranking {tuple(j + 1 for j in perm)}"
-                if best <= least:
-                    break
-
-    if grid_on:
-        factors = np.array(grid, dtype=float)
-        truth = np.array(true_row)
-        order = true_orders[agent]
-        for digits in _product_blocks(len(grid), m):
+    for row, name in misreports() if least < truthful_cost else ():
+        cost = cost_of(row)
+        if cost < best:
+            best = cost
+            best_desc = name()
             if best <= least:
                 break
-            # factor x cost can overflow to inf, which validation refuses
-            with np.errstate(over="ignore"):
-                rows = factors[digits] * truth
-            keep = np.ones(len(rows), dtype=bool)
-            if model is Model.PUBLIC_RANKING:
-                for a, b in zip(order, order[1:]):
-                    keep &= rows[:, a] >= rows[:, b]
-            survivors = np.flatnonzero(keep)
-            for k, row in zip(survivors.tolist(), rows[survivors].tolist()):
-                if not valid_as_they_stand:
-                    # validate the whole report: an entry or the row's sum
-                    # may have left the float range
-                    reported = list(base)
-                    reported[agent] = row
-                    row = CostMatrix.from_rows(reported).costs[agent]
-                cost = cost_of(tuple(row))
-                if cost < best:
-                    best = cost
-                    best_desc = f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"
-                    if best <= least:
-                        break
 
     if model is Model.PUBLIC_RANKING and not include_grid:
         best_desc = "none (ordinal report channel closed under public rankings)"
@@ -470,13 +467,12 @@ def sp_check_randomized(
     The search itself uses the closed-form expectation (or a caller-supplied
     one, e.g. for a mutant), called with the whole declared profile: the
     truthful one, built once, with the agent's set substituted. Each such
-    profile is a `CheckedLabels`, valid by construction, so the closed form
-    scores it without checking it again. `mode` controls the cross-check
-    of the truthful and best-deviation values the search found: "exact"
-    enumerates all phase-1 landings, "montecarlo" simulates MC_TRIALS
-    (10^4) trials. A request the cross-check would refuse is refused
-    before the search, and so is a search of more than MAX_ENUMERATION
-    label sets.
+    profile is a plain tuple, which the closed form checks as it checks any
+    caller's profile. `mode` controls the cross-check of the truthful and
+    best-deviation values the search found: "exact" enumerates all phase-1
+    landings, "montecarlo" simulates MC_TRIALS (10^4) trials. A request the
+    cross-check would refuse is refused before the search, and so is a
+    search of more than MAX_ENUMERATION label sets.
     """
     n, m = matrix.n, matrix.m
     if mode == "exact":
@@ -501,9 +497,7 @@ def sp_check_randomized(
     best_labels = truthful_labels
     best_desc = "truthful"
     for combo in combinations(range(m), k):
-        labels = CheckedLabels(
-            truthful_labels[:agent] + (frozenset(combo),) + truthful_labels[agent + 1 :], m
-        )
+        labels = truthful_labels[:agent] + (frozenset(combo),) + truthful_labels[agent + 1 :]
         cost = oracle(matrix, agent, labels)
         if cost < best:
             best = cost

@@ -247,8 +247,8 @@ def test_label_items_outside_the_instance_are_refused(item):
 
 def test_a_checked_profile_of_another_instance_is_checked_again():
     # label_sets' profile of a 2x5 instance names item 4, which a 2x4
-    # instance does not have: a CheckedLabels passes unread only for its
-    # own shape
+    # instance does not have: a profile label_sets built is checked like
+    # any caller's
     labels = label_sets(CostMatrix.from_rows([[1, 1, 1, 5, 9], [9, 5, 1, 1, 1]]))
     inst = CostMatrix.from_rows([[3, 1, 2, 5], [1, 2, 3, 4]])
     message = re.escape("label set [3, 4] names an item outside 0..3")

@@ -65,7 +65,10 @@ that the check keys its cache and stops at the cheapest leaf where it
 does for the CLI: by the ascending order and the pick tree for seqpick
 and roundrobin, by the divider's `model.rank` order and the chooser's
 offer for dc3. The tied dc3 cases check the divider, whose key the
-ranking-key mutant replaces. No mutant of the offer is listed: a dc3
+ranking-key mutant replaces. The scan has one stop, for ranking and grid
+misreports alike; the stop mutant, which stops at the first profitable
+report, changes cardinal checks that stop in the rankings and a public
+dc3 check that stops in the grid. No mutant of the offer is listed: a dc3
 chooser never profits, so no offer, however wrong, changes a report.
 The offer's referees are test_dc3.py's property that a chooser's bundle
 lies in its offer and test_verify.py's count of the runs of a passing
@@ -245,12 +248,12 @@ MUTANTS = {
         "return _ascending_order, None",
         "sp_check_ordinal",
     ),
-    # the rankings stop at the first profitable report, which need not be
-    # as cheap as the cheapest leaf
-    "stop at the first profitable ranking": (
+    # the scan stops at the first profitable report, ranking or grid row,
+    # which need not be as cheap as the cheapest leaf
+    "stop at the first profitable report": (
         "verify",
-        "                if best <= least:\n                    break\n",
-        "                if best < truthful_cost:\n                    break\n",
+        "            if best <= least:\n                break\n",
+        "            if best < truthful_cost:\n                break\n",
         "sp_check_ordinal",
     ),
     # a trial's cost adds the agent's items from the last column down

@@ -191,6 +191,22 @@ def test_a_failing_serial_pick_check_stops_at_the_cheapest_leaf(monkeypatch):
     assert len(run) < len(set(permutations(true_row)))
 
 
+def test_a_failing_serial_pick_check_stops_in_the_grid_at_the_cheapest_leaf(monkeypatch):
+    # no ranking misreport reaches the agent's cheapest leaf (2), so the
+    # scan goes on into the grid and stops at the first grid row that
+    # does: the truthful row, its two other rankings and two grid rows run
+    matrix = CostMatrix.from_rows([[3, 1, 1], [2, 3, 1]])
+    leaves = algorithms.pick_tree(matrix, algorithms.pick_sequence("roundrobin", 2, 3), 0)
+    assert min(sum(matrix.costs[0][j] for j in leaf) for leaf in leaves) == 2.0
+    run = recording_allocate(monkeypatch, 0)
+    rep = sp_check_ordinal(
+        algorithm_runner("roundrobin"), matrix, 0, model=Model.CARDINAL, include_grid=True
+    )
+    assert (rep.best_deviation_cost, rep.deviation) == (2.0, "grid factors (0.5, 1.0, 0.5)")
+    assert run[-1] == (1.5, 1.0, 0.5)
+    assert len(run) == 5
+
+
 @pytest.mark.parametrize(
     "name, model, grid",
     [
@@ -376,24 +392,6 @@ def test_exact_cross_check_enumerates_each_distinct_profile_once(monkeypatch):
     monkeypatch.setattr(verify, "enum_expected_cost", counting(inverted_pool_expected_cost))
     assert sp_check_randomized(inst, 0, mode="exact").profitable
     assert len(calls) == 2 and calls[0] != calls[1]
-
-
-@pytest.mark.parametrize("mode", ["exact", "montecarlo"])
-def test_a_randomized_check_checks_no_profile_it_built(monkeypatch, mode):
-    # the truthful profile and every candidate built from it are
-    # CheckedLabels, which check_labels passes unread: the one label_count
-    # call is label_sets' own
-    calls = []
-    real = algorithms.label_count
-
-    def counting(n, m):
-        calls.append((n, m))
-        return real(n, m)
-
-    monkeypatch.setattr(algorithms, "label_count", counting)
-    inst = CostMatrix.from_rows([[3, 1, 2, 1, 5], [1, 1, 1, 3, 2]])
-    assert not sp_check_randomized(inst, 0, mode=mode).profitable
-    assert calls == [(2, 5)]
 
 
 @pytest.mark.parametrize("mode", ["exact", "montecarlo"])
