@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import Allocation, CostMatrix, Model, descending, rank, rankings, surrogate_matrix
+from .model import Allocation, CostMatrix, Model, descending, rank
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,8 @@ ALGORITHMS = ("seqpick", "randdecl", "roundrobin", "dc3")
 
 def serial_pick(matrix: CostMatrix, sequence: Sequence[int]) -> Allocation:
     """Serial dictatorship: each entry of `sequence` is an agent, who takes
-    its cheapest unassigned item, ties going to the lower index.
+    its cheapest unassigned item, ties going to the higher index: an agent
+    takes its items in `model.rank`'s order reversed.
 
     seqpick and roundrobin are this rule with different pick sequences. An
     agent sorts the items still free at its first turn, once: items only
@@ -77,9 +78,11 @@ def _play(
     for i in turns:
         order = orders[i]
         if order is None:
-            # a stable sort over ascending indices is the index tie-break
-            row = costs[i]
-            order = orders[i] = sorted(compress(items, free), key=row.__getitem__)
+            # a stable descending sort, reversed: `model.rank`'s order of the
+            # free items, cheapest first, so ties go to the higher index
+            key = costs[i].__getitem__
+            order = orders[i] = sorted(compress(items, free), key=key, reverse=True)
+            order.reverse()
         p = pointers[i]
         while not free[order[p]]:
             p += 1
@@ -95,7 +98,7 @@ def pick_tree(matrix: CostMatrix, sequence: Sequence[int], agent: int) -> Iterat
 
     At each of its turns the agent takes some free item, and every other
     agent picks by its row of `matrix`, through `_play`. Every reported row,
-    its index tie-break included, yields one of these bundles, and a strict
+    ties included, yields one of these bundles, and a strict
     ranking that puts a leaf's picks first yields that leaf. A run of the
     agent's consecutive turns takes one set of items, since no other pick
     falls between them; the turns after its last one take nothing from it.
@@ -329,12 +332,12 @@ def randdecl(
     pooled = np.flatnonzero(in_pool)
     dealt = pooled[rng.permutation(len(pooled))]
     start = rng.integers(0, n)
-    kept = np.flatnonzero(~in_pool)
-    order = np.concatenate([dealt, kept])
+    # the deal passes over the kept items; each bundle takes its kept items
+    # first, in index order, which fixes the order its cost sums add in
+    order = np.concatenate([np.flatnonzero(~in_pool), dealt])
     owner = randdecl_deal(marks, landing[None], order[None], np.array([start]))[0].tolist()
-    # kept items join their bundle in index order, then dealt ones in deal order
     bundles: list[set[int]] = [set() for _ in range(n)]
-    for j in kept.tolist() + dealt.tolist():
+    for j in order.tolist():
         bundles[owner[j]].add(j)
     return Allocation.from_lists(bundles)
 
@@ -474,12 +477,11 @@ def allocate(
     """Run one of the four algorithms on an instance.
 
     When m <= n the algorithm is bypassed entirely in favour of a one-item-
-    each allocation. Under the ordinal model the algorithms are handed
-    surrogate costs built from the rankings alone, so two instances with
-    identical rankings produce identical allocations no matter the
-    magnitudes; dc3 compares bundle costs, so it refuses that model. Every
-    other model hands over the reported costs: public rankings only narrow
-    the misreports a deviation search tries.
+    each allocation. Every model hands the rule the reported costs: under
+    the ordinal model seqpick, roundrobin and randdecl read a row only
+    through its ranking (a tested property), and dc3, which compares bundle
+    costs, is refused; public rankings only narrow the misreports a
+    deviation search tries.
     """
     check_algorithm(algorithm, model)
     if algorithm == "dc3" and matrix.n != 3:
@@ -488,15 +490,10 @@ def allocate(
         return one_item_each(matrix)
     if algorithm == "randdecl" and seed is None:
         raise ValueError("randdecl requires a seed")
-
-    work = matrix
-    if model is Model.ORDINAL:
-        work = surrogate_matrix(rankings(matrix))
-
     if algorithm == "seqpick":
-        return seqpick(work)
+        return seqpick(matrix)
     if algorithm == "randdecl":
-        return randdecl(work, seed)
+        return randdecl(matrix, seed)
     if algorithm == "roundrobin":
-        return roundrobin(work, agent_order)
-    return divide_choose_3(work)
+        return roundrobin(matrix, agent_order)
+    return divide_choose_3(matrix)

@@ -3,12 +3,11 @@
 Conventions used throughout the package:
   - items and agents are 0-indexed internally, 1-indexed in all external
     (JSON / CLI) formats;
-  - `descending` is the one descending cost order, ties by ascending
-    index: rankings, the exact share's item order and the one-item-each
-    bypass all read it, and `algorithms.label_sets` is its numpy form. A
-    greedy pick reads ties the opposite way, taking the lower index as the
-    cheaper item (a known defect under public-ranking grid reports, pinned
-    by the strict xfail `test_spcheck_public_grid_tie_is_not_profitable`);
+  - `descending` is the one cost order, ties by ascending index:
+    rankings, the exact share's item order and the one-item-each bypass
+    all read it, `algorithms.label_sets` is its numpy form, and a greedy
+    pick reads it reversed, taking the higher index as the cheaper of two
+    tied items;
   - all-zero cost rows are legal but flagged as degenerate, and the ratio
     convention 0/0 = 1 keeps reports finite.
 """
@@ -141,9 +140,9 @@ def rankings(matrix: CostMatrix) -> tuple[tuple[int, ...], ...]:
 def surrogate_matrix(orders: Sequence[Sequence[int]]) -> CostMatrix:
     """Rank-driven stand-in costs: the item at ranking position k costs m - k.
 
-    Handing ordinal algorithms a surrogate matrix instead of the real one
-    enforces the information firewall: they cannot react to cardinal
-    magnitudes they are not entitled to see.
+    The ordinal deviation search reports rankings as these costs. A rule
+    the ordinal model accepts gives the same allocation on them as on the
+    real costs of those rankings, which the tests check.
     """
     rows = []
     for order in orders:

@@ -10,39 +10,39 @@ rankings, in exact rational arithmetic.
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
 blocks of at most BLOCK rows, in `itertools.product` order. A grid
 block is filtered by the public ranking with one column comparison per
-adjacent pair. A deviation search runs each report on the rebuilt
-matrix, the truthful one first, and scans the costs in enumeration
-order. It runs each distinct reported row once; for a seqpick or
-roundrobin `Runner` on m > n items, each distinct ranking of the row
-once, since the rule reads the row only through its stable ascending
-order; and for dc3's divider (agent index 0) on 3 agents and m > 3
-items, each distinct `model.rank` order of the row once, since the cut
-reads it through nothing else. A landing block adds each landing's sums
-column by column, and the total is carried from landing to landing, so
-the expectation is the one a per-landing loop computes, bit for bit.
-Monte-Carlo trials are dealt BLOCK at a time too.
+adjacent pair: a row is kept when its `model.rank` order is the public
+ranking. A deviation search runs each report on the rebuilt matrix, the
+truthful one first, and scans the costs in enumeration order. It runs
+each distinct reported row once; for a seqpick or roundrobin `Runner` on
+m > n items, and for dc3's divider (agent index 0) on 3 agents and m > 3
+items, each distinct ranking of the row once, since the rule reads the
+row through its `model.rank` order alone. A landing block adds each
+landing's sums column by column, and the total is carried from landing
+to landing, so the expectation is the one a per-landing loop computes,
+bit for bit. Monte-Carlo trials are dealt BLOCK at a time too.
 
 Where the rule tells every bundle any report can give the agent, its
 leaves, the check prices them first: the agent's pick tree
 (`algorithms.pick_tree`) for a seqpick or roundrobin `Runner` on m > n
 items, and the bundles on offer (`algorithms.dc3_offer`) for a dc3
-`Runner`'s chooser on 3 agents and m > 3 items. When no leaf is cheaper
-than the truth, no misreport is, and the check reports "truthful" with
-nothing enumerated; a dc3 chooser's truthful report always takes the
-cheapest bundle on offer. Otherwise one scan consumes the misreports as
-one stream, the rankings and then the grid rows, so that the deviation
-named is the first cheapest in enumeration order. It has one stop, at the
-first report as cheap as the cheapest leaf, in either channel: no later
-report can be strictly cheaper, and leaving the scan ends the stream. A
-grid that may hold invalid rows (a negative factor, or an entry past
-1e300) is enumerated in full, without the leaves, so that a refusal stays
-one.
+`Runner`'s chooser on 3 agents and m > 3 items; under public rankings a
+check keyed by the ranking has one, the truthful bundle. When no leaf is
+cheaper than the truth, no misreport is, and the check reports
+"truthful" with nothing enumerated. Otherwise one scan consumes the
+misreports as one stream, the rankings and then the grid rows, so that
+the deviation named is the first cheapest in enumeration order. It has
+one stop, at the first report as cheap as the cheapest leaf, in either
+channel: no later report can be strictly cheaper, and leaving the scan
+ends the stream. A grid that may hold invalid rows (a negative factor,
+or an entry past 1e300) is enumerated in full, without the leaves, so
+that a refusal stays one.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
 `surrogate_matrix` under the ordinal model, the agent's true costs under
 the cardinal one. A report's `profitable` is derived from its two costs:
-the best deviation undercuts the truthful cost by more than PROFIT_TOL.
+the best deviation undercuts the truthful cost by more than a PROFIT_TOL
+share of it, so a verdict does not depend on the unit of cost.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class DeviationReport:
 
     @property
     def profitable(self) -> bool:
-        return self.best_deviation_cost < self.truthful_cost - PROFIT_TOL
+        return self.best_deviation_cost < self.truthful_cost * (1.0 - PROFIT_TOL)
 
     def to_jsonable(self) -> dict:
         return {
@@ -118,8 +118,8 @@ class Runner:
     reads of an agent's row (see `_reading`). seqpick and roundrobin read
     it only through its ranking: the check then runs one report per
     distinct ranking and bounds the search by the agent's pick tree. dc3
-    reads its divider's row only through `model.rank`, which keys that
-    check, and bounds each chooser's search by the bundles on offer.
+    reads its divider's row only through its ranking too, and bounds each
+    chooser's search by the bundles on offer.
     """
 
     name: str
@@ -135,18 +135,11 @@ def algorithm_runner(name: str) -> Runner:
     return Runner(name)
 
 
-def _ascending_order(row: Sequence[float]) -> tuple[int, ...]:
-    """The row's items by ascending cost, ties by ascending index: the
-    stable sort `algorithms._play` gives an agent's row. A serial-pick rule
-    reads the row through this order alone, since an agent's sort of the
-    items still free is this order restricted to them."""
-    return tuple(sorted(range(len(row)), key=row.__getitem__))
-
-
-def _descending_order(row: Sequence[float]) -> tuple[int, ...]:
-    """The row's items by descending cost, ties by ascending index: the
-    order `model.rank` gives an agent's row, along which dc3's divider
-    cuts its bundles. The divider's row is read through nothing else."""
+def _ranking(row: Sequence[float]) -> tuple[int, ...]:
+    """The row's `model.rank` order: its items by descending cost, ties by
+    ascending index. A serial-pick agent takes the items still free in
+    this order reversed, and dc3's divider cuts its bundles along it, so
+    either rule reads the row through nothing else."""
     return tuple(descending(row))
 
 
@@ -159,23 +152,22 @@ def _reading(
     Two rows of one key give the agent one bundle. Every valid report gives
     it one of the leaves, when they are known (else None):
       - a seqpick or roundrobin Runner on m > n items reads the row through
-        its stable ascending order alone, and the leaves are the agent's
-        pick tree (walked only when read);
+        its `_ranking` alone, and the leaves are the agent's pick tree
+        (walked only when read);
       - a dc3 Runner on n = 3 agents and m > 3 items reads the divider's
-        row (agent index 0) through its `model.rank` order alone, with no
-        leaves; a chooser's row picks among the bundles on offer
-        (`dc3_offer`), so those are its leaves, and the row itself is the
-        key;
+        row (agent index 0) through its `_ranking` alone, with no leaves; a
+        chooser's row picks among the bundles on offer (`dc3_offer`), so
+        those are its leaves, and the row itself is the key;
       - any other check is keyed by the row itself, with no leaves.
     """
     n, m = matrix.n, matrix.m
     if isinstance(algorithm, Runner) and m > n:
         if algorithm.name in ("seqpick", "roundrobin"):
             sequence = pick_sequence(algorithm.name, n, m)
-            return _ascending_order, pick_tree(matrix, sequence, agent)
+            return _ranking, pick_tree(matrix, sequence, agent)
         if algorithm.name == "dc3" and n == 3:
             if agent == 0:
-                return _descending_order, None
+                return _ranking, None
             return tuple, dc3_offer(matrix, agent)
     return tuple, None
 
@@ -222,23 +214,23 @@ def sp_check_ordinal(
     name is formatted only when its report improves on the best so far.
     The cache is keyed by what the rule reads of the row (`_reading`), so
     two rows of one key run once:
-      - for a seqpick or roundrobin `Runner` on m > n items, the row's
-        stable ascending order, the order `_play` sorts by;
-      - for dc3's divider (agent index 0) under a dc3 `Runner` on 3
-        agents and m > 3 items, the row's `model.rank` order, the order
-        the divider cuts along;
+      - for a seqpick or roundrobin `Runner` on m > n items, and for dc3's
+        divider (agent index 0) under a dc3 `Runner` on 3 agents and m > 3
+        items, the row's `model.rank` order;
       - for anything else, the row itself.
     Where the rule also tells the agent's leaves, every bundle a valid
     report can give it, the check prices them first (when every grid row
     is valid as it stands): the pick tree of a seqpick or roundrobin
     agent, and the bundles on offer to a dc3 chooser (all three to the
     first, index 1; to the second the two that the first one's truthful
-    row leaves). If the cheapest leaf is no cheaper than the truth,
-    neither is any misreport, and there is nothing to scan. Otherwise the
-    scan stops at the first report, ranking or grid row, that costs as
-    little as that leaf, and the rest of the stream is never made: no later
-    report can be strictly cheaper, so the deviation named is the one a
-    full enumeration names.
+    row leaves). Under public rankings a check keyed by the ranking has
+    one leaf, the truthful bundle: the filter keeps only grid rows whose
+    `model.rank` order is the public ranking. If the cheapest leaf is no
+    cheaper than the truth, neither is any misreport, and there is nothing
+    to scan. Otherwise the scan stops at the first report, ranking or grid
+    row, that costs as little as that leaf, and the rest of the stream is
+    never made: no later report can be strictly cheaper, so the deviation
+    named is the one a full enumeration names.
     """
     n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
@@ -305,8 +297,9 @@ def sp_check_ordinal(
                     rows = factors[digits] * truth
                 keep = np.ones(len(rows), dtype=bool)
                 if model is Model.PUBLIC_RANKING:
+                    # `model.rank` lists a tied pair by ascending index
                     for a, b in zip(order, order[1:]):
-                        keep &= rows[:, a] >= rows[:, b]
+                        keep &= rows[:, a] > rows[:, b] if a > b else rows[:, a] >= rows[:, b]
                 survivors = np.flatnonzero(keep)
                 for k, row in zip(survivors.tolist(), rows[survivors].tolist()):
                     if not valid_as_they_stand:
@@ -329,8 +322,13 @@ def sp_check_ordinal(
     # row. Else the scan stops once it has found a report that cheap, since
     # no later one can be strictly cheaper.
     least = -math.inf
-    if searched and leaves is not None and valid_as_they_stand:
-        least = min(map(price, leaves))
+    if searched and valid_as_they_stand:
+        if model is Model.PUBLIC_RANKING and key is _ranking:
+            # every row kept has the truthful ranking: the one leaf is the
+            # truthful bundle
+            least = truthful_cost
+        elif leaves is not None:
+            least = min(map(price, leaves))
     for row, name in misreports() if least < truthful_cost else ():
         cost = cost_of(row)
         if cost < best:
@@ -516,7 +514,7 @@ def sp_check_randomized(
                     f"expected cost is not finite (closed form {val}, enumeration "
                     f"{ref}); the costs are too large to cross-check"
                 )
-            if abs(ref - val) > 1e-9:
+            if abs(ref - val) > 1e-9 * max(1.0, abs(ref)):
                 raise AssertionError(
                     f"closed form {val} disagrees with enumeration {ref} "
                     f"for the agent's labels {sorted(labels[agent])}"
@@ -528,7 +526,8 @@ def sp_check_randomized(
                 f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "
                 "the costs are too large to cross-check"
             )
-        slack = max(6.0 * stderr, 1e-12)
+        # the two differ by rounding, in proportion to the costs, at least
+        slack = max(6.0 * stderr, 1e-12 * max(1.0, abs(truthful)))
         if abs(est - truthful) > slack:
             raise AssertionError(
                 f"Monte-Carlo estimate {est} is {abs(est - truthful):.3g} away "

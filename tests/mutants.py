@@ -32,6 +32,17 @@ def argmax_assigner(matrix: CostMatrix) -> Allocation:
     return Allocation.from_lists(bundles)
 
 
+def argmin_assigner(matrix: CostMatrix) -> Allocation:
+    """Assigns every item to whoever minds it least, ties by ascending
+    agent index; reporting a held item as costlier can shed it, even in
+    the public ranking's order, so this is not strategyproof there."""
+    bundles: list[set[int]] = [set() for _ in range(matrix.n)]
+    for j in range(matrix.m):
+        winner = min(range(matrix.n), key=lambda i: (matrix.row(i)[j], i))
+        bundles[winner].add(j)
+    return Allocation.from_lists(bundles)
+
+
 def inverted_gather(item: int, recipient: int, labels) -> bool:
     """A randdecl pooling rule turned inside out: an item is pooled when its
     recipient did NOT declare it large."""

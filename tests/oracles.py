@@ -182,12 +182,13 @@ def label_sets_reference(matrix: CostMatrix) -> tuple[frozenset[int], ...]:
 
 def serial_pick_reference(matrix, sequence: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Bundles when each agent of `sequence` in turn takes the remaining
-    item that is smallest by (its cost, index)."""
+    item that is smallest by (its cost, minus its index): of two tied
+    items, the one `rank_reference` lists last."""
     costs = matrix.costs
     remaining = set(range(len(costs[0])))
     bundles: list[set[int]] = [set() for _ in costs]
     for i in sequence:
-        j = min(remaining, key=lambda t: (costs[i][t], t))
+        j = min(remaining, key=lambda t: (costs[i][t], -t))
         bundles[i].add(j)
         remaining.remove(j)
     return tuple(frozenset(b) for b in bundles)
@@ -310,7 +311,10 @@ def deviation_search_reference(
 
     Misreports are tried in sp_check_ordinal's order (rankings in
     lexicographic order, then grid factors), and the first strictly cheaper
-    one is the one described.
+    one is the one described. Under public rankings a grid row is tried
+    when its `rank_reference` order is the agent's true one. A deviation is
+    profitable when it undercuts the truthful cost by more than a `tol`
+    share of it.
     """
     m = matrix.m
     true_row = matrix.costs[agent]
@@ -343,9 +347,7 @@ def deviation_search_reference(
         true_order = rank_reference(true_row)
         for factors in product(grid_factors, repeat=m):
             row = [f * c for f, c in zip(factors, true_row)]
-            if model is Model.PUBLIC_RANKING and any(
-                row[a] < row[b] for a, b in zip(true_order, true_order[1:])
-            ):
+            if model is Model.PUBLIC_RANKING and rank_reference(row) != true_order:
                 continue
             misreports.append((f"grid factors {factors}", row))
     best, desc = truthful, "truthful"
@@ -355,7 +357,7 @@ def deviation_search_reference(
             best, desc = cost, label
     if model is Model.PUBLIC_RANKING and not include_grid:
         desc = "none (ordinal report channel closed under public rankings)"
-    return truthful, best, desc, best < truthful - tol
+    return truthful, best, desc, best < truthful * (1.0 - tol)
 
 
 def witness_ordinal_rand_grid() -> tuple[float, float]:

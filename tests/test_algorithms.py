@@ -23,7 +23,7 @@ from choremms.algorithms import (
     seqpick,
 )
 from choremms.mms import evaluate, mms_exact
-from choremms.model import CostMatrix, Model, rankings
+from choremms.model import CostMatrix, Model, rank, rankings, surrogate_matrix
 from choremms.verify import enum_expected_cost, mc_expected_cost
 
 
@@ -106,8 +106,9 @@ def test_schedule_built_once_per_size(caplog):
 def test_seqpick_tie_break_example():
     m = CostMatrix.from_rows([[3, 1, 1, 1], [3, 1, 1, 1]])
     alloc = seqpick(m)
-    assert alloc.bundles[1] == frozenset({1, 2})  # cheapest two, ties by index
-    assert alloc.bundles[0] == frozenset({0, 3})
+    # cheapest two, ties going to the higher index
+    assert alloc.bundles[1] == frozenset({2, 3})
+    assert alloc.bundles[0] == frozenset({0, 1})
 
 
 def test_seqpick_opposed_rows():
@@ -334,11 +335,12 @@ def test_roundrobin_one_item_each_when_m_equals_n():
     assert all(len(b) == 1 for b in alloc.bundles)
 
 
-def test_pick_order_ties_ascending_index():
+def test_pick_order_ties_descending_index():
     # four pickers on one shared row take its items in pick order:
-    # cheapest first, ties by ascending index
+    # cheapest first, ties by descending index, `rank`'s order reversed
     m = CostMatrix.from_rows([[3, 1, 1, 1]] * 4)
-    assert [sorted(b) for b in roundrobin(m).bundles] == [[1], [2], [3], [0]]
+    assert [sorted(b) for b in roundrobin(m).bundles] == [[3], [2], [1], [0]]
+    assert rank(m, 0) == (0, 1, 2, 3)
 
 
 def test_roundrobin_custom_order():
@@ -483,6 +485,23 @@ def test_ordinal_firewall(pair, seed):
     assert allocate(a, "randdecl", model=Model.ORDINAL, seed=seed) == allocate(
         b, "randdecl", model=Model.ORDINAL, seed=seed
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_ordinal_model_needs_no_surrogate(data, seed):
+    # on tied rows, the rank-only surrogate costs of the rankings give every
+    # rule the ordinal model accepts the allocation the real costs give:
+    # the pick breaks a tie as `rank` lists it, and randdecl's labels are
+    # the top of `rank`
+    n = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(n + 1, 11))
+    row = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    matrix = CostMatrix.from_rows(data.draw(st.lists(row, min_size=n, max_size=n)))
+    surrogate = surrogate_matrix(rankings(matrix))
+    for alg in ("seqpick", "roundrobin", "randdecl"):
+        ordinal = allocate(matrix, alg, model=Model.ORDINAL, seed=seed)
+        assert ordinal == allocate(surrogate, alg, seed=seed) == allocate(matrix, alg, seed=seed)
 
 
 def test_every_algorithm_outputs_partition():

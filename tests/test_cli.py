@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import choremms
 from choremms import cli
@@ -207,7 +209,8 @@ def test_allocate_seqpick_with_report(capsys, instance):
     path = instance([[3, 1, 1, 1], [3, 1, 1, 1]])
     code, doc, _ = run_json(capsys, ["allocate", "--instance", path, "--alg", "seqpick"])
     assert code == 0
-    assert doc["bundles"] == [[1, 4], [2, 3]]
+    # agent 2 picks first: its cheapest two, ties going to the higher index
+    assert doc["bundles"] == [[1, 2], [3, 4]]
     assert doc["report"]["max_ratio"] == pytest.approx(4 / 3)
 
 
@@ -409,17 +412,81 @@ def test_spcheck_roundrobin_public(capsys, instance):
     assert all(not r["profitable"] for r in doc["reports"])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="rank lists tied costs lower index first from the costly end, while "
-    "serial_pick takes the lower index first as the cheaper item, so a grid report "
-    "that breaks a true tie the way the public ranking already states moves the pick",
-)
 def test_spcheck_public_grid_tie_is_not_profitable(capsys, instance):
+    # a grid report that keeps the public ranking keeps the pick: the tie
+    # rule of the ranking and of the pick is one
     path = instance([[3, 3, 2, 2, 4, 4], [2, 1, 1, 2, 2, 2], [4, 2, 4, 1, 2, 1]])
     argv = ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public"]
     code, doc, _ = run_json(capsys, argv + ["--grid", "--agent", "1"])
     assert (code, doc["reports"][0]["profitable"]) == (0, False)
+
+
+SPCHECK_FLAGS = [
+    ["--alg", "seqpick", "--model", "ordinal"],
+    ["--alg", "seqpick", "--model", "cardinal", "--grid"],
+    ["--alg", "roundrobin", "--model", "ordinal"],
+    ["--alg", "roundrobin", "--model", "cardinal", "--grid"],
+    ["--alg", "roundrobin", "--model", "public", "--grid"],
+    ["--alg", "dc3", "--model", "cardinal", "--grid"],
+    ["--alg", "dc3", "--model", "public", "--grid"],
+    ["--alg", "randdecl", "--exact"],
+    ["--alg", "randdecl"],
+]
+# each example writes its own instance and reads its own output
+PER_EXAMPLE = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def spchecks(draw, costs):
+    """spcheck flags and n x m rows of `costs`, with n = 3 for dc3 and 2 or
+    3 otherwise, and m from n + 1 to 5."""
+    flags = draw(st.sampled_from(SPCHECK_FLAGS))
+    n = 3 if "dc3" in flags else draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, 5))
+    return flags, draw(st.lists(st.lists(costs, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@PER_EXAMPLE
+@given(check=spchecks(st.integers(1, 9)), k=st.integers(-200, 200))
+# agent 2 gains 1 by a misreport, which is 2^-100 after scaling
+@example(check=(SPCHECK_FLAGS[2], [[10, 1, 2, 3], [1, 5, 6, 7]]), k=-100)
+def test_spcheck_verdicts_do_not_depend_on_the_unit(capsys, instance, check, k):
+    # a power of two scales every float sum exactly, so only a tolerance
+    # that ignores the unit could move a verdict or an exit code
+    flags, rows = check
+    verdicts = []
+    for scale in (1.0, 2.0**k):
+        path = instance([[c * scale for c in row] for row in rows])
+        code, doc, _ = run_json(capsys, ["spcheck", "--instance", path, *flags])
+        verdicts.append((code, [(r["deviation"], r["profitable"]) for r in doc["reports"]]))
+    assert verdicts[0] == verdicts[1]
+
+
+@PER_EXAMPLE
+@given(check=spchecks(st.floats(1e-300, 1e300)))
+# the closed form and the enumeration differ here by 2 parts in 1e16
+@example(
+    check=(
+        SPCHECK_FLAGS[7],
+        [
+            [10 / 3 * 1e6, 10 / 3 * 1e6, 3e7, 3e7, 1e7],
+            [20 / 3 * 1e6, 1e7, 10 / 3 * 1e6, 3e7, 2e7],
+        ],
+    )
+)
+# agent 2's cost barely varies from trial to trial, so 6 standard errors
+# are less than the rounding of its mean
+@example(check=(SPCHECK_FLAGS[8], [[1, 1, 1], [506903770104116.0, 506903770104116.0, 2]]))
+def test_spcheck_answers_with_an_exit_code_at_any_scale(capsys, instance, check):
+    # costs anywhere from 1e-300 to 1e300 give a verdict or a one-line
+    # refusal, never a traceback
+    flags, rows = check
+    path = instance(rows)
+    code, _, err = run(capsys, ["spcheck", "--instance", path, *flags])
+    assert code in (0, 1, 2)
+    assert code != 1 or err.startswith("error: ")
 
 
 def test_spcheck_detects_manipulation(capsys, instance):

@@ -31,10 +31,13 @@ method, on these rows:
     0..4 times the least subnormal, whose sums are exact and whose slack
     is zero, so the strictness of its cut decides.
 
-oracles.serial_pick_reference referees serial_pick's bundles on matrices
-of integer costs 0..3, where ties, which the index tie-break settles, are
-common, at n 1..5 and m 1..12, each under a seeded pick sequence of 1..m
-agents.
+The ordinal model's firewall referees allocate: on seeded matrices of
+integer costs 0..3 at n 2..4 and m n+1..11, seqpick, roundrobin and
+randdecl give one allocation under the ordinal model, on the rank-only
+`surrogate_matrix` of the rankings and on the real costs. A rule that
+reads more of a row than its ranking, such as a pick that breaks ties
+the other way from `model.rank`, fails it on tied rows. (serial_pick's
+bundles themselves are refereed by test_serial_pick.py's properties.)
 
 oracles.pick_tree_reference referees pick_tree's leaves, compared as a
 set: the agent's serial_pick_reference bundle under each of its m!
@@ -62,13 +65,14 @@ seeded checks at n 2..3 and m n+1..5, of integer costs 0..3 or of
 distinct floats, under every model with the grid on and off: seqpick,
 roundrobin, and dc3 at n = 3, each a Runner of the checked module, so
 that the check keys its cache and stops at the cheapest leaf where it
-does for the CLI: by the ascending order and the pick tree for seqpick
+does for the CLI: by the `model.rank` order and the pick tree for seqpick
 and roundrobin, by the divider's `model.rank` order and the chooser's
-offer for dc3. The tied dc3 cases check the divider, whose key the
-ranking-key mutant replaces. The scan has one stop, for ranking and grid
-misreports alike; the stop mutant, which stops at the first profitable
-report, changes cardinal checks that stop in the rankings and a public
-dc3 check that stops in the grid. No mutant of the offer is listed: a dc3
+offer for dc3. The tied dc3 cases check the divider. The scan has one
+stop, for ranking and grid misreports alike; the stop mutant, which stops
+at the first profitable report, changes cardinal checks that stop in the
+rankings. Every third check is scaled by 2^-40, which moves no verdict,
+since a power of two scales every float sum exactly, but hides every
+gain from an absolute tolerance. No mutant of the offer is listed: a dc3
 chooser never profits, so no offer, however wrong, changes a report.
 The offer's referees are test_dc3.py's property that a chooser's bundle
 lies in its offer and test_verify.py's count of the runs of a passing
@@ -93,7 +97,7 @@ import pytest
 import choremms
 from choremms.algorithms import build_schedule, label_count, label_sets
 from choremms.gen import GenSpec, generate
-from choremms.model import CostMatrix, Model
+from choremms.model import CostMatrix, Model, rankings, surrogate_matrix
 from choremms.verify import BLOCK, algorithm_runner
 from mutants import inverted_gather
 from oracles import (
@@ -102,7 +106,6 @@ from oracles import (
     mc_expected_cost_reference,
     mms_exact_reference,
     pick_tree_reference,
-    serial_pick_reference,
 )
 
 SOURCE_DIR = Path(choremms.__file__).parent
@@ -195,13 +198,14 @@ MUTANTS = {
         "b = n - 1 - loads[::-1].index(min(loads))",
         "mms_exact",
     ),
-    # the free items sorted in descending index order: the stable sort then
-    # settles ties to the higher index
+    # the free items in one stable ascending sort, which settles ties to
+    # the lower index, against `model.rank`: the pick then reads a tied
+    # row through more than its ranking
     "serial_pick reversed tie-break": (
         "algorithms",
-        "sorted(compress(items, free), key=row.__getitem__)",
-        "sorted(reversed(list(compress(items, free))), key=row.__getitem__)",
-        "serial_pick",
+        "sorted(compress(items, free), key=key, reverse=True)\n            order.reverse()\n",
+        "sorted(compress(items, free), key=key)\n",
+        "ordinal firewall",
     ),
     # an own turn never takes the last free item
     "pick tree skips a free item": (
@@ -235,17 +239,16 @@ MUTANTS = {
     # shares the truthful report's cost
     "ranking key without the order": (
         "verify",
-        "return tuple(sorted(range(len(row)), key=row.__getitem__))",
+        "return tuple(descending(row))",
         "return tuple(sorted(row))",
         "sp_check_ordinal",
     ),
-    # dc3's divider is keyed by the ascending order, not `model.rank`'s:
-    # the two read ties apart, so two rows of one ascending order can give
-    # it two bundles, and two of one ranking share a key no more
-    "ranking key for dc3": (
+    # a deviation is profitable when it undercuts the truth by more than
+    # PROFIT_TOL itself, not a PROFIT_TOL share of it
+    "absolute profit tolerance": (
         "verify",
-        "return _descending_order, None",
-        "return _ascending_order, None",
+        "self.best_deviation_cost < self.truthful_cost * (1.0 - PROFIT_TOL)",
+        "self.best_deviation_cost < self.truthful_cost - PROFIT_TOL",
         "sp_check_ordinal",
     ),
     # the scan stops at the first profitable report, ranking or grid row,
@@ -378,17 +381,32 @@ def mms_corpus():
 
 
 @lru_cache(maxsize=None)
-def serial_pick_corpus():
-    """Seeded tied matrices and pick sequences with the referee's bundles."""
+def firewall_corpus():
+    """Seeded tied matrices under each rule the ordinal model accepts, with
+    a seed for randdecl; the referee's outcome is agreement on each."""
     rng = np.random.default_rng(2019)
     cases = []
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 13))
+    for t in range(300):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(n + 1, 12))
         matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
-        sequence = rng.integers(0, n, int(rng.integers(1, m + 1))).tolist()
-        cases.append(((matrix, sequence), serial_pick_reference(matrix, sequence)))
+        name = ("seqpick", "roundrobin", "randdecl")[t % 3]
+        cases.append(((matrix, name, int(rng.integers(0, 2**31 - 1))), True))
     return tuple(cases)
+
+
+def _firewall(algorithms):
+    """Whether `algorithms.allocate` gives one allocation under the ordinal
+    model, on the surrogate costs of the rankings and on the real costs."""
+
+    def agree(matrix, name, seed):
+        surrogate = surrogate_matrix(rankings(matrix))
+        ordinal = algorithms.allocate(matrix, name, Model.ORDINAL, seed)
+        return ordinal == algorithms.allocate(surrogate, name, seed=seed) == (
+            algorithms.allocate(matrix, name, seed=seed)
+        )
+
+    return agree
 
 
 @lru_cache(maxsize=None)
@@ -485,6 +503,8 @@ def sp_check_corpus():
             costs = rng.integers(0, 4, (n, m)).tolist()
         else:
             costs = rng.permutation(np.arange(1, n * m + 1) / (n * m)).reshape(n, m).tolist()
+        if t % 3 == 2:
+            costs = (np.array(costs) * 2.0**-40).tolist()
         # dc3's divider, agent 1, is the one agent whose report can move its
         # own bundle, and the ties in its report decide its ranking
         agent = 0 if name == "dc3" and tied else int(rng.integers(0, n))
@@ -540,7 +560,7 @@ def enum_corpus():
 # outcome) pairs, and the outcome of the function's result that is compared
 REFEREES = {
     "mms_exact": ("mms_exact", "mms", mms_corpus, _mms_outcome),
-    "serial_pick": ("serial_pick", "algorithms", serial_pick_corpus, lambda alloc: alloc.bundles),
+    "ordinal firewall": (_firewall, "algorithms", firewall_corpus, lambda agree: agree),
     "pick_tree": ("pick_tree", "algorithms", pick_tree_corpus, set),
     "mc_expected_cost": ("mc_expected_cost", "verify", mc_corpus, lambda estimate: estimate),
     "enum_expected_cost": (

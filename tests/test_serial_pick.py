@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from choremms.algorithms import allocate, build_schedule, roundrobin, seqpick
 from choremms.model import CostMatrix, rankings, surrogate_matrix
 from mutants import greedy_worst_seqpick
-from oracles import serial_pick_reference
+from oracles import rank_reference, serial_pick_reference
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -61,20 +61,22 @@ def test_greedy_worst_seqpick_takes_most_expensive_first(matrix):
     alloc = greedy_worst_seqpick(matrix)
     surrogate = surrogate_matrix([order[::-1] for order in rankings(matrix)])
     assert alloc.bundles == serial_pick_reference(surrogate, schedule_sequence(matrix))
-    # the same picks straight from negated costs: most expensive first,
-    # ties by ascending index
-    negated = CostMatrix(tuple(tuple(-c for c in row) for row in matrix.costs))
-    assert alloc.bundles == serial_pick_reference(negated, schedule_sequence(matrix))
+    # the same picks straight from negated costs, with the items mirrored
+    # so that ties go to the lower index: most expensive first, ties by
+    # ascending index
+    m = matrix.m
+    mirrored = CostMatrix(tuple(tuple(-c for c in reversed(row)) for row in matrix.costs))
+    picks = serial_pick_reference(mirrored, schedule_sequence(matrix))
+    assert alloc.bundles == tuple(frozenset(m - 1 - j for j in b) for b in picks)
 
 
 def assert_one_ranking_one_bundle(matrix, algorithm, agent, row):
     """The agent's bundle when it reports `row`, and when it reports the
-    distinct costs 1, 2, ... along the row's stable ascending order, the
-    order serial_pick sorts its items by, ties going to the lower index."""
-    order = sorted(range(matrix.m), key=row.__getitem__)
+    distinct costs m, ..., 1 along the row's `rank` order, which
+    serial_pick takes reversed, ties going to the higher index."""
     strict = [0.0] * matrix.m
-    for rank, j in enumerate(order):
-        strict[j] = float(rank + 1)
+    for pos, j in enumerate(rank_reference(row)):
+        strict[j] = float(matrix.m - pos)
     bundles = [
         allocate(CostMatrix(matrix.costs[:agent] + (r,) + matrix.costs[agent + 1 :]), algorithm)
         .bundles[agent]

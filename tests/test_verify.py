@@ -124,12 +124,16 @@ def test_deviation_search_runs_each_distinct_reported_row_once(monkeypatch, runn
     assert set(run) == set(permutations(true_row)) | grid
 
 
-def ascending_order(row):
-    return tuple(sorted(range(len(row)), key=row.__getitem__))
+GRID_FACTORS = (0.5, 1.0, 2.0, 3.0)
 
 
 def descending_order(row):
     return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
+
+
+def grid_rows(row):
+    """The grid misreports of `row`, in enumeration order."""
+    return [tuple(f * c for f, c in zip(fs, row)) for fs in product(GRID_FACTORS, repeat=len(row))]
 
 
 def recording_allocate(monkeypatch, agent):
@@ -145,66 +149,88 @@ def recording_allocate(monkeypatch, agent):
     return run
 
 
+def recording_blocks(monkeypatch):
+    """The grid blocks the checks build from here on."""
+    blocks = []
+    product_blocks = verify._product_blocks
+
+    def recording(base, m):
+        for digits in product_blocks(base, m):
+            blocks.append(digits)
+            yield digits
+
+    monkeypatch.setattr(verify, "_product_blocks", recording)
+    return blocks
+
+
+def cheapest_leaf(matrix, name, agent):
+    sequence = algorithms.pick_sequence(name, matrix.n, matrix.m)
+    leaves = algorithms.pick_tree(matrix, sequence, agent)
+    return min(sum(matrix.costs[agent][j] for j in leaf) for leaf in leaves)
+
+
 def test_a_serial_pick_check_runs_each_distinct_ranking_once(monkeypatch):
-    # a roundrobin runner reads the agent's row only through its stable
-    # ascending order, so the check runs one row per distinct order. Under
-    # public rankings some pick-tree leaf is cheaper than the truth (7), but
-    # no ranking-consistent grid row reaches it: the check enumerates the
-    # whole grid, whose survivors hold more distinct rows than orders
-    matrix = CostMatrix.from_rows([[1, 4, 4, 2, 2], [3, 2, 5, 1, 5]])
+    # a roundrobin runner reads the agent's row only through its
+    # `model.rank` order, so the check runs one row per distinct order. No
+    # ranking of the tied row reaches the cheapest leaf (3), so the scan
+    # goes on into the grid, whose rows mostly repeat orders already run,
+    # and stops at the first grid row that reaches it
+    matrix = CostMatrix.from_rows([[1, 1, 1, 3, 4], [5, 1, 3, 4, 2]])
     true_row = matrix.costs[0]
-    run = recording_allocate(monkeypatch, 0)
-    rep = sp_check_ordinal(
-        algorithm_runner("roundrobin"), matrix, 0, model=Model.PUBLIC_RANKING, include_grid=True
-    )
-    assert (rep.truthful_cost, rep.deviation) == (7.0, "truthful")
-    order = rankings(matrix)[0]
-    survivors = set()
-    for fs in product((0.5, 1.0, 2.0, 3.0), repeat=5):
-        row = tuple(f * c for f, c in zip(fs, true_row))
-        if all(row[a] >= row[b] for a, b in zip(order, order[1:])):
-            survivors.add(row)
-    orders = [ascending_order(row) for row in run]
-    assert run[0] == true_row
-    assert len(orders) == len(set(orders)) > 1
-    assert set(orders) == {ascending_order(row) for row in survivors | {true_row}}
-    assert len(survivors) > len(orders)
-
-
-def test_a_failing_serial_pick_check_stops_at_the_cheapest_leaf(monkeypatch):
-    # the agent's cheapest leaf costs 9, which a ranking misreport reaches:
-    # the check names that first such ranking and runs nothing after it,
-    # the grid included
-    matrix = CostMatrix.from_rows([[4, 2, 4, 3, 3, 1, 4], [1, 4, 1, 4, 2, 4, 2]])
+    assert cheapest_leaf(matrix, "roundrobin", 0) == 3.0
     run = recording_allocate(monkeypatch, 0)
     rep = sp_check_ordinal(
         algorithm_runner("roundrobin"), matrix, 0, model=Model.CARDINAL, include_grid=True
     )
-    assert (rep.best_deviation_cost, rep.deviation) == (9.0, "ranking (1, 2, 3, 4, 7, 5, 6)")
+    assert (rep.truthful_cost, rep.best_deviation_cost) == (5.0, 3.0)
+    assert rep.deviation == "grid factors (1.0, 0.5, 1.0, 0.5, 0.5)"
+    # every row the scan met: the rankings, then the grid up to the named row
+    grid = grid_rows(true_row)
+    met = set(permutations(true_row)) | set(grid[: grid.index((1.0, 0.5, 1.0, 1.5, 2.0)) + 1])
+    orders = [descending_order(row) for row in run]
+    assert run[0] == true_row
+    assert len(orders) == len(set(orders))
+    assert set(orders) == {descending_order(row) for row in met}
+    assert len(met) > len(orders)
+
+
+def test_a_failing_serial_pick_check_stops_at_the_cheapest_leaf(monkeypatch):
+    # the agent's cheapest leaf costs 25, which a ranking misreport reaches
+    # (as one always does for a row of distinct costs): the check names
+    # that first such ranking and runs nothing after it, the grid included
+    matrix = CostMatrix.from_rows([[8, 9, 10, 11, 1, 7, 12], [14, 4, 3, 5, 13, 6, 2]])
+    assert cheapest_leaf(matrix, "roundrobin", 0) == 25.0
+    run = recording_allocate(monkeypatch, 0)
+    rep = sp_check_ordinal(
+        algorithm_runner("roundrobin"), matrix, 0, model=Model.CARDINAL, include_grid=True
+    )
+    assert (rep.best_deviation_cost, rep.deviation) == (25.0, "ranking (1, 3, 4, 2, 5, 7, 6)")
     true_row = matrix.costs[0]
     values = sorted(true_row, reverse=True)
     named = [0.0] * 7
-    for pos, j in enumerate((0, 1, 2, 3, 6, 4, 5)):
+    for pos, j in enumerate((0, 2, 3, 1, 4, 6, 5)):
         named[j] = values[pos]
-    assert ascending_order(run[-1]) == ascending_order(tuple(named))
+    assert run[-1] == tuple(named)
     assert all(sorted(row) == sorted(true_row) for row in run)
     assert len(run) < len(set(permutations(true_row)))
 
 
 def test_a_failing_serial_pick_check_stops_in_the_grid_at_the_cheapest_leaf(monkeypatch):
-    # no ranking misreport reaches the agent's cheapest leaf (2), so the
-    # scan goes on into the grid and stops at the first grid row that
-    # does: the truthful row, its two other rankings and two grid rows run
-    matrix = CostMatrix.from_rows([[3, 1, 1], [2, 3, 1]])
-    leaves = algorithms.pick_tree(matrix, algorithms.pick_sequence("roundrobin", 2, 3), 0)
-    assert min(sum(matrix.costs[0][j] for j in leaf) for leaf in leaves) == 2.0
+    # the agent's row ties items 1 and 3, which a pick breaks toward item
+    # 3, so no ranking misreport takes item 1 first and reaches the
+    # cheapest leaf (6): the scan goes on into the grid and stops at the
+    # first grid row that does. The truthful row, its two other rankings
+    # and one grid row run
+    matrix = CostMatrix.from_rows([[3, 4, 3], [1, 2, 3]])
+    assert cheapest_leaf(matrix, "roundrobin", 0) == 6.0
     run = recording_allocate(monkeypatch, 0)
     rep = sp_check_ordinal(
         algorithm_runner("roundrobin"), matrix, 0, model=Model.CARDINAL, include_grid=True
     )
-    assert (rep.best_deviation_cost, rep.deviation) == (2.0, "grid factors (0.5, 1.0, 0.5)")
-    assert run[-1] == (1.5, 1.0, 0.5)
-    assert len(run) == 5
+    assert (rep.truthful_cost, rep.best_deviation_cost) == (7.0, 6.0)
+    assert rep.deviation == "grid factors (0.5, 0.5, 1.0)"
+    assert run[-1] == (1.5, 2.0, 3.0)
+    assert len(run) == 4
 
 
 @pytest.mark.parametrize(
@@ -216,43 +242,50 @@ def test_a_failing_serial_pick_check_stops_in_the_grid_at_the_cheapest_leaf(monk
     ],
 )
 def test_a_passing_serial_pick_check_runs_the_truthful_row_alone(monkeypatch, name, model, grid):
-    # the agent's pick tree has no leaf cheaper than the truth, so no
+    # the agent's pick tree has no leaf cheaper than the truth, or under
+    # public rankings every grid row kept has the truthful ranking, so no
     # misreport is enumerated, even at the item limit: the runner's one
-    # call is the truthful row's
+    # call is the truthful row's, and no grid block is built
     rng = np.random.default_rng(2019)
     matrix = uniform_instance(rng, 3, 7)
     run = recording_allocate(monkeypatch, 0)
+    blocks = recording_blocks(monkeypatch)
     for agent in range(3):
         run.clear()
         runner = algorithm_runner(name)
         rep = sp_check_ordinal(runner, matrix, agent, model=model, include_grid=grid)
         assert rep.deviation == "truthful"
         assert len(run) == 1
+    assert blocks == []
 
 
 def test_a_public_grid_divider_check_runs_each_distinct_ranking_once(monkeypatch):
     # dc3's divider reads its row only through its `model.rank` order, so
-    # the check runs one row per distinct order. A grid row that ties two
-    # items the public ranking orders against their indices (4 and 1, 2
-    # and 5) reverses them in that order: the survivors hold four orders
+    # the check runs one row per distinct order. Under public rankings the
+    # filter keeps a grid row only when its order is the public one: many
+    # rows, some with new ties, but one order, so the truthful row is the
+    # one run and no grid block is built. The cardinal
+    # check, which has no leaves to stop at, enumerates every ranking and
+    # grid row, many rows per order
     matrix = CostMatrix.from_rows([[2, 4, 3, 1, 2], [1, 2, 3, 4, 5], [3, 1, 1, 2, 4]])
     true_row = matrix.costs[0]
-    run = recording_allocate(monkeypatch, 0)
-    rep = sp_check_ordinal(
-        algorithm_runner("dc3"), matrix, 0, model=Model.PUBLIC_RANKING, include_grid=True
-    )
-    assert rep.deviation == "truthful"
+    grid = grid_rows(true_row)
     order = rankings(matrix)[0]
-    survivors = set()
-    for fs in product((0.5, 1.0, 2.0, 3.0), repeat=5):
-        row = tuple(f * c for f, c in zip(fs, true_row))
-        if all(row[a] >= row[b] for a, b in zip(order, order[1:])):
-            survivors.add(row)
+    assert len({row for row in grid if descending_order(row) == order}) > 1
+    run = recording_allocate(monkeypatch, 0)
+    blocks = recording_blocks(monkeypatch)
+    for model in (Model.PUBLIC_RANKING, Model.CARDINAL):
+        run.clear()
+        rep = sp_check_ordinal(algorithm_runner("dc3"), matrix, 0, model=model, include_grid=True)
+        if model is Model.PUBLIC_RANKING:
+            assert rep.deviation == "truthful"
+            assert run == [true_row] and blocks == []
+    met = set(permutations(true_row)) | set(grid)
     orders = [descending_order(row) for row in run]
     assert run[0] == true_row
-    assert len(orders) == len(set(orders)) == 4
-    assert set(orders) == {descending_order(row) for row in survivors | {true_row}}
-    assert len(survivors) > len(orders)
+    assert len(orders) == len(set(orders))
+    assert set(orders) == {descending_order(row) for row in met}
+    assert len(met) > len(orders)
 
 
 @pytest.mark.parametrize(
