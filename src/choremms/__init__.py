@@ -14,7 +14,6 @@ from .algorithms import (
     divide_choose_3,
     label_count,
     label_sets,
-    one_item_each,
     randdecl,
     randdecl_expected_cost,
     roundrobin,

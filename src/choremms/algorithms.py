@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import Allocation, CostMatrix, Model, descending, rank
+from .model import Allocation, CostMatrix, Model, rank
 
 logger = logging.getLogger(__name__)
 
@@ -143,10 +143,13 @@ def pick_sequence(
 ) -> list[int]:
     """The agent of each pick under seqpick or roundrobin on n agents and m
     items. seqpick's agents n, ..., 1 each take their `build_schedule(n, m)`
-    count of picks in one run; roundrobin's take one pick each in
-    `agent_order` (default ascending), round after round, until m items are
-    picked. The engines and the deviation search both read it."""
+    count of picks in one run (when m <= n, agents n, ..., n - m + 1 one
+    pick each); roundrobin's take one pick each in `agent_order` (default
+    ascending), round after round, until m items are picked. The engines
+    and the deviation search both read it."""
     if algorithm == "seqpick":
+        if m <= n:
+            return list(range(n - 1, n - m - 1, -1))
         counts = build_schedule(n, m).counts
         return [i for i in reversed(range(n)) for _ in range(counts[i])]
     if algorithm != "roundrobin":
@@ -177,15 +180,18 @@ def build_schedule(n: int, m: int) -> PickSchedule:
     """Geometric pick schedule: 2 items for the first half of the agents,
     then sizes growing by (1 + K/n) per agent with K = 2*log2(m/n).
 
-    Requires m > n; with m <= n a one-item-each allocation is already
-    optimal and seqpick is the wrong tool. The schedule is a frozen value of
-    (n, m) alone, so it is built once per (n, m) and shared: a deviation
-    search and a batch run call seqpick again and again on one size.
+    Requires m > n; with m <= n seqpick gives the last m agents one pick
+    each, as `pick_sequence` does, and needs no schedule. The schedule is a
+    frozen value of (n, m) alone, so it is built once per (n, m) and
+    shared: a deviation search and a batch run call seqpick again and again
+    on one size.
     """
     if n < 1:
         raise ValueError("agent count must be >= 1")
     if m <= n:
-        raise ValueError(f"schedule needs m > n (got n={n}, m={m}); allocate one item each")
+        raise ValueError(
+            f"schedule needs m > n (got n={n}, m={m}); at m <= n the last m agents pick once each"
+        )
     k = 2.0 * math.log2(m / n)
     half = n // 2
     counts: list[int] = []
@@ -245,7 +251,8 @@ def check_schedule(schedule: PickSchedule, n: int, m: int) -> list[str]:
 
 def seqpick(matrix: CostMatrix) -> Allocation:
     """Agents n, n-1, ..., 1 each grab their a_i cheapest remaining items,
-    with a_i from the instance's `build_schedule(n, m)`.
+    with a_i from the instance's `build_schedule(n, m)` (when m <= n, agents
+    n, ..., n - m + 1 one item each).
 
     Greedy is each picker's dominant strategy, so this doubles as the
     truthful play of the serial-dictatorship rule the schedule defines.
@@ -406,7 +413,7 @@ def divide_choose_3(matrix: CostMatrix) -> Allocation:
     """
     n = matrix.n
     if n != 3:
-        raise ValueError(f"divide_choose_3 requires n=3 (got n={n})")
+        raise ValueError(f"dc3 requires n=3 (got n={n})")
     bundles = dc3_cut(rank(matrix, 0))
     pick2 = dc3_choose(matrix.row(1), bundles, [0, 1, 2])
     left = [b for b in (0, 1, 2) if b != pick2]
@@ -454,19 +461,6 @@ def check_algorithm(name: str, model: Model = Model.CARDINAL) -> None:
         raise ValueError("dc3 compares bundle costs, which the ordinal model withholds")
 
 
-def one_item_each(matrix: CostMatrix) -> Allocation:
-    """m <= n bypass: hand out one item per agent, largest global max-cost
-    item to agent 1 and so on. Any such allocation is already MMS-optimal."""
-    n, m = matrix.n, matrix.m
-    if m > n:
-        raise ValueError("one_item_each requires m <= n")
-    ranked = descending([max(column) for column in zip(*matrix.costs)])
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for k, j in enumerate(ranked):
-        bundles[k].add(j)
-    return Allocation.from_lists(bundles)
-
-
 def allocate(
     matrix: CostMatrix,
     algorithm: str,
@@ -476,18 +470,14 @@ def allocate(
 ) -> Allocation:
     """Run one of the four algorithms on an instance.
 
-    When m <= n the algorithm is bypassed entirely in favour of a one-item-
-    each allocation. Every model hands the rule the reported costs: under
-    the ordinal model seqpick, roundrobin and randdecl read a row only
-    through its ranking (a tested property), and dc3, which compares bundle
-    costs, is refused; public rankings only narrow the misreports a
-    deviation search tries.
+    Every rule runs at every size: when m <= n each gives every agent at
+    most one item, which is within its maximin share. Every model hands the
+    rule the reported costs: under the ordinal model seqpick, roundrobin
+    and randdecl read a row only through its ranking (a tested property),
+    and dc3, which compares bundle costs, is refused; public rankings only
+    narrow the misreports a deviation search tries.
     """
     check_algorithm(algorithm, model)
-    if algorithm == "dc3" and matrix.n != 3:
-        raise ValueError(f"dc3 requires n=3 (got n={matrix.n})")
-    if matrix.m <= matrix.n:
-        return one_item_each(matrix)
     if algorithm == "randdecl" and seed is None:
         raise ValueError("randdecl requires a seed")
     if algorithm == "seqpick":

@@ -4,10 +4,9 @@ Conventions used throughout the package:
   - items and agents are 0-indexed internally, 1-indexed in all external
     (JSON / CLI) formats;
   - `descending` is the one cost order, ties by ascending index:
-    rankings, the exact share's item order and the one-item-each bypass
-    all read it, `algorithms.label_sets` is its numpy form, and a greedy
-    pick reads it reversed, taking the higher index as the cheaper of two
-    tied items;
+    rankings and the exact share's item order both read it,
+    `algorithms.label_sets` is its numpy form, and a greedy pick reads it
+    reversed, taking the higher index as the cheaper of two tied items;
   - all-zero cost rows are legal but flagged as degenerate, and the ratio
     convention 0/0 = 1 keeps reports finite.
 """

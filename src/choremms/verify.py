@@ -13,29 +13,28 @@ block is filtered by the public ranking with one column comparison per
 adjacent pair: a row is kept when its `model.rank` order is the public
 ranking. A deviation search runs each report on the rebuilt matrix, the
 truthful one first, and scans the costs in enumeration order. It runs
-each distinct reported row once; for a seqpick or roundrobin `Runner` on
-m > n items, and for dc3's divider (agent index 0) on 3 agents and m > 3
-items, each distinct ranking of the row once, since the rule reads the
-row through its `model.rank` order alone. A landing block adds each
-landing's sums column by column, and the total is carried from landing
-to landing, so the expectation is the one a per-landing loop computes,
-bit for bit. Monte-Carlo trials are dealt BLOCK at a time too.
+each distinct reported row once; for a seqpick or roundrobin `Runner`,
+and for dc3's divider (agent index 0) on 3 agents, each distinct ranking
+of the row once, since the rule reads the row through its `model.rank`
+order alone. A landing block adds each landing's sums column by column,
+and the total is carried from landing to landing, so the expectation is
+the one a per-landing loop computes, bit for bit. Monte-Carlo trials are
+dealt BLOCK at a time too.
 
 Where the rule tells every bundle any report can give the agent, its
 leaves, the check prices them first: the agent's pick tree
-(`algorithms.pick_tree`) for a seqpick or roundrobin `Runner` on m > n
-items, and the bundles on offer (`algorithms.dc3_offer`) for a dc3
-`Runner`'s chooser on 3 agents and m > 3 items; under public rankings a
-check keyed by the ranking has one, the truthful bundle. When no leaf is
-cheaper than the truth, no misreport is, and the check reports
-"truthful" with nothing enumerated. Otherwise one scan consumes the
-misreports as one stream, the rankings and then the grid rows, so that
-the deviation named is the first cheapest in enumeration order. It has
-one stop, at the first report as cheap as the cheapest leaf, in either
-channel: no later report can be strictly cheaper, and leaving the scan
-ends the stream. A grid that may hold invalid rows (a negative factor,
-or an entry past 1e300) is enumerated in full, without the leaves, so
-that a refusal stays one.
+(`algorithms.pick_tree`) for a seqpick or roundrobin `Runner`, and the
+bundles on offer (`algorithms.dc3_offer`) for a dc3 `Runner`'s chooser
+on 3 agents; under public rankings a check keyed by the ranking has one,
+the truthful bundle. When no leaf is cheaper than the truth, no
+misreport is, and the check reports "truthful" with nothing enumerated.
+Otherwise one scan consumes the misreports as one stream, the rankings
+and then the grid rows, so that the deviation named is the first
+cheapest in enumeration order. It has one stop, at the first report as
+cheap as the cheapest leaf, in either channel: no later report can be
+strictly cheaper, and leaving the scan ends the stream. A grid that may
+hold invalid rows (a negative factor, or an entry past 1e300) is
+enumerated in full, without the leaves, so that a refusal stays one.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -110,7 +109,7 @@ class DeviationReport:
 @dataclass(frozen=True)
 class Runner:
     """A named deterministic algorithm, dispatched through `allocate`, so
-    the checkers see the same preconditions and m <= n bypass as the CLI.
+    the checkers see the same preconditions and rules as the CLI.
 
     Called on a matrix (true, surrogate, or misreported: exactly the
     reporting channel the deviation search manipulates) it returns the
@@ -151,17 +150,17 @@ def _reading(
 
     Two rows of one key give the agent one bundle. Every valid report gives
     it one of the leaves, when they are known (else None):
-      - a seqpick or roundrobin Runner on m > n items reads the row through
-        its `_ranking` alone, and the leaves are the agent's pick tree
-        (walked only when read);
-      - a dc3 Runner on n = 3 agents and m > 3 items reads the divider's
-        row (agent index 0) through its `_ranking` alone, with no leaves; a
-        chooser's row picks among the bundles on offer (`dc3_offer`), so
-        those are its leaves, and the row itself is the key;
+      - a seqpick or roundrobin Runner reads the row through its
+        `_ranking` alone, and the leaves are the agent's pick tree (walked
+        only when read);
+      - a dc3 Runner on n = 3 agents reads the divider's row (agent index
+        0) through its `_ranking` alone, with no leaves; a chooser's row
+        picks among the bundles on offer (`dc3_offer`), so those are its
+        leaves, and the row itself is the key;
       - any other check is keyed by the row itself, with no leaves.
     """
     n, m = matrix.n, matrix.m
-    if isinstance(algorithm, Runner) and m > n:
+    if isinstance(algorithm, Runner):
         if algorithm.name in ("seqpick", "roundrobin"):
             sequence = pick_sequence(algorithm.name, n, m)
             return _ranking, pick_tree(matrix, sequence, agent)
@@ -214,9 +213,9 @@ def sp_check_ordinal(
     name is formatted only when its report improves on the best so far.
     The cache is keyed by what the rule reads of the row (`_reading`), so
     two rows of one key run once:
-      - for a seqpick or roundrobin `Runner` on m > n items, and for dc3's
-        divider (agent index 0) under a dc3 `Runner` on 3 agents and m > 3
-        items, the row's `model.rank` order;
+      - for a seqpick or roundrobin `Runner`, and for dc3's divider (agent
+        index 0) under a dc3 `Runner` on 3 agents, the row's `model.rank`
+        order;
       - for anything else, the row itself.
     Where the rule also tells the agent's leaves, every bundle a valid
     report can give it, the check prices them first (when every grid row
@@ -449,7 +448,11 @@ def mc_expected_cost(
             for j in range(m):
                 acc += np.where(owner[:, j] == agent, row[j], 0.0)
             costs[1 + lo : 1 + lo + BLOCK] = acc
-        stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        # the std of the costs scaled exactly, by a power of two, to below 2:
+        # its squares stay finite where the costs' own would overflow
+        scale = 2.0 ** (math.frexp(costs.max())[1] - 1)
+        std = (costs / scale).std(ddof=1) * scale if trials > 1 else 0.0
+        stderr = float(std / np.sqrt(trials))
         return float(costs.mean()), stderr
 
 

@@ -16,7 +16,6 @@ from choremms.algorithms import (
     divide_choose_3,
     label_count,
     label_sets,
-    one_item_each,
     randdecl,
     randdecl_expected_cost,
     roundrobin,
@@ -24,7 +23,12 @@ from choremms.algorithms import (
 )
 from choremms.mms import evaluate, mms_exact
 from choremms.model import CostMatrix, Model, rank, rankings, surrogate_matrix
-from choremms.verify import enum_expected_cost, mc_expected_cost
+from choremms.verify import (
+    algorithm_runner,
+    enum_expected_cost,
+    mc_expected_cost,
+    sp_check_ordinal,
+)
 
 
 def uniform_instance(rng, n, m):
@@ -413,16 +417,40 @@ def test_dc3_bound_small_sweep():
 
 # --- dispatcher -----------------------------------------------------------------
 
-def test_bypass_when_m_le_n_is_mms():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, n + 1))
-        inst = uniform_instance(rng, n, m)
-        alloc = allocate(inst, "seqpick")
-        assert alloc == one_item_each(inst)
-        report = evaluate(alloc, inst)
-        assert report.max_ratio <= 1.0 + 1e-12
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_every_rule_at_m_le_n_is_mms_and_strategyproof(data, seed):
+    # with no more items than agents, every rule gives each agent at most
+    # one item, which is within its share, and no serial-pick agent, nor a
+    # dc3 agent under public rankings, gains by a misreport
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, n))
+    if data.draw(st.booleans()):
+        row = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    else:
+        row = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)
+    inst = CostMatrix.from_rows(data.draw(st.lists(row, min_size=n, max_size=n)))
+    rules = ["seqpick", "roundrobin"] + ["randdecl"] * (n > 1) + ["dc3"] * (n == 3)
+    for alg in rules:
+        alloc = allocate(inst, alg, seed=seed)
+        assert all(len(b) <= 1 for b in alloc.bundles), alg
+        assert evaluate(alloc, inst).max_ratio <= 1.0, alg
+    # seqpick's last m agents pick once each
+    assert [len(b) for b in seqpick(inst).bundles] == [0] * (n - m) + [1] * m
+    for alg in ("seqpick", "roundrobin"):
+        for model in Model:
+            for grid in (False, True):
+                for agent in range(n):
+                    rep = sp_check_ordinal(
+                        algorithm_runner(alg), inst, agent, model=model, include_grid=grid
+                    )
+                    assert not rep.profitable, (alg, model, grid, agent)
+    if n == 3:
+        for agent in range(3):
+            rep = sp_check_ordinal(
+                algorithm_runner("dc3"), inst, agent, model=Model.PUBLIC_RANKING, include_grid=True
+            )
+            assert not rep.profitable, agent
 
 
 def test_dispatch_matches_direct_seqpick():
@@ -495,7 +523,7 @@ def test_ordinal_model_needs_no_surrogate(data, seed):
     # the pick breaks a tie as `rank` lists it, and randdecl's labels are
     # the top of `rank`
     n = data.draw(st.integers(2, 4))
-    m = data.draw(st.integers(n + 1, 11))
+    m = data.draw(st.integers(1, 11))
     row = st.lists(st.integers(0, 3), min_size=m, max_size=m)
     matrix = CostMatrix.from_rows(data.draw(st.lists(row, min_size=n, max_size=n)))
     surrogate = surrogate_matrix(rankings(matrix))

@@ -239,7 +239,7 @@ def test_allocate_randdecl_needs_seed(capsys, instance):
     )
     assert code == 0
     assert sorted(j for b in doc["bundles"] for j in b) == [1, 2, 3]
-    # past m <= n, and with many items, the bundles print as JSON integers
+    # with many items, the bundles print as JSON integers
     path = instance([[float(j % 7) for j in range(300)] for _ in range(3)], "big.json")
     code, doc, _ = run_json(
         capsys, ["allocate", "--instance", path, "--alg", "randdecl", "--seed", "4"]
@@ -317,7 +317,7 @@ REFUSED_FLAGS = [
     for model in ("ordinal", "cardinal", "public")
     for mode in ([], ["--exact"])
 ] + [
-    # dc3 compares bundle costs: refused under ordinal even when m <= n
+    # dc3 compares bundle costs: refused under ordinal, at any size
     (
         ["allocate", "--alg", "dc3", "--model", "ordinal"],
         "dc3 compares bundle costs, which the ordinal model withholds",
@@ -419,6 +419,23 @@ def test_spcheck_public_grid_tie_is_not_profitable(capsys, instance):
     argv = ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public"]
     code, doc, _ = run_json(capsys, argv + ["--grid", "--agent", "1"])
     assert (code, doc["reports"][0]["profitable"]) == (0, False)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alg", "seqpick", "--model", "ordinal"],
+        ["--alg", "roundrobin", "--model", "public", "--grid"],
+        ["--alg", "dc3", "--model", "public", "--grid"],
+    ],
+)
+def test_spcheck_strategyproof_pairs_pass_at_m_equal_n(capsys, instance, flags):
+    # every agent holds a column maximum, and every rule gives it one pick,
+    # which no misreport improves
+    path = instance([[3, 1, 2], [1, 3, 2], [2, 1, 3]])
+    code, doc, _ = run_json(capsys, ["spcheck", "--instance", path, *flags])
+    assert code == 0
+    assert not any(r["profitable"] for r in doc["reports"])
 
 
 SPCHECK_FLAGS = [
@@ -638,6 +655,15 @@ def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+def test_spcheck_randdecl_montecarlo_past_1e154(capsys, instance):
+    # the Monte-Carlo trials' squared costs pass the float range, their
+    # standard error does not
+    path = instance([[3e160, 1e160, 2e160, 5e159], [1e160, 2e160, 3e160, 4e160]])
+    code, doc, _ = run_json(capsys, ["spcheck", "--instance", path, "--alg", "randdecl"])
+    assert code == 0
+    assert not any(r["profitable"] for r in doc["reports"])
 
 
 def test_spcheck_randdecl_refuses_too_many_label_sets(capsys, instance):

@@ -32,7 +32,8 @@ method, on these rows:
     is zero, so the strictness of its cut decides.
 
 The ordinal model's firewall referees allocate: on seeded matrices of
-integer costs 0..3 at n 2..4 and m n+1..11, seqpick, roundrobin and
+integer costs 0..3 at n 2..4 and m n+1..11, and then m 1..n, where every
+rule gives each agent at most one item, seqpick, roundrobin and
 randdecl give one allocation under the ordinal model, on the rank-only
 `surrogate_matrix` of the rankings and on the real costs. A rule that
 reads more of a row than its ranking, such as a pick that breaks ties
@@ -61,7 +62,8 @@ integer costs 0..3 at n 2..4, m 1..5.
 
 oracles.deviation_search_reference referees sp_check_ordinal's report
 (truthful cost, best deviation cost, deviation named, profitable) on
-seeded checks at n 2..3 and m n+1..5, of integer costs 0..3 or of
+seeded checks at n 2..3 and m n+1..5, and then m 1..n, where the pick
+tree and the offer hold at most one item, of integer costs 0..3 or of
 distinct floats, under every model with the grid on and off: seqpick,
 roundrobin, and dc3 at n = 3, each a Runner of the checked module, so
 that the check keys its cache and stops at the cheapest leaf where it
@@ -386,9 +388,10 @@ def firewall_corpus():
     a seed for randdecl; the referee's outcome is agreement on each."""
     rng = np.random.default_rng(2019)
     cases = []
-    for t in range(300):
+    # 300 with more items than agents, then 90 with at most one item each
+    for t in range(390):
         n = int(rng.integers(2, 5))
-        m = int(rng.integers(n + 1, 12))
+        m = int(rng.integers(n + 1, 12) if t < 300 else rng.integers(1, n + 1))
         matrix = CostMatrix.from_rows(rng.integers(0, 4, (n, m)).tolist())
         name = ("seqpick", "roundrobin", "randdecl")[t % 3]
         cases.append(((matrix, name, int(rng.integers(0, 2**31 - 1))), True))
@@ -494,10 +497,12 @@ def sp_check_corpus():
     report on each."""
     rng = np.random.default_rng(2019)
     cases = []
-    for t in range(30 * len(SP_CHECK_KINDS)):
+    # 30 rounds with more items than agents, then 10 with at most one each
+    for t in range(40 * len(SP_CHECK_KINDS)):
         name, model, include_grid = SP_CHECK_KINDS[t % len(SP_CHECK_KINDS)]
         n = 3 if name == "dc3" else int(rng.integers(2, 4))
-        m = int(rng.integers(n + 1, 6))
+        few = t >= 30 * len(SP_CHECK_KINDS)
+        m = int(rng.integers(1, n + 1) if few else rng.integers(n + 1, 6))
         tied = t // len(SP_CHECK_KINDS) % 2
         if tied:
             costs = rng.integers(0, 4, (n, m)).tolist()

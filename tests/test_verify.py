@@ -88,11 +88,12 @@ def test_roundrobin_is_manipulable_under_free_rankings():
 
 
 def test_runner_dispatches_like_allocate():
-    # m <= n: allocate's one-item-each bypass applies to the checkers too,
-    # instead of seqpick's "schedule needs m > n"
+    # m <= n: the runner runs seqpick through allocate, as the CLI does,
+    # and the last two agents pick once each, needing no schedule
     inst = CostMatrix.from_rows([[1, 2], [2, 1], [1, 1]])
     runner = algorithm_runner("seqpick")
     assert runner(inst) == allocate(inst, "seqpick")
+    assert [len(b) for b in runner(inst).bundles] == [0, 1, 1]
     for agent in range(3):
         assert not sp_check_ordinal(runner, inst, agent, model=Model.ORDINAL).profitable
 
@@ -382,6 +383,16 @@ def test_randdecl_overflow_is_refused_not_passed(recwarn):
     with pytest.raises(ValueError, match="^expected cost is not finite"):
         sp_check_randomized(inst, 0, mode="exact")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_mc_stderr_is_exact_past_the_square_root_of_the_float_range():
+    # each trial's cost squared passes 1e308 at these costs; a power-of-two
+    # unit scales every trial and the standard error exactly
+    rows = [[3e160, 1e160, 2e160, 5e159], [1e160, 2e160, 3e160, 4e160]]
+    est, stderr = mc_expected_cost(CostMatrix.from_rows(rows), 0, trials=500)
+    small = CostMatrix.from_rows([[c * 2.0**-600 for c in row] for row in rows])
+    assert math.isfinite(stderr) and stderr > 0
+    assert (est, stderr) == tuple(x * 2.0**600 for x in mc_expected_cost(small, 0, trials=500))
 
 
 def test_exact_cross_check_disagreement_stays_an_assertion(monkeypatch):
