@@ -32,9 +32,9 @@ Otherwise one scan consumes the misreports as one stream, the rankings
 and then the grid rows, so that the deviation named is the first
 cheapest in enumeration order. It has one stop, at the first report as
 cheap as the cheapest leaf, in either channel: no later report can be
-strictly cheaper, and leaving the scan ends the stream. A grid that may
-hold invalid rows (a negative factor, or an entry past 1e300) is
-enumerated in full, without the leaves, so that a refusal stays one.
+strictly cheaper, and leaving the scan ends the stream. A grid that holds
+an invalid row is refused before anything runs, so every grid row the
+scan meets is a valid report.
 
 A ranking misreport places the truthful report's own values, sorted
 descending, along the reported ranking: the surrogate costs of
@@ -204,7 +204,10 @@ def sp_check_ordinal(
 
     The resulting bundle is always priced with the agent's *true* row.
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
-    misreports is refused.
+    misreports is refused. So, before anything runs, is a grid with a row
+    that `model.validate` refuses: exactly when a factor times a true cost
+    is below 0 or NaN, or the largest factor's row sums past the float
+    range, since no grid row has larger entries or a larger rounded sum.
 
     The misreports come as one stream, in enumeration order: the rankings,
     then the grid rows (those that keep the public ranking, under that
@@ -218,11 +221,10 @@ def sp_check_ordinal(
         order;
       - for anything else, the row itself.
     Where the rule also tells the agent's leaves, every bundle a valid
-    report can give it, the check prices them first (when every grid row
-    is valid as it stands): the pick tree of a seqpick or roundrobin
-    agent, and the bundles on offer to a dc3 chooser (all three to the
-    first, index 1; to the second the two that the first one's truthful
-    row leaves). Under public rankings a check keyed by the ranking has
+    report can give it, the check prices them first: the pick tree of a
+    seqpick or roundrobin agent, and the bundles on offer to a dc3 chooser
+    (all three to the first, index 1; to the second the two that the first
+    one's truthful row leaves). Under public rankings a check keyed by the ranking has
     one leaf, the truthful bundle: the filter keeps only grid rows whose
     `model.rank` order is the public ranking. If the cheapest leaf is no
     cheaper than the truth, neither is any misreport, and there is nothing
@@ -247,6 +249,17 @@ def sp_check_ordinal(
             "fewer items"
         )
     true_row = matrix.row(agent)
+    top = max(grid, default=0.0)
+    if grid_on and not (
+        all(f * c >= 0 for f in grid for c in true_row)
+        and math.isfinite(sum(top * c for c in true_row))
+    ):
+        raise ValueError(
+            f"agent {agent + 1}'s grid misreports leave the float range, though the "
+            f"instance does not: each factor times each cost must be >= 0, and {top} "
+            "times the agent's costs must sum to a finite float; scaling the costs "
+            "down by a power of two changes no verdict"
+        )
     true_orders = rankings(matrix)
     truthful_matrix = (
         surrogate_matrix(true_orders) if model is Model.ORDINAL else matrix
@@ -254,13 +267,6 @@ def sp_check_ordinal(
     # Every misreport changes the agent's row alone: the other rows are
     # shared, so what the rule reads of the agent's row keys the cache
     key, leaves = _reading(algorithm, truthful_matrix, agent)
-    # Every ranking misreport is a valid row. A grid row is one as it
-    # stands when its entries lie in [0, 1e300], since up to
-    # MAX_ORDINAL_ITEMS of them sum to a finite float; the true costs are
-    # nonnegative, so the factors and the largest cost tell for every row.
-    valid_as_they_stand = not grid_on or all(
-        0.0 <= f and f * max(true_row) <= 1e300 for f in grid
-    )
     base = truthful_matrix.costs
     cache: dict[tuple, float] = {}
 
@@ -291,9 +297,7 @@ def sp_check_ordinal(
             truth = np.array(true_row)
             order = true_orders[agent]
             for digits in _product_blocks(len(grid), m):
-                # factor x cost can overflow to inf, which validation refuses
-                with np.errstate(over="ignore"):
-                    rows = factors[digits] * truth
+                rows = factors[digits] * truth
                 keep = np.ones(len(rows), dtype=bool)
                 if model is Model.PUBLIC_RANKING:
                     # `model.rank` lists a tied pair by ascending index
@@ -301,12 +305,6 @@ def sp_check_ordinal(
                         keep &= rows[:, a] > rows[:, b] if a > b else rows[:, a] >= rows[:, b]
                 survivors = np.flatnonzero(keep)
                 for k, row in zip(survivors.tolist(), rows[survivors].tolist()):
-                    if not valid_as_they_stand:
-                        # validate the whole report: an entry or the row's
-                        # sum may have left the float range
-                        reported = list(base)
-                        reported[agent] = row
-                        row = CostMatrix.from_rows(reported).costs[agent]
                     yield tuple(row), lambda k=k, digits=digits: (
                         f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"
                     )
@@ -317,11 +315,11 @@ def sp_check_ordinal(
 
     # Every valid report's bundle is a leaf, so no report costs less than
     # the cheapest leaf. When that is no cheaper than the truth, there is
-    # nothing to scan: enumeration would name nothing, nor refuse a grid
-    # row. Else the scan stops once it has found a report that cheap, since
-    # no later one can be strictly cheaper.
+    # nothing to scan: enumeration would name nothing. Else the scan stops
+    # once it has found a report that cheap, since no later one can be
+    # strictly cheaper.
     least = -math.inf
-    if searched and valid_as_they_stand:
+    if searched:
         if model is Model.PUBLIC_RANKING and key is _ranking:
             # every row kept has the truthful ranking: the one leaf is the
             # truthful bundle

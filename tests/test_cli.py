@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import choremms
 from choremms import cli
 from choremms.cli import main
+from choremms.model import validate
 from oracles import strip_runtime
 
 
@@ -456,10 +457,10 @@ PER_EXAMPLE = settings(
 
 
 @st.composite
-def spchecks(draw, costs):
-    """spcheck flags and n x m rows of `costs`, with n = 3 for dc3 and 2 or
-    3 otherwise, and m from n + 1 to 5."""
-    flags = draw(st.sampled_from(SPCHECK_FLAGS))
+def spchecks(draw, costs, checks=SPCHECK_FLAGS):
+    """spcheck flags of `checks` and n x m rows of `costs`, with n = 3 for
+    dc3 and 2 or 3 otherwise, and m from n + 1 to 5."""
+    flags = draw(st.sampled_from(checks))
     n = 3 if "dc3" in flags else draw(st.integers(2, 3))
     m = draw(st.integers(n + 1, 5))
     return flags, draw(st.lists(st.lists(costs, min_size=m, max_size=m), min_size=n, max_size=n))
@@ -478,6 +479,25 @@ def test_spcheck_verdicts_do_not_depend_on_the_unit(capsys, instance, check, k):
         path = instance([[c * scale for c in row] for row in rows])
         code, doc, _ = run_json(capsys, ["spcheck", "--instance", path, *flags])
         verdicts.append((code, [(r["deviation"], r["profitable"]) for r in doc["reports"]]))
+    assert verdicts[0] == verdicts[1]
+
+
+@PER_EXAMPLE
+@given(
+    check=spchecks(st.integers(1, 9), [SPCHECK_FLAGS[0], SPCHECK_FLAGS[2]]),
+    k=st.integers(-300, 300),
+)
+def test_serial_pick_ordinal_verdicts_survive_a_power_of_ten(capsys, instance, check, k):
+    # 10^k rounds the costs and their sums, yet on integer costs a
+    # misreport gains a whole unit or nothing: the exit code and every
+    # report's verdict stay the unscaled row's (the deviation named may
+    # not, since rounding can make another one cheaper by an ulp)
+    flags, rows = check
+    verdicts = []
+    for scale in (1.0, 10.0**k):
+        path = instance([[c * scale for c in row] for row in rows])
+        code, doc, _ = run_json(capsys, ["spcheck", "--instance", path, *flags])
+        verdicts.append((code, [r["profitable"] for r in doc["reports"]]))
     assert verdicts[0] == verdicts[1]
 
 
@@ -561,21 +581,31 @@ def test_spcheck_randdecl_montecarlo_output_is_pinned(capsys, instance):
 """
 
 
+# the refusal of a grid whose x3 row of agent 1 leaves the float range
+GRID_OVERFLOW = (
+    "error: agent 1's grid misreports leave the float range, though the instance "
+    "does not: each factor times each cost must be >= 0, and 3.0 times the agent's "
+    "costs must sum to a finite float; scaling the costs down by a power of two "
+    "changes no verdict\n"
+)
+
+
 def test_spcheck_grid_overflow_is_a_clean_error(capsys, instance):
-    # factor 2 on 1e308 overflows to inf: the grid report must be refused
+    # factor 2 on 1e308 overflows to inf: the valid instance's grid is refused
     path = instance([[1e308, 1, 1, 1], [1, 2, 3, 4]])
+    assert run(capsys, ["validate", "--instance", path])[0] == 0
     code, out, err = run(
         capsys,
         ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public", "--grid"],
     )
     assert code == 1
     assert out == ""
-    assert err == "error: invalid cost matrix: non-finite cost at (1,1)\n"
+    assert err == GRID_OVERFLOW
 
 
 def test_spcheck_grid_row_sum_overflow_is_a_clean_error(capsys, instance):
     # a valid instance (agent 1's row sums to 6e307) whose x3 grid report sums
-    # past the float range: the report is refused and the check ends there
+    # past the float range: the grid is refused, the check without it is not
     path = instance([[3e307, 3e307, 1, 1], [1, 2, 3, 4]])
     assert run(capsys, ["validate", "--instance", path])[0] == 0
     base = ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "cardinal"]
@@ -583,17 +613,15 @@ def test_spcheck_grid_row_sum_overflow_is_a_clean_error(capsys, instance):
     code, out, err = run(capsys, [*base, "--grid"])
     assert code == 1
     assert out == ""
-    assert err == "error: invalid cost matrix: costs of row 1 sum past the float range\n"
+    assert err == GRID_OVERFLOW
 
 
 @pytest.mark.parametrize(
     "costs, message",
+    # item 1's factor varies slowest: it is 0.5 throughout the first block
+    # of 1024 grid rows, none of which leaves the float range
     [
-        # item 1 overflows at factors 2 and 3 only: the first such report
-        # is grid row 2048, in the third block of 1024
         ([[0.9e308, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]], "non-finite cost at (1,1)"),
-        # the first public-ranking report whose sum overflows is factors
-        # (2, 2, 0.5, 0.5, 0.5, 0.5), grid row 2560
         (
             [[5e307, 5e307, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]],
             "costs of row 1 sum past the float range",
@@ -601,13 +629,16 @@ def test_spcheck_grid_row_sum_overflow_is_a_clean_error(capsys, instance):
     ],
 )
 def test_spcheck_grid_overflow_past_the_first_block(capsys, instance, costs, message):
+    # `message` is what validation says of agent 1's x3 grid row, whose
+    # refusal is the grid's, before any report runs
+    assert validate([[3.0 * c for c in costs[0]], costs[1]]) == [message]
     path = instance(costs)
     code, out, err = run(
         capsys,
         ["spcheck", "--instance", path, "--alg", "roundrobin", "--model", "public", "--grid"],
     )
     assert (code, out) == (1, "")
-    assert err == f"error: invalid cost matrix: {message}\n"
+    assert err == GRID_OVERFLOW
 
 
 @pytest.mark.parametrize(

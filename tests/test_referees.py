@@ -10,12 +10,12 @@ every row but the deviating agent's between misreports and enumerates grid
 misreports in blocks, must report exactly what a search that rebuilds every
 reported matrix reports; the pick tree's cheapest leaf, which settles a
 passing serial-pick check before any misreport runs and stops a failing
-one's search, must be the ordinal search's best cost. The exact randdecl expectation, which enumerates
-landings in blocks, must equal a loop over the landings bit for bit. Costs
-are drawn from 0..3 so that ties are common.
+one's search, must be the ordinal search's best cost; a grid is refused
+exactly when one of its rows is an invalid report. The exact randdecl
+expectation, which enumerates landings in blocks, must equal a loop over
+the landings bit for bit. Costs are drawn from 0..3 so that ties are
+common.
 """
-
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -402,27 +402,34 @@ def test_the_proof_hides_no_cheaper_report(check, model, include_grid):
     ) == deviation_search_reference(RUNNERS[name], matrix, agent, model, include_grid)
 
 
-@pytest.mark.parametrize(
-    "rows, factors, refusal",
-    [
-        # a negative factor makes a negative cost, which the report's
-        # validation refuses
-        ([[3, 1, 2, 4], [1, 2, 3, 4]], (1.0, -1.0), "negative cost"),
-        # factors 2 and 3 take 1e300 past 1e300, so each such row is
-        # validated as a whole report, which accepts it
-        ([[1e300, 1, 2, 4], [1, 2, 3, 4]], (0.5, 1.0, 2.0, 3.0), None),
-    ],
-)
-def test_a_grid_past_the_valid_rows_is_enumerated(monkeypatch, rows, factors, refusal):
-    matrix = CostMatrix.from_rows(rows)
+@pytest.fixture
+def allocations(monkeypatch):
+    """Every matrix `verify` allocates, in order."""
     run = []
     engine = verify.allocate
 
     def recording(mat, alg):
-        run.append(mat.costs[0])
+        run.append(mat)
         return engine(mat, alg)
 
     monkeypatch.setattr(verify, "allocate", recording)
+    return run
+
+
+@pytest.mark.parametrize(
+    "rows, factors, runs",
+    [
+        # a negative factor makes a negative cost: the grid is refused
+        # before the truthful report runs
+        ([[3, 1, 2, 4], [1, 2, 3, 4]], (1.0, -1.0), 0),
+        # factors 2 and 3 take 1e300 past 1e300, yet every grid row is a
+        # valid report, so the pick tree settles the check on the truth
+        ([[1e300, 1, 2, 4], [1, 2, 3, 4]], (0.5, 1.0, 2.0, 3.0), 1),
+    ],
+    ids=["negative factor", "past 1e300"],
+)
+def test_a_grid_is_refused_or_settled_before_any_misreport_runs(allocations, rows, factors, runs):
+    matrix = CostMatrix.from_rows(rows)
 
     def check():
         runner = RUNNERS["seqpick"]
@@ -430,11 +437,73 @@ def test_a_grid_past_the_valid_rows_is_enumerated(monkeypatch, rows, factors, re
             runner, matrix, 0, model=Model.CARDINAL, include_grid=True, grid_factors=factors
         )
 
-    if refusal is None:
+    if runs:
         assert check().deviation == "truthful"
     else:
-        with pytest.raises(ValueError, match=refusal):
+        with pytest.raises(ValueError, match="grid misreports leave the float range"):
             check()
-    # the enumeration ran every ranking misreport, the truthful row first
-    assert run[0] == matrix.costs[0]
-    assert set(permutations(matrix.costs[0])) <= set(run)
+    assert len(allocations) == runs
+
+
+def test_a_grid_past_1e300_is_settled_by_the_leaves(allocations):
+    # a seeded 3x7 instance of distinct costs scaled by 1e301, whose x3 grid
+    # rows stay valid: each passing check runs the truthful report alone,
+    # seqpick's settled by the pick tree, dc3's choosers by their offer
+    rng = np.random.default_rng(2019)
+    matrix = CostMatrix.from_rows((rng.uniform(0.0, 1.0, (3, 7)) * 1e301).tolist())
+    for name, agents in (("seqpick", (0, 1, 2)), ("dc3", (1, 2))):
+        for agent in agents:
+            allocations.clear()
+            report = sp_check_ordinal(
+                RUNNERS[name], matrix, agent, model=Model.CARDINAL, include_grid=True
+            )
+            assert report.deviation == "truthful"
+            assert len(allocations) == 1
+
+
+@st.composite
+def near_limit_grid_checks(draw):
+    """A check on rows whose largest entries lie between 1e305 and 1.5e308
+    (a valid instance at m <= 4), with one to four grid factors that may
+    be 0, -1, inf or NaN."""
+    name = draw(st.sampled_from(sorted(RUNNERS)))
+    n = 3 if name == "dc3" else draw(st.integers(2, 3))
+    m = draw(st.integers(1, 4))
+    unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    scale = draw(st.floats(1e305, 1.5e308 / m))
+    rows = draw(st.lists(st.lists(unit, min_size=m, max_size=m), min_size=n, max_size=n))
+    matrix = CostMatrix.from_rows([[c * scale for c in row] for row in rows])
+    special = st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan])
+    factors = draw(st.lists(special | st.floats(0.0, 4.0), min_size=1, max_size=4))
+    return name, matrix, draw(st.integers(0, n - 1)), tuple(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    check=near_limit_grid_checks(),
+    model=st.sampled_from([Model.CARDINAL, Model.PUBLIC_RANKING]),
+)
+def test_a_grid_is_refused_exactly_when_a_row_is_invalid(check, model):
+    # the cardinal reference builds every grid row as a whole report, so it
+    # refuses exactly when a row is invalid; the public one builds only the
+    # rows that keep the ranking, so its refusal is one here too
+    name, matrix, agent, factors = check
+    algorithm = RUNNERS[name]
+    try:
+        expected = deviation_search_reference(algorithm, matrix, agent, model, True, factors)
+    except ValueError:
+        expected = None
+    try:
+        report = sp_check_ordinal(
+            algorithm, matrix, agent, model=model, include_grid=True, grid_factors=factors
+        )
+    except ValueError as exc:
+        assert "grid misreports leave the float range" in str(exc)
+        assert expected is None or model is Model.PUBLIC_RANKING
+        return
+    assert (
+        report.truthful_cost,
+        report.best_deviation_cost,
+        report.deviation,
+        report.profitable,
+    ) == expected
