@@ -3,8 +3,10 @@
 An agent's maxmin share is the smallest achievable maximum bundle cost over
 all n-partitions of the items, measured with the agent's own cost row. For
 n >= 2 the exact solver is a depth-first branch-and-bound over
-item-to-bundle assignments: items in descending cost order, the incumbent
-seeded by a longest-processing-time greedy, and at each node the bundles
+item-to-bundle assignments: items in descending cost order, the first
+incumbent the largest load of a longest-processing-time (LPT) greedy or, at
+n >= 3 where it is lower, that of Karmarkar-Karp's largest differencing
+(Korf, IJCAI 2009) slackened against rounding, and at each node the bundles
 tried in index order, each only when the item keeps it below the incumbent
 and no earlier bundle has the same load. It cuts a node with the
 closed-bundle bound of bin completion (Korf, IJCAI 2009): a bundle that not
@@ -19,16 +21,21 @@ of their subset sums within its room, read from sorted tables built once per
 search, and the fits must add up to the items left. Its rounding slack keeps
 every leaf the search admits, so the value, witness and method are those
 the closed-bundle bound alone gives. At n >= 5 the tables did not pay for
-themselves. Exact MMS is NP-hard, so rows of more than CAP items are
-refused; for them only mms_bounds is available: the bracket the search
-starts from. Both functions refuse an agent count below 1 and negative
-costs.
+themselves. Nor does a start below LPT's load change what the search
+returns: from any incumbent above the optimum it admits the same last leaf.
+Exact MMS is NP-hard, so rows of more than CAP items are refused; for them
+only mms_bounds is available: the lower bound and LPT's load, whichever
+incumbent the search starts from. Both functions refuse an agent count
+below 1, negative costs and a row whose float sum is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heapreplace
+from operator import add
 from typing import Optional, Sequence
 
 from .model import Allocation, AgentEval, CostMatrix, EvalReport, descending, ratio_of
@@ -79,16 +86,50 @@ def _lpt(items: list[int], row: Sequence[float], n: int) -> tuple[float, list[se
     return max(loads), bundles
 
 
+def _kk_start(costs: list[float], n: int) -> float:
+    """A first incumbent just above the largest load of the multi-way
+    largest differencing partition (Karmarkar-Karp; Korf, IJCAI 2009) of
+    the descending `costs`: while two partial partitions are left, the two
+    whose largest and smallest loads differ most are joined, the largest
+    loads of one with the smallest of the other.
+
+    The search sums that partition's bundles in its own order: each sum
+    adds at most CAP items, so the two differ by less than CAP * 2**-52 of
+    the load, which the factor 1 + 1e-12 covers. On subnormal loads, which
+    add up exactly, the factor adds nothing, and nextafter keeps the start
+    above the partition there. The search then admits that partition or a
+    better one, and from any start above the optimum it admits the same
+    final leaf: the leaves a lower start no longer admits lie at or above
+    it."""
+    # each partial partition's loads ascending, keyed by minus their spread;
+    # the costs come sorted, so the list is a heap already, and k keeps the
+    # loads out of the comparison
+    heap = [(-c, k, [0.0] * (n - 1) + [c]) for k, c in enumerate(costs)]
+    while len(heap) > 1:
+        _, _, a = heappop(heap)
+        _, k, b = heap[0]
+        b.reverse()
+        loads = sorted(map(add, a, b))
+        heapreplace(heap, (loads[0] - loads[-1], k, loads))
+    return math.nextafter(heap[0][2][-1] * (1 + 1e-12), math.inf)
+
+
 def _refuse_bad_input(row: Sequence[float], n: int) -> None:
     """The input refusals mms_exact and mms_bounds share, in this order."""
     if n < 1:
         raise ValueError("agent count must be >= 1")
     if any(c < 0 for c in row):
         raise ValueError("costs must be nonnegative")
+    if not math.isfinite(sum(row)):
+        raise ValueError("costs must sum to a finite float")
 
 
 def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     """Minimize the maximum bundle cost over all n-partitions of the row.
+
+    The search's first incumbent is LPT's largest load or, at n >= 3 where
+    it is lower, _kk_start's; the value, witness and method are those of
+    the search started from LPT's load.
 
     Raises MmsCapError for more than CAP items: use mms_bounds instead.
     """
@@ -105,7 +146,11 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     best_assign: list[int] | None = None
     if best_val > lower:
         costs = [row[j] for j in items]
-        best_val, best_assign = _branch_and_bound(costs, n, m, best_val, lower)
+        # KK's start runs at n >= 3 only, as the fill bound at n <= 4 only:
+        # on the eval benchmark's (2, 16) rows it saved 8 % of the nodes,
+        # less than KK's own cost, and the rows ran 6-12 % slower.
+        start = min(best_val, _kk_start(costs, n)) if n >= 3 else best_val
+        best_val, best_assign = _branch_and_bound(costs, n, m, start, lower)
 
     if best_assign is not None:
         bundles = [set() for _ in range(n)]
@@ -125,6 +170,7 @@ def _branch_and_bound(
 ) -> tuple[float, list[int] | None]:
     """Search assignments of the descending `costs` to n bundles for a
     maximum load below the incumbent `best_val`, stopping at one <= `lower`.
+    `best_val` starts at LPT's load or a lower _kk_start.
 
     Returns the final incumbent and the assignment of the last leaf the
     search admitted (None when no leaf beat the start incumbent). A leaf is
@@ -269,8 +315,9 @@ _FILL_ITEMS = 8
 
 
 def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
-    """The bracket the exact search starts from: lower = max(total/n, max
-    item), upper = LPT greedy."""
+    """The bracket of the exact search: lower = max(total/n, max item),
+    upper = LPT greedy's largest load (the search may start below it, from
+    _kk_start's value, but this returns LPT's)."""
     _refuse_bad_input(row, n)
     _, lower, (upper, _) = _bracket(row, n)
     return lower, max(upper, lower)

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from choremms.mms import (
     MmsCapError,
+    _bracket,
+    _kk_start,
     evaluate,
     mms_bounds,
     mms_exact,
     mms_table,
 )
 from choremms.model import Allocation, CostMatrix
-from oracles import mms_bruteforce
+from oracles import lpt_reference, mms_bruteforce
 
 
 def test_known_values():
@@ -75,6 +79,12 @@ def test_cap_refusal():
         # the agent count first, then the signs, then the cap
         (mms_bounds, (-1.0,), 0, "agent count must be >= 1"),
         (mms_exact, (-1.0,) * 21, 2, "costs must be nonnegative"),
+        # a NaN, an infinity or a sum past the float range, before the cap
+        *(
+            (solve, row, 2, "costs must sum to a finite float")
+            for solve in (mms_exact, mms_bounds)
+            for row in ((math.nan, 1.0, 2.0), (math.inf, 1.0), (1e308,) * 3 + (1.0,), (math.nan,) * 21)
+        ),
     ],
 )
 def test_bad_input_is_refused(solve, row, n, message):
@@ -92,6 +102,23 @@ def test_bounds_bracket_exact():
         value = mms_exact(row, n).value
         assert lower <= value + 1e-12
         assert value <= upper + 1e-12
+
+
+def test_bounds_upper_is_lpt_where_kk_beats_it():
+    # the search may start below LPT's load, from Karmarkar-Karp's value, but
+    # the bracket mms_bounds returns keeps LPT's load
+    rng = np.random.default_rng(29)
+    beaten = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        row = tuple(rng.uniform(0, 1, int(rng.integers(2 * n + 2, 17))).tolist())
+        items, lower, (upper, _) = _bracket(row, n)
+        if upper <= lower or _kk_start([row[j] for j in items], n) >= upper:
+            continue
+        beaten += 1
+        items = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        assert mms_bounds(row, n)[1] == lpt_reference(items, row, n)[0]
+    assert beaten >= 50
 
 
 def test_bounds_known_cases():

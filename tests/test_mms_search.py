@@ -18,13 +18,18 @@ absorbs without changing its float load, so that a bundle holds exactly the
 incumbent and the search admits a tie below it, and runs to the cap of 20
 items. The fill-bound property takes tie-heavy rows at the sizes where that
 bound runs.
+
+At n >= 3 the search starts from Karmarkar-Karp's slackened value where
+that is below LPT's load. On rows where it is, at n 3 to 6, the search from
+that start must return the value (compared with ==) and the assignment the
+search from LPT's load returns.
 """
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from choremms.mms import _FILL_ITEMS, mms_exact
+from choremms.mms import _FILL_ITEMS, _bracket, _branch_and_bound, _kk_start, mms_exact
 from oracles import mms_bruteforce, mms_exact_reference
 
 
@@ -141,9 +146,43 @@ def _tie_rows():
 @example(row=[0.5, 0.9, 0.5, 0.8, 0.4, 0.2, 0.6, 0.7, 0.3, 0.6, 0.7, 0.8], n=4)
 # exact sums: the only leaf's fits add up to exactly the rest
 @example(row=[k * 5e-324 for k in (3, 3, 0, 0, 2, 0, 4, 2, 3, 4, 3)], n=3)
+# KK's partition is optimal and its slack factor rounds to nothing, so only
+# nextafter keeps the start above the optimum
+@example(row=[1e-323] * 4 + [1.5e-323] * 2 + [2e-323] * 3, n=4)
 def test_fill_bound_matches_reference_on_tied_rows(row, n):
     got = mms_exact(row, n)
     expected = mms_exact_reference(row, n)
     assert got.value == expected.value
     assert got.witness.bundles == expected.witness.bundles
     assert got.method == expected.method
+
+
+def _kk_rows():
+    # n from 3 to 6 with m from 2n + 2 to 3n, at most 16: at these sizes
+    # Karmarkar-Karp often beats LPT on floats of one magnitude and on
+    # half-steps, whose sums tie exactly
+    def rows(n):
+        def of(values):
+            return st.lists(values, min_size=2 * n + 2, max_size=min(3 * n, 16))
+
+        half = st.integers(1, 8).map(lambda k: k / 2)
+        return st.tuples(of(st.floats(0.1, 1.0)) | of(half), st.just(n))
+
+    return st.integers(3, 6).flatmap(rows)
+
+
+# a quarter to a third of the rows drawn have KK beat LPT; the rest are
+# filtered out
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=_kk_rows())
+def test_kk_start_admits_what_the_lpt_start_admits(case):
+    row, n = case
+    items, lower, (lpt, _) = _bracket(row, n)
+    assume(lpt > lower)  # mms_exact runs no search otherwise
+    costs = [row[j] for j in items]
+    start = _kk_start(costs, n)
+    assume(start < lpt)
+    from_lpt = _branch_and_bound(costs, n, len(row), lpt, lower)
+    from_kk = _branch_and_bound(costs, n, len(row), start, lower)
+    assert from_kk[0] == from_lpt[0]
+    assert from_kk[1] == from_lpt[1]

@@ -29,7 +29,8 @@ method, on these rows:
     runs: integers 1..4 times 0.1, whose sums round by the order of
     addition, so the bound's slack decides what it keeps, and integers
     0..4 times the least subnormal, whose sums are exact and whose slack
-    is zero, so the strictness of its cut decides.
+    is zero, so the strictness of its cut decides, and where a relative
+    slack on the Karmarkar-Karp start rounds to nothing.
 
 The ordinal model's firewall referees allocate: on seeded matrices of
 integer costs 0..3 at n 2..4 and m n+1..11, and then m 1..n, where every
@@ -192,6 +193,21 @@ MUTANTS = {
         "mms",
         "if fits < rest[idx] - slack:",
         "if fits <= rest[idx] - slack:",
+        "mms_exact",
+    ),
+    # KK's start at its partition's own load: where that partition is
+    # optimal the search admits no leaf and keeps LPT's bundles
+    "KK start without its slack": (
+        "mms",
+        "return math.nextafter(heap[0][2][-1] * (1 + 1e-12), math.inf)",
+        "return heap[0][2][-1]",
+        "mms_exact",
+    ),
+    # on subnormal loads the factor alone adds nothing, with the same effect
+    "KK slack without nextafter": (
+        "mms",
+        "return math.nextafter(heap[0][2][-1] * (1 + 1e-12), math.inf)",
+        "return heap[0][2][-1] * (1 + 1e-12)",
         "mms_exact",
     ),
     "LPT takes the last least-loaded bundle": (
