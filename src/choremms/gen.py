@@ -15,14 +15,13 @@ import os
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .algorithms import allocate, check_algorithm
 from .mms import MmsCapError, evaluate, mms_table
-from .model import CostMatrix, is_int
+from .model import CostMatrix, is_int, is_real
 from .verify import fixture_instances
 
 # each family and the GenSpec parameter fields it reads
@@ -257,14 +256,10 @@ def specs_from_config(doc: dict) -> tuple[list[GenSpec], list[str], int]:
     return specs, list(algorithms), seeds_per_spec
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 # what a config may give each GenSpec field, by its annotation; a bool is
 # no number here
 _FIELD_CHECKS = {
     "int": ("an integer", is_int),
-    "float": ("a number", _is_real),
+    "float": ("a number", is_real),
     "str": ("a string", lambda v: isinstance(v, str)),
 }

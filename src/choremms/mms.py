@@ -25,8 +25,10 @@ themselves. Nor does a start below LPT's load change what the search
 returns: from any incumbent above the optimum it admits the same last leaf.
 Exact MMS is NP-hard, so rows of more than CAP items are refused; for them
 only mms_bounds is available: the lower bound and LPT's load, whichever
-incumbent the search starts from. Both functions refuse an agent count
-below 1, negative costs and a row whose float sum is not finite.
+incumbent the search starts from, both floats. Both functions refuse an
+agent count below 1 and then, before the cap, a row that is no valid cost
+row by `model.row_problems`, the rule `model.validate` applies to every
+row of an instance, with its first message.
 """
 
 from __future__ import annotations
@@ -38,7 +40,15 @@ from heapq import heappop, heapreplace
 from operator import add
 from typing import Optional, Sequence
 
-from .model import Allocation, AgentEval, CostMatrix, EvalReport, descending, ratio_of
+from .model import (
+    Allocation,
+    AgentEval,
+    CostMatrix,
+    EvalReport,
+    descending,
+    ratio_of,
+    row_problems,
+)
 
 # the most items an exact share is computed for
 CAP = 20
@@ -71,7 +81,7 @@ def _bracket(
     order, the lower bound max(total/n, max item), and LPT's largest load
     and partition of those items."""
     items = [j for j in descending(row) if row[j] > 0]
-    lower = max(float(sum(row)) / n, row[items[0]] if items else 0.0)
+    lower = max(float(sum(row)) / n, float(row[items[0]]) if items else 0.0)
     return items, lower, _lpt(items, row, n)
 
 
@@ -115,13 +125,14 @@ def _kk_start(costs: list[float], n: int) -> float:
 
 
 def _refuse_bad_input(row: Sequence[float], n: int) -> None:
-    """The input refusals mms_exact and mms_bounds share, in this order."""
+    """The input refusals mms_exact and mms_bounds share: an agent count
+    below 1, then the first of `model.row_problems`, a row's as `validate`
+    words it for row 1."""
     if n < 1:
         raise ValueError("agent count must be >= 1")
-    if any(c < 0 for c in row):
-        raise ValueError("costs must be nonnegative")
-    if not math.isfinite(sum(row)):
-        raise ValueError("costs must sum to a finite float")
+    problems = row_problems(row)
+    if problems:
+        raise ValueError(problems[0])
 
 
 def mms_exact(row: Sequence[float], n: int) -> MmsResult:
@@ -320,7 +331,7 @@ def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
     _kk_start's value, but this returns LPT's)."""
     _refuse_bad_input(row, n)
     _, lower, (upper, _) = _bracket(row, n)
-    return lower, max(upper, lower)
+    return lower, float(max(upper, lower))
 
 
 def mms_table(matrix: CostMatrix) -> list[MmsResult]:

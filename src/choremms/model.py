@@ -70,8 +70,8 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
 
     Violations are data, not failures: an empty list means the grid is ok.
     Row/column locations in messages are 1-indexed to match the external
-    instance format. Every cost must be a finite float, and so must every
-    row's sum, which bundle costs and shares are bounded by.
+    instance format. The grid needs an agent and an item, and rows of one
+    length; each row must then be a valid cost row (`row_problems`).
     """
     problems: list[str] = []
     if len(rows) < 1:
@@ -86,36 +86,48 @@ def validate(rows: Sequence[Sequence[float]]) -> list[str]:
                 f"dimension mismatch: row {i + 1} has {len(row)} entries, expected {m}"
             )
             continue
-        found = len(problems)
-        for j, c in enumerate(row):
-            # Any real number is a cost (numpy's too), but a bool is not,
-            # though it is an int subclass (np.bool_ is no Real). A JSON
-            # grid holds only ints and floats, so exact-type tests settle
-            # most entries first, on a loop that sees every entry of large
-            # files.
-            t = type(c)
-            if t is not float and t is not int:
-                if t is bool or not isinstance(c, Real):
-                    problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
-                    continue
-            if c < 0:
-                problems.append(f"negative cost at ({i + 1},{j + 1})")
-                continue
-            try:
-                if not isfinite(c):  # NaN or +inf
-                    problems.append(f"non-finite cost at ({i + 1},{j + 1})")
-            except OverflowError:  # an int past the float range
-                problems.append(f"cost at ({i + 1},{j + 1}) is too large for a float")
-        # every entry converts to a finite float by now; bundle costs and
-        # shares are float sums, so the row's float sum must be finite too
-        if len(problems) == found and not isfinite(sum(map(float, row))):
-            problems.append(f"costs of row {i + 1} sum past the float range")
+        problems += row_problems(row, i)
+    return problems
+
+
+def row_problems(row: Sequence[float], i: int = 0) -> list[str]:
+    """What makes `row` no valid cost row, as `validate` words it for row
+    i + 1: one message per entry that is no finite nonnegative real (a bool
+    is none), or, when every entry is one, one when the row's float sum is
+    not finite, since bundle costs and shares are bounded by it. A row of
+    no items has no problem."""
+    problems: list[str] = []
+    for j, c in enumerate(row):
+        # A JSON grid holds only ints and floats, so exact-type tests settle
+        # most entries first, on a loop that sees every entry of large files.
+        t = type(c)
+        if t is not float and t is not int and not is_real(c):
+            problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
+            continue
+        if c < 0:
+            problems.append(f"negative cost at ({i + 1},{j + 1})")
+            continue
+        try:
+            if not isfinite(c):  # NaN or +inf
+                problems.append(f"non-finite cost at ({i + 1},{j + 1})")
+        except OverflowError:  # an int past the float range
+            problems.append(f"cost at ({i + 1},{j + 1}) is too large for a float")
+    # every entry converts to a finite float by now; bundle costs and
+    # shares are float sums, so the row's float sum must be finite too
+    if not problems and not isfinite(sum(map(float, row))):
+        problems.append(f"costs of row {i + 1} sum past the float range")
     return problems
 
 
 def is_int(value) -> bool:
     """An integer, and not a bool, though bool is an int subclass."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, numpy's included, and not a bool, though bool is an
+    int subclass (np.bool_ is no Real)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def descending(costs: Sequence[float]) -> list[int]:

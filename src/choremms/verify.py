@@ -9,14 +9,14 @@ rankings, in exact rational arithmetic.
 
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
 blocks of at most BLOCK rows, in `itertools.product` order. A grid
-block is filtered by the public ranking with one column comparison per
-adjacent pair: a row is kept when its `model.rank` order is the public
-ranking. A deviation search runs each report on the rebuilt matrix, the
-truthful one first, and scans the costs in enumeration order. It runs
-each distinct reported row once; for a seqpick or roundrobin `Runner`,
-and for dc3's divider (agent index 0) on 3 agents, each distinct ranking
-of the row once, since the rule reads the row through its `model.rank`
-order alone. A landing block adds each landing's sums column by column,
+block is filtered by the public ranking: a row is kept when its stable
+descending argsort, `algorithms.label_sets`' numpy form of `model.rank`,
+is the public ranking. A deviation search runs each report on the
+rebuilt matrix, the truthful one first, and scans the costs in
+enumeration order. It runs each distinct reported row once; for a
+seqpick or roundrobin `Runner`, and for dc3's divider (agent index 0) on
+3 agents, each distinct ranking of the row once, since the rule reads
+the row through its `model.rank` order alone. A landing block adds each landing's sums column by column,
 and the total is carried from landing to landing, so the expectation is
 the one a per-landing loop computes, bit for bit. Monte-Carlo trials are
 dealt BLOCK at a time too.
@@ -68,7 +68,15 @@ from .algorithms import (
     randdecl_deal,
     randdecl_expected_cost,
 )
-from .model import Allocation, CostMatrix, Model, descending, rankings, surrogate_matrix
+from .model import (
+    Allocation,
+    CostMatrix,
+    Model,
+    descending,
+    rankings,
+    row_problems,
+    surrogate_matrix,
+)
 
 PROFIT_TOL = 1e-9
 # sp_check_ordinal enumerates all m! rankings, or all 4^m grid factor rows:
@@ -205,9 +213,10 @@ def sp_check_ordinal(
     The resulting bundle is always priced with the agent's *true* row.
     Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
     misreports is refused. So, before anything runs, is a grid with a row
-    that `model.validate` refuses: exactly when a factor times a true cost
-    is below 0 or NaN, or the largest factor's row sums past the float
-    range, since no grid row has larger entries or a larger rounded sum.
+    that is no valid cost row (`model.row_problems`): exactly when one of
+    the single-factor rows, a factor times each true cost, is invalid,
+    since each grid row takes every entry from one of them and none has
+    larger entries or a larger float sum than the largest factor's row.
 
     The misreports come as one stream, in enumeration order: the rankings,
     then the grid rows (those that keep the public ranking, under that
@@ -249,16 +258,12 @@ def sp_check_ordinal(
             "fewer items"
         )
     true_row = matrix.row(agent)
-    top = max(grid, default=0.0)
-    if grid_on and not (
-        all(f * c >= 0 for f in grid for c in true_row)
-        and math.isfinite(sum(top * c for c in true_row))
-    ):
+    if grid_on and any(row_problems([f * c for c in true_row]) for f in grid):
         raise ValueError(
             f"agent {agent + 1}'s grid misreports leave the float range, though the "
-            f"instance does not: each factor times each cost must be >= 0, and {top} "
-            "times the agent's costs must sum to a finite float; scaling the costs "
-            "down by a power of two changes no verdict"
+            "instance does not: each factor times each cost must be >= 0, and "
+            f"{max(grid)} times the agent's costs must sum to a finite float; scaling "
+            "the costs down by a power of two changes no verdict"
         )
     true_orders = rankings(matrix)
     truthful_matrix = (
@@ -295,15 +300,15 @@ def sp_check_ordinal(
         if grid_on:
             factors = np.array(grid, dtype=float)
             truth = np.array(true_row)
-            order = true_orders[agent]
+            order = np.array(true_orders[agent])
             for digits in _product_blocks(len(grid), m):
                 rows = factors[digits] * truth
-                keep = np.ones(len(rows), dtype=bool)
+                survivors = np.arange(len(rows))
                 if model is Model.PUBLIC_RANKING:
-                    # `model.rank` lists a tied pair by ascending index
-                    for a, b in zip(order, order[1:]):
-                        keep &= rows[:, a] > rows[:, b] if a > b else rows[:, a] >= rows[:, b]
-                survivors = np.flatnonzero(keep)
+                    # each row's stable descending argsort, `label_sets`'
+                    # numpy form of `model.rank`, must be the public ranking
+                    ranks = np.argsort(np.negative(rows), axis=1, kind="stable")
+                    survivors = np.flatnonzero((ranks == order).all(axis=1))
                 for k, row in zip(survivors.tolist(), rows[survivors].tolist()):
                     yield tuple(row), lambda k=k, digits=digits: (
                         f"grid factors {tuple(grid[d] for d in digits[k].tolist())}"

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from choremms.mms import (
+    CAP,
     MmsCapError,
     _bracket,
     _kk_start,
@@ -12,7 +16,7 @@ from choremms.mms import (
     mms_exact,
     mms_table,
 )
-from choremms.model import Allocation, CostMatrix
+from choremms.model import Allocation, CostMatrix, row_problems
 from oracles import lpt_reference, mms_bruteforce
 
 
@@ -69,26 +73,44 @@ def test_cap_refusal():
         mms_exact((1.0,) * 21, 2)
 
 
+NEGATIVE = "costs must be nonnegative"
+NOT_FINITE = "costs must sum to a finite float"
+AGENTS = "agent count must be >= 1"
+
+# (solve, row, n, what is refused, the exact message); each case's id names
+# what is refused
+BAD_INPUT = [
+    (mms_exact, (1.0, -1.0), 2, NEGATIVE, "negative cost at (1,2)"),
+    (mms_exact, (1.0, 2.0), 0, AGENTS, AGENTS),
+    (mms_bounds, (1.0, 2.0), 0, AGENTS, AGENTS),
+    (mms_bounds, (1.0, -1.0), 2, NEGATIVE, "negative cost at (1,2)"),
+    # the agent count first, then the row, then the cap
+    (mms_bounds, (-1.0,), 0, AGENTS, AGENTS),
+    (mms_exact, (-1.0,) * 21, 2, NEGATIVE, "negative cost at (1,1)"),
+    # a NaN, an infinity or a sum past the float range, before the cap
+    *(
+        (solve, row, 2, NOT_FINITE, message)
+        for solve in (mms_exact, mms_bounds)
+        for row, message in (
+            ((math.nan, 1.0, 2.0), "non-finite cost at (1,1)"),
+            ((math.inf, 1.0), "non-finite cost at (1,1)"),
+            ((1e308,) * 3 + (1.0,), "costs of row 1 sum past the float range"),
+            ((math.nan,) * 21, "non-finite cost at (1,1)"),
+        )
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "solve, row, n, message",
-    [
-        (mms_exact, (1.0, -1.0), 2, "costs must be nonnegative"),
-        (mms_exact, (1.0, 2.0), 0, "agent count must be >= 1"),
-        (mms_bounds, (1.0, 2.0), 0, "agent count must be >= 1"),
-        (mms_bounds, (1.0, -1.0), 2, "costs must be nonnegative"),
-        # the agent count first, then the signs, then the cap
-        (mms_bounds, (-1.0,), 0, "agent count must be >= 1"),
-        (mms_exact, (-1.0,) * 21, 2, "costs must be nonnegative"),
-        # a NaN, an infinity or a sum past the float range, before the cap
-        *(
-            (solve, row, 2, "costs must sum to a finite float")
-            for solve in (mms_exact, mms_bounds)
-            for row in ((math.nan, 1.0, 2.0), (math.inf, 1.0), (1e308,) * 3 + (1.0,), (math.nan,) * 21)
-        ),
+    [(solve, row, n, message) for solve, row, n, _, message in BAD_INPUT],
+    ids=[
+        f"{solve.__name__}-row{k}-{n}-{what}"
+        for k, (solve, _, n, what, _) in enumerate(BAD_INPUT)
     ],
 )
 def test_bad_input_is_refused(solve, row, n, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve(row, n)
 
 
@@ -119,6 +141,72 @@ def test_bounds_upper_is_lpt_where_kk_beats_it():
         items = sorted(range(len(row)), key=lambda j: (-row[j], j))
         assert mms_bounds(row, n)[1] == lpt_reference(items, row, n)[0]
     assert beaten >= 50
+
+
+def test_bounds_are_floats():
+    for row in ((3, 1), (3.0, 1.0), (np.float64(1.0), 2), (np.int64(3), np.int64(1)), (0, 0)):
+        for n in (1, 2, 3):
+            assert [type(b) for b in mms_bounds(row, n)] == [float, float], (row, n)
+    assert mms_bounds([3, 1], 2) == (3.0, 3.0)
+    assert mms_bounds((np.float64(1.0), 2), 2) == (2.0, 2.0)
+
+
+# entries of every kind a caller may pass: floats (NaN, infinities, -0.0,
+# negatives, near the float maximum), ints past the float range, bools,
+# None, strings and numpy scalars; rows of finite nonnegative entries,
+# drawn on their own, are mostly valid
+_ANY_COST = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e308, 1.7e308, -1e308]),
+    st.integers(-10, 10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-(10**6), 10**6).map(np.int64),
+)
+_COST = st.one_of(
+    st.floats(0.0, 1e308),
+    st.integers(0, 10**6),
+    st.just(-0.0),
+    st.floats(0.0, 9.0).map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(_ANY_COST, max_size=25) | st.lists(_COST, max_size=25), n=st.integers(0, 4))
+@example(row=[10**400, 1], n=2)
+@example(row=[None, 1.0], n=2)
+@example(row=["1", 1.0], n=2)
+@example(row=[True, 2.0], n=2)
+@example(row=[-1.0] * 21, n=2)
+@example(row=[], n=3)
+def test_the_row_rule_is_the_refusal(row, n):
+    # an agent count below 1 first; then the row's first problem, as
+    # `validate` words it for row 1, before the cap; a valid row is solved
+    # or refused at the cap as before
+    problems = row_problems(row)
+    for solve in (mms_exact, mms_bounds):
+        if n < 1 or problems:
+            with pytest.raises(ValueError) as refused:
+                solve(row, n)
+            assert refused.type is ValueError
+            assert str(refused.value) == ("agent count must be >= 1" if n < 1 else problems[0])
+    if n < 1 or problems:
+        return
+    lower, upper = mms_bounds(row, n)
+    assert type(lower) is type(upper) is float and lower <= upper
+    if len(row) > CAP:
+        with pytest.raises(MmsCapError):
+            mms_exact(row, n)
+    # longer rows can search for seconds; the search's bounds add up to n
+    # loads, which overflow on rows nearer the float maximum (no cut for
+    # Python floats, a RuntimeWarning for numpy scalars)
+    elif len(row) <= 12 and math.isfinite(n * sum(map(float, row))):
+        value = mms_exact(row, n).value
+        assert value <= upper and lower <= value * (1 + 1e-9)
+        if not row:
+            assert value == 0.0
 
 
 def test_bounds_known_cases():

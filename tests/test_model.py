@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choremms.model import (
     Allocation,
@@ -12,6 +14,7 @@ from choremms.model import (
     rank,
     rankings,
     ratio_of,
+    row_problems,
     surrogate_matrix,
     validate,
 )
@@ -55,6 +58,26 @@ def test_validate_flags_costs_past_the_float_range():
     assert validate([np.full(2, 3e38, dtype=np.float32), [1, 1]]) == []
     # an int no float can hold is refused where it stands
     assert validate([[1, 1], [1, 10**400]]) == ["cost at (2,2) is too large for a float"]
+
+
+_ENTRY = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e308]),
+    st.integers(-10, 10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=1, max_size=4)
+    )
+)
+def test_validate_is_row_problems_row_by_row(rows):
+    assert validate(rows) == [p for i, row in enumerate(rows) for p in row_problems(row, i)]
 
 
 def test_validate_flags_boolean_cost():

@@ -75,8 +75,14 @@ stop, for ranking and grid misreports alike; the stop mutant, which stops
 at the first profitable report, changes cardinal checks that stop in the
 rankings. Every third check is scaled by 2^-40, which moves no verdict,
 since a power of two scales every float sum exactly, but hides every
-gain from an absolute tolerance. No mutant of the offer is listed: a dc3
-chooser never profits, so no offer, however wrong, changes a report.
+gain from an absolute tolerance. Forty public-grid checks of the mutants
+argmin_assigner and greedy_worst_seqpick, plain callables keyed by the
+row itself with no leaves, run every grid row the public filter keeps:
+no Runner's check reaches the filter, since under public rankings a
+ranking key has one leaf, the truthful bundle, and a dc3 chooser's
+truthful pick is already the cheapest on offer. No mutant of the offer
+is listed: a dc3 chooser never profits, so no offer, however wrong,
+changes a report.
 The offer's referees are test_dc3.py's property that a chooser's bundle
 lies in its offer and test_verify.py's count of the runs of a passing
 chooser check.
@@ -102,7 +108,7 @@ from choremms.algorithms import build_schedule, label_count, label_sets
 from choremms.gen import GenSpec, generate
 from choremms.model import CostMatrix, Model, rankings, surrogate_matrix
 from choremms.verify import BLOCK, algorithm_runner
-from mutants import inverted_gather
+from mutants import argmin_assigner, greedy_worst_seqpick, inverted_gather
 from oracles import (
     deviation_search_reference,
     enum_expected_cost_reference,
@@ -275,6 +281,14 @@ MUTANTS = {
         "verify",
         "            if best <= least:\n                break\n",
         "            if best < truthful_cost:\n                break\n",
+        "sp_check_ordinal",
+    ),
+    # the public filter keeps the rows whose ascending order is the public
+    # ranking, which a row of distinct costs never has at m >= 2
+    "public filter sorts ascending": (
+        "verify",
+        'ranks = np.argsort(np.negative(rows), axis=1, kind="stable")',
+        'ranks = np.argsort(rows, axis=1, kind="stable")',
         "sp_check_ordinal",
     ),
     # a trial's cost adds the agent's items from the last column down
@@ -534,13 +548,35 @@ def sp_check_corpus():
             algorithm_runner(name), matrix, agent, model, include_grid
         )
         cases.append(((name, matrix, agent, model, include_grid), expected))
+    # plain callables under public rankings with the grid: keyed by the row
+    # itself with no leaves, so every grid row the public filter keeps runs
+    for t in range(40):
+        algorithm = (argmin_assigner, greedy_worst_seqpick)[t % 2]
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 6))
+        if t // 2 % 2:
+            costs = rng.integers(0, 4, (n, m)).tolist()
+        else:
+            costs = rng.permutation(np.arange(1, n * m + 1) / (n * m)).reshape(n, m).tolist()
+        matrix = CostMatrix.from_rows(costs)
+        agent = int(rng.integers(0, n))
+        expected = deviation_search_reference(
+            algorithm, matrix, agent, Model.PUBLIC_RANKING, True
+        )
+        cases.append(((algorithm, matrix, agent, Model.PUBLIC_RANKING, True), expected))
     return tuple(cases)
 
 
 def _sp_check(verify):
     """`verify.sp_check_ordinal` on the named algorithm's Runner of
-    `verify` itself, which the check recognises by class."""
-    return lambda name, *args: verify.sp_check_ordinal(verify.algorithm_runner(name), *args)
+    `verify` itself, which the check recognises by class, or on a plain
+    callable."""
+
+    def check(algorithm, *args):
+        if isinstance(algorithm, str):
+            algorithm = verify.algorithm_runner(algorithm)
+        return verify.sp_check_ordinal(algorithm, *args)
+
+    return check
 
 
 def _report(report):
