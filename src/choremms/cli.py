@@ -36,7 +36,17 @@ def _round12(x: float) -> float:
 
 
 def _jsonable(obj):
-    """Round floats to 12 significant digits; Fractions keep an exact form."""
+    """Round floats to 12 significant digits; Fractions keep an exact form.
+
+    The exact types a report is mostly made of, bundle items among them, are
+    settled before the isinstance tests: a Fraction test goes through the
+    numbers ABCs, and subclasses such as numpy's float64 still reach the
+    float test below."""
+    t = type(obj)
+    if t is int or t is str or t is bool or obj is None:
+        return obj
+    if t is list:
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"value": _round12(float(obj)), "exact": f"{obj.numerator}/{obj.denominator}"}
     if isinstance(obj, float):

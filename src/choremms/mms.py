@@ -28,7 +28,9 @@ only mms_bounds is available: the lower bound and LPT's load, whichever
 incumbent the search starts from, both floats. Both functions refuse an
 agent count below 1 and then, before the cap, a row that is no valid cost
 row by `model.row_problems`, the rule `model.validate` applies to every
-row of an instance, with its first message.
+row of an instance, with its first message. Every step after the refusals
+reads the row's costs as Python floats, so a row of numpy scalars or of
+ints gets the share its float row gets, as the CLI's rows do.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _bracket(
     order, the lower bound max(total/n, max item), and LPT's largest load
     and partition of those items."""
     items = [j for j in descending(row) if row[j] > 0]
-    lower = max(float(sum(row)) / n, float(row[items[0]]) if items else 0.0)
+    lower = max(sum(row) / n, row[items[0]] if items else 0.0)
     return items, lower, _lpt(items, row, n)
 
 
@@ -150,6 +152,7 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
         raise MmsCapError(
             f"{m} items exceeds the exact-computation cap of {CAP}; use mms_bounds"
         )
+    row = tuple(map(float, row))
     if n == 1:
         return MmsResult(float(sum(row)), Allocation.from_lists([set(range(m))]), "exact")
 
@@ -173,7 +176,7 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     if zeros:
         loads = [sum(row[j] for j in b) for b in bundles]
         bundles[loads.index(min(loads)) if len(items) > n else -1].update(zeros)
-    return MmsResult(float(best_val), _sorted_bundles(bundles, row), "exact")
+    return MmsResult(best_val, _sorted_bundles(bundles, row), "exact")
 
 
 def _branch_and_bound(
@@ -330,8 +333,8 @@ def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
     upper = LPT greedy's largest load (the search may start below it, from
     _kk_start's value, but this returns LPT's)."""
     _refuse_bad_input(row, n)
-    _, lower, (upper, _) = _bracket(row, n)
-    return lower, float(max(upper, lower))
+    _, lower, (upper, _) = _bracket(tuple(map(float, row)), n)
+    return lower, max(upper, lower)
 
 
 def mms_table(matrix: CostMatrix) -> list[MmsResult]:

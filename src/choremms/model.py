@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
@@ -95,13 +95,24 @@ def row_problems(row: Sequence[float], i: int = 0) -> list[str]:
     i + 1: one message per entry that is no finite nonnegative real (a bool
     is none), or, when every entry is one, one when the row's float sum is
     not finite, since bundle costs and shares are bounded by it. A row of
-    no items has no problem."""
+    no items has no problem.
+
+    A valid row is admitted by one whole-row test: every entry exactly a
+    float or an int, as in a JSON grid, a finite float sum (NaN, inf and
+    ints past the float range fail it) and no entry below 0. The entry loop
+    runs only on a row that fails it, such as one holding a bool or a numpy
+    scalar, and words each violation."""
+    kinds = set(map(type, row))
+    if kinds <= {float, int}:
+        try:
+            total = sum(map(float, row)) if int in kinds else sum(row)
+        except OverflowError:  # an int past the float range
+            total = inf
+        if isfinite(total) and min(row, default=0) >= 0:
+            return []
     problems: list[str] = []
     for j, c in enumerate(row):
-        # A JSON grid holds only ints and floats, so exact-type tests settle
-        # most entries first, on a loop that sees every entry of large files.
-        t = type(c)
-        if t is not float and t is not int and not is_real(c):
+        if not is_real(c):
             problems.append(f"non-numeric cost at ({i + 1},{j + 1})")
             continue
         if c < 0:

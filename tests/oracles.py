@@ -19,12 +19,14 @@ order, which the faster one must match in value, witness and method. The
 witness grid minimizes those pairs' mix over a fine grid of p instead of at
 the exact crossing, and strip_runtime drops the eval CSV's one column that
 is not byte-stable. The pick-tree oracle runs the serial-pick oracle once
-per strict ranking the agent can report.
+per strict ranking the agent can report. The cost-row reference tests each
+entry on its own, as the rule is worded, with no whole-row shortcut.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import permutations, product
 from typing import Optional, Sequence
 
@@ -164,6 +166,50 @@ def mms_exact_reference(row: Sequence[float], n: int) -> MmsResult:
         lightest = min(range(n), key=lambda k: (sum(row[j] for j in bundles[k]), k))
         bundles[lightest].update(zeros)
     return MmsResult(float(best_val), sorted_bundles_reference(bundles, row), "exact")
+
+
+# entries the whole-row test of `model.row_problems` admits no row with:
+# invalid ones, and numpy scalars, which the entry loop accepts
+ODD_COST_ENTRIES = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    -1,
+    -0.5,
+    True,
+    np.bool_(True),
+    None,
+    "1",
+    10**400,
+    np.float32(2.5),
+    np.int64(3),
+)
+
+
+def row_problems_reference(row: Sequence[float], i: int = 0) -> list[str]:
+    """The cost-row rule entry by entry, in `model.row_problems`' words for
+    row i + 1: an entry that is a bool or no numbers.Real is non-numeric, a
+    real below 0 negative, one whose float is NaN or inf non-finite, and an
+    int no float holds too large; a row with none of these whose float sum
+    is not finite sums past the float range."""
+    problems = []
+    for j, c in enumerate(row):
+        at = f"({i + 1},{j + 1})"
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            problems.append(f"non-numeric cost at {at}")
+        elif c < 0:
+            problems.append(f"negative cost at {at}")
+        else:
+            try:
+                x = float(c)
+            except OverflowError:
+                problems.append(f"cost at {at} is too large for a float")
+                continue
+            if x != x or x == math.inf:
+                problems.append(f"non-finite cost at {at}")
+    if not problems and not math.isfinite(sum(float(c) for c in row)):
+        problems.append(f"costs of row {i + 1} sum past the float range")
+    return problems
 
 
 def rank_reference(row: Sequence[float]) -> list[int]:

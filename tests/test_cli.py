@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import MISSING
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -769,6 +770,33 @@ def test_emit_writes_no_non_standard_json(capsys, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._emit({"ok": True, "value": value})
     assert capsys.readouterr().out == ""
+
+
+def test_jsonable_keeps_exact_types_and_rounds_every_float():
+    # bools and None stay themselves, not ints; numpy's float64, a float
+    # subclass, is rounded as a float is; np.int64 is passed on as it is
+    doc = {
+        "flags": [True, False, None],
+        "name": "seqpick",
+        "items": (1, 2, np.int64(3)),
+        "costs": [np.float64(0.1 + 0.2), 2 / 3, 1.0],
+        "nested": {"ratio": Fraction(4, 3), "rows": [[0.1 + 0.2], (np.float64(1 / 3),)]},
+    }
+    out = cli._jsonable(doc)
+    assert out == {
+        "flags": [True, False, None],
+        "name": "seqpick",
+        "items": [1, 2, 3],
+        "costs": [0.3, 0.666666666667, 1.0],
+        "nested": {
+            "ratio": {"value": 1.33333333333, "exact": "4/3"},
+            "rows": [[0.3], [0.333333333333]],
+        },
+    }
+    assert [type(v) for v in out["flags"]] == [bool, bool, type(None)]
+    assert [type(v) for v in out["items"]] == [int, int, np.int64]
+    assert [type(v) for v in out["costs"]] == [float, float, float]
+    assert type(out["nested"]["rows"][1][0]) is float
 
 
 def test_witness_ordinal_det(capsys):

@@ -199,14 +199,59 @@ def test_the_row_rule_is_the_refusal(row, n):
     if len(row) > CAP:
         with pytest.raises(MmsCapError):
             mms_exact(row, n)
-    # longer rows can search for seconds; the search's bounds add up to n
-    # loads, which overflow on rows nearer the float maximum (no cut for
-    # Python floats, a RuntimeWarning for numpy scalars)
-    elif len(row) <= 12 and math.isfinite(n * sum(map(float, row))):
+    # longer rows can search for seconds; the search reads the row as
+    # Python floats, so rows near the float maximum, whose n loads add up
+    # past it, are solved too, with numpy scalars among them
+    elif len(row) <= 12:
         value = mms_exact(row, n).value
         assert value <= upper and lower <= value * (1 + 1e-9)
         if not row:
             assert value == 0.0
+
+
+def _solved(solve, row, n):
+    """What `solve` gives for the row: the value `repr`, witness and method
+    or both bounds' `repr`, or the refusal's type and message."""
+    try:
+        result = solve(row, n)
+    except ValueError as refused:
+        return type(refused), str(refused)
+    if solve is mms_bounds:
+        return tuple(map(repr, result))
+    return repr(result.value), result.witness.bundles, result.method
+
+
+_NUMPY_ELEMENTS = {
+    np.float32: st.floats(0.0, float(np.finfo(np.float32).max), width=32),
+    np.float64: st.floats(0.0, 1e308),
+    np.int64: st.integers(0, 2**63 - 1),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    dtype=st.sampled_from(sorted(_NUMPY_ELEMENTS, key=str)),
+    n=st.integers(1, 4),
+)
+def test_numpy_rows_are_solved_as_their_float_rows(data, dtype, n):
+    # every step after the refusals reads the costs as Python floats: no
+    # sum in the row's own type wraps, overflows or warns (filterwarnings
+    # makes a warning an error)
+    elements = st.sampled_from([0, 1, 2]) | _NUMPY_ELEMENTS[dtype]
+    row = [dtype(v) for v in data.draw(st.lists(elements, max_size=10))]
+    floats = [float(c) for c in row]
+    for solve in (mms_exact, mms_bounds):
+        assert _solved(solve, row, n) == _solved(solve, floats, n)
+
+
+def test_numpy_rows_near_their_type_limits():
+    # summed in their own type, the float32 row's share overflowed to inf
+    # and the int64 row's total wrapped, which lowered its lower bound
+    wide = [np.float32(3e38)] * 3
+    assert math.isfinite(mms_exact(wide, 2).value)
+    assert mms_exact(wide, 2).value == 2 * float(np.float32(3e38))
+    assert mms_bounds([np.int64(2**62)] * 3, 2) == (3 * 2.0**61, 2.0**63)
 
 
 def test_bounds_known_cases():

@@ -1,8 +1,10 @@
 import json
+import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choremms.model import (
@@ -18,6 +20,7 @@ from choremms.model import (
     surrogate_matrix,
     validate,
 )
+from oracles import ODD_COST_ENTRIES, row_problems_reference
 
 
 def test_validate_accepts_well_formed_grid():
@@ -78,6 +81,42 @@ _ENTRY = st.one_of(
 )
 def test_validate_is_row_problems_row_by_row(rows):
     assert validate(rows) == [p for i, row in enumerate(rows) for p in row_problems(row, i)]
+
+
+@st.composite
+def cost_rows(draw):
+    """Rows of up to 300 floats, ints or both, some holding -0.0 or finite
+    entries that sum past the float range, with up to two entries at any
+    index replaced by one of ODD_COST_ENTRIES."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["float", "int", "mixed", "overflow"]))
+    if kind == "overflow":
+        row = [rnd.choice([1e308, 10**308, rnd.uniform(1e307, 1.7e308)]) for _ in range(m)]
+    else:
+        top = rnd.choice([3, 1e6, 1e300])
+        row = [rnd.uniform(0, top) for _ in range(m)]
+        if kind == "int":
+            row = [int(c) for c in row]
+        elif kind == "mixed":
+            row = [int(c) if rnd.random() < 0.5 else c for c in row]
+    if m and draw(st.booleans()):
+        row[rnd.randrange(m)] = -0.0
+    for _ in range(draw(st.integers(0, 2))):
+        if m:
+            row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(ODD_COST_ENTRIES))
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=cost_rows(), i=st.integers(0, 63))
+@example(row=[1e308, 1e308], i=0)
+@example(row=[0.5, 10**308, 10**308], i=3)
+@example(row=[-0.0, 0.0, 0], i=0)
+@example(row=[10**400, -(10**400), 1.0], i=0)
+@example(row=[], i=0)
+def test_row_problems_matches_the_entry_by_entry_reference(row, i):
+    assert row_problems(row, i) == row_problems_reference(row, i)
 
 
 def test_validate_flags_boolean_cost():

@@ -87,6 +87,16 @@ The offer's referees are test_dc3.py's property that a chooser's bundle
 lies in its offer and test_verify.py's count of the runs of a passing
 chooser check.
 
+oracles.row_problems_reference referees model.row_problems, compared as
+the list of messages, on seeded rows of up to 39 floats, ints or both, of
+which some hold -0.0 and some are of finite entries between 1e307 and
+1.7e308 that sum past the float range, each with up to two entries
+replaced by NaN, an infinity, -1, -0.5, a bool or numpy bool, None, a
+string, an int past the float range, or a numpy float32 or int64. Its
+mutants loosen the whole-row test that admits a valid row before the
+entry loop runs: without the finite-sum test, with min >= -1, and with the
+exact-type test replaced by isinstance, which admits bools.
+
 Each unedited module must match its referee on every case, and every
 mutant must change at least one.
 """
@@ -110,11 +120,13 @@ from choremms.model import CostMatrix, Model, rankings, surrogate_matrix
 from choremms.verify import BLOCK, algorithm_runner
 from mutants import argmin_assigner, greedy_worst_seqpick, inverted_gather
 from oracles import (
+    ODD_COST_ENTRIES,
     deviation_search_reference,
     enum_expected_cost_reference,
     mc_expected_cost_reference,
     mms_exact_reference,
     pick_tree_reference,
+    row_problems_reference,
 )
 
 SOURCE_DIR = Path(choremms.__file__).parent
@@ -313,6 +325,29 @@ MUTANTS = {
         "                acc += np.where(owner[:, j] == agent, row[j], 0.0)\n",
         "            acc += np.where(owner == agent, row, 0.0).sum(axis=1)\n",
         "mc_expected_cost",
+    ),
+    # the whole-row test admits a row whose float sum is NaN or inf: one
+    # holding NaN or inf, an int past the float range, or finite entries
+    # that sum past it
+    "row sum unchecked": (
+        "model",
+        "if isfinite(total) and min(row, default=0) >= 0:",
+        "if min(row, default=0) >= 0:",
+        "row_problems",
+    ),
+    # ... and a row whose least entry is -1
+    "row minimum >= -1": (
+        "model",
+        "min(row, default=0) >= 0",
+        "min(row, default=0) >= -1",
+        "row_problems",
+    ),
+    # ... and a row of bools, an int subclass
+    "row types by isinstance": (
+        "model",
+        "if kinds <= {float, int}:",
+        "if all(isinstance(c, (int, float)) for c in row):",
+        "row_problems",
     ),
     # each block's landings are summed apart and then added to the total
     "enumeration drops the carried total": (
@@ -612,6 +647,33 @@ def enum_corpus():
     return tuple(cases)
 
 
+@lru_cache(maxsize=None)
+def row_corpus():
+    """Seeded rows of floats, ints or both, some holding -0.0 and some whose
+    finite entries sum past the float range, each with up to two entries
+    replaced by ODD_COST_ENTRIES, with the referee's problems for each."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for t in range(600):
+        m = int(rng.integers(0, 40))
+        if t % 4 == 3:
+            row = rng.uniform(1e307, 1.7e308, m).tolist()
+        else:
+            row = rng.uniform(0.0, 10.0, m).tolist()
+            if t % 4:
+                ints = rng.random(m) < 0.5 if t % 4 == 2 else np.ones(m, bool)
+                row = [int(c) if whole else c for c, whole in zip(row, ints)]
+        if m and t % 3 == 0:
+            row[int(rng.integers(m))] = -0.0
+        for _ in range(int(rng.integers(0, 3))):
+            if m:
+                odd = ODD_COST_ENTRIES[int(rng.integers(len(ODD_COST_ENTRIES)))]
+                row[int(rng.integers(m))] = odd
+        i = int(rng.integers(64))
+        cases.append(((row, i), row_problems_reference(row, i)))
+    return tuple(cases)
+
+
 # each referee: the function it runs (its name, or what takes the module
 # to it) and the module it lives in, its corpus of (arguments, expected
 # outcome) pairs, and the outcome of the function's result that is compared
@@ -627,6 +689,7 @@ REFEREES = {
         lambda expectation: expectation,
     ),
     "sp_check_ordinal": (_sp_check, "verify", sp_check_corpus, _report),
+    "row_problems": ("row_problems", "model", row_corpus, lambda problems: problems),
 }
 
 
