@@ -2,10 +2,10 @@
 
 Everything here is exhaustive or closed-form at desk scale: deviation
 searches cover every ranking misreport (all m! of them), every
-magnitude-grid misreport or every alternative label set, monotonicity is
-probed with seeded single-entry perturbations, and the two witness values
-come from brute force over a fixed 2-agent 4-item family with identical
-rankings, in exact rational arithmetic.
+magnitude-grid misreport or every alternative label set, the monotonicity
+check tries every single-entry move once per ranking position it reaches,
+and the two witness values come from brute force over a fixed 2-agent
+4-item family with identical rankings, in exact rational arithmetic.
 
 Grid misreports and randdecl's phase-1 landings are enumerated as numpy
 blocks of at most BLOCK rows, in `itertools.product` order. A grid
@@ -560,71 +560,65 @@ class MonotonicityCounterexample:
     bundle_after: frozenset[int]
 
 
+def _moves(row: tuple[float, ...], j: int, up: bool, preserving: bool) -> list[float]:
+    """The values the check gives row[j], raised (`up`) or lowered, one per
+    `model.rank` position the move reaches: each distinct value on that
+    side, 0 counted below, as a tie the ranking breaks by index; the
+    midpoint of each gap between consecutive ones, from row[j] on, where a
+    float lies strictly inside; raised, one value above the maximum.
+    `preserving` tries only the first of these gaps, the one to the
+    rank-order neighbour, and nothing when that neighbour is a tie."""
+    c = row[j]
+    if up:
+        side = sorted({x for x in row if x > c})
+        tied = c in row[:j]
+    else:
+        side = sorted({x for x in (0.0, *row) if x < c}, reverse=True)
+        tied = c in row[j + 1 :]
+    gaps = [sorted(pair) for pair in zip((c, *side), side)]
+    mids = [lo + (hi - lo) / 2 for lo, hi in gaps]
+    mids = [x if lo < x < hi else None for x, (lo, hi) in zip(mids, gaps)]
+    if up:
+        # twice the maximum, or the next float above it where the row's sum
+        # would leave the float range
+        top = max(row)
+        above = 2 * top or 1.0
+        if not math.isfinite(sum(row) - c + above):
+            above = math.nextafter(top, math.inf)
+        mids.append(above)
+    if preserving:
+        return [] if tied else [x for x in mids[:1] if x is not None]
+    return side + [x for x in mids if x is not None]
+
+
 def monotonicity_check(
     algorithm: Callable[[CostMatrix], Allocation],
     matrix: CostMatrix,
-    perturbations: int,
-    seed: int = 0,
     ranking_preserving: bool = False,
 ) -> Optional[MonotonicityCounterexample]:
-    """Probe: raising an unheld item's cost or lowering a held one must not
-    change the perturbed agent's bundle. Returns the first counterexample,
-    or None when all perturbations pass.
+    """Raising an unheld item's cost or lowering a held one must not change
+    the agent's bundle. Returns the first counterexample, by agent and
+    item, or None when every move passes.
 
-    `ranking_preserving` keeps each perturbed entry strictly inside the gap
-    to its cost neighbours, which is the right notion for public-ranking
-    algorithms (their guarantees are conditioned on the rankings staying
-    fixed). Entries that cannot move without reordering (ties, zero costs)
-    are resampled, not counted.
+    Each single-entry move is tried once per `model.rank` position it
+    reaches (`_moves`), so the check is exhaustive for a rule that reads a
+    row through its ranking alone (seqpick, roundrobin, dc3's divider).
+    `ranking_preserving` keeps the moved entry strictly inside the gap to
+    its rank-order neighbours: public-ranking guarantees hold while the
+    rankings stay fixed. A row that is no valid cost row is not tried.
     """
-    rng = np.random.default_rng(seed)
     base = algorithm(matrix)
-    n, m = matrix.n, matrix.m
-    done = 0
-    attempts = 0
-    while done < perturbations:
-        attempts += 1
-        if attempts > 100 * perturbations + 100:
-            raise RuntimeError("could not find enough admissible perturbations")
-        i = int(rng.integers(n))
-        j = int(rng.integers(m))
-        row = matrix.row(i)
-        c = row[j]
-        held = j in base.bundles[i]
-        has_tie = any(row[t] == c for t in range(m) if t != j)
-        if ranking_preserving and has_tie:
-            continue
-        if held:
-            if c == 0:
-                continue  # cannot decrease further
-            floor_ = max((x for x in row if x < c), default=0.0) if ranking_preserving else 0.0
-            new = floor_ + (c - floor_) * float(rng.uniform(0.05, 0.95))
-        else:
-            if ranking_preserving:
-                higher = [x for x in row if x > c]
-                if higher:
-                    new = c + (min(higher) - c) * float(rng.uniform(0.05, 0.95))
-                elif c > 0:
-                    new = c * float(rng.uniform(1.5, 3.0))
-                else:
+    costs = matrix.costs
+    for i, row in enumerate(costs):
+        held = base.bundles[i]
+        for j in range(matrix.m):
+            for x in _moves(row, j, j not in held, ranking_preserving):
+                moved = row[:j] + (x,) + row[j + 1 :]
+                if row_problems(moved):
                     continue
-            else:
-                if c == 0:
-                    continue  # a multiplicative bump keeps 0 at 0
-                new = c * float(rng.uniform(1.1, 3.0))
-        rows = [list(r) for r in matrix.costs]
-        rows[i][j] = new
-        after = algorithm(CostMatrix.from_rows(rows))
-        if after.bundles[i] != base.bundles[i]:
-            return MonotonicityCounterexample(
-                agent=i,
-                item=j,
-                old_cost=c,
-                new_cost=new,
-                bundle_before=base.bundles[i],
-                bundle_after=after.bundles[i],
-            )
-        done += 1
+                after = algorithm(CostMatrix(costs[:i] + (moved,) + costs[i + 1 :]))
+                if after.bundles[i] != held:
+                    return MonotonicityCounterexample(i, j, row[j], x, held, after.bundles[i])
     return None
 
 

@@ -20,7 +20,10 @@ witness grid minimizes those pairs' mix over a fine grid of p instead of at
 the exact crossing, and strip_runtime drops the eval CSV's one column that
 is not byte-stable. The pick-tree oracle runs the serial-pick oracle once
 per strict ranking the agent can report. The cost-row reference tests each
-entry on its own, as the rule is worded, with no whole-row shortcut.
+entry on its own, as the rule is worded, with no whole-row shortcut. The
+monotonicity move reference moves an entry to every value of a dense
+sweep, and `moved_rankings` reads what a check, passed in, tries from the
+rows it runs, without the check's own move builder.
 """
 
 from __future__ import annotations
@@ -404,6 +407,58 @@ def deviation_search_reference(
     if model is Model.PUBLIC_RANKING and not include_grid:
         desc = "none (ordinal report channel closed under public rankings)"
     return truthful, best, desc, best < truthful * (1.0 - tol)
+
+
+def move_rankings_reference(row: Sequence[float], held, preserving: bool) -> dict:
+    """For each item j of the one-agent `row`, the `rank_reference` orders
+    of the rows that move row[j] alone, down to a value in [0, row[j]) when
+    j is `held` and up otherwise, over a dense sweep, keeping the row's sum
+    finite. The sweep takes every sixteenth in [0, 8), and 0 and each entry
+    with its two float neighbours and twice itself plus one, so it meets
+    every tie, every gap that holds a float, and the span above the maximum.
+    Under `preserving`, only the moves that keep the row's order and put
+    row[j] on no entry's value and not on 0. Items that reach nothing are
+    left out."""
+    points = {0.0, *row}
+    sweep = {k / 16 for k in range(128)}
+    for v in points:
+        sweep |= {v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf), 2 * v + 1}
+    truth = rank_reference(row)
+    reached: dict = {}
+    for j, c in enumerate(row):
+        for x in sweep:
+            if not (0 <= x < c if j in held else x > c):
+                continue
+            moved = [*row[:j], x, *row[j + 1 :]]
+            if not math.isfinite(sum(moved)):
+                continue
+            order = rank_reference(moved)
+            if preserving and (order != truth or x in points):
+                continue
+            reached.setdefault(j, set()).add(tuple(order))
+    return reached
+
+
+def moved_rankings(check, row: Sequence[float], held, preserving: bool) -> dict:
+    """What `check`, a monotonicity check, reaches on the one-agent `row`,
+    keyed as `move_rankings_reference` keys it: the `rank_reference` orders
+    of the rows it runs past the first, the truthful one, by the one entry
+    each moves. The rule it checks gives the agent `held` on every row, so
+    no move ends the check. A row that moves no entry, or several, is filed
+    under None."""
+    runs = []
+
+    def rule(matrix):
+        runs.append(matrix.costs[0])
+        return Allocation((frozenset(held),))
+
+    check(rule, CostMatrix((tuple(row),)), ranking_preserving=preserving)
+    reached: dict = {}
+    for moved in runs[1:]:
+        changed = [j for j, (x, c) in enumerate(zip(moved, row)) if x != c]
+        key = changed[0] if len(changed) == 1 else None
+        reached.setdefault(key, set()).add(tuple(rank_reference(moved)))
+    return reached
 
 
 def witness_ordinal_rand_grid() -> tuple[float, float]:

@@ -97,12 +97,23 @@ mutants loosen the whole-row test that admits a valid row before the
 entry loop runs: without the finite-sum test, with min >= -1, and with the
 exact-type test replaced by isinstance, which admits bools.
 
+oracles.move_rankings_reference referees the moves of monotonicity_check,
+compared per item as the set of `model.rank` orders of the rows the check
+runs (oracles.moved_rankings), against those a dense sweep of values
+reaches, with and without ranking_preserving. The rows are seeded
+one-agent rows of up to six entries, half of small integers, halves,
+zeros, the least subnormals and the float neighbours of 1 and 2, between
+which a gap holds no float or has a midpoint that rounds to an end, and
+half of uniform floats. Its mutants drop the raise above the maximum,
+drop the tie values, and let a midpoint sit on an end of its gap.
+
 Each unedited module must match its referee on every case, and every
 mutant must change at least one.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import types
 from contextlib import contextmanager
@@ -125,6 +136,8 @@ from oracles import (
     enum_expected_cost_reference,
     mc_expected_cost_reference,
     mms_exact_reference,
+    move_rankings_reference,
+    moved_rankings,
     pick_tree_reference,
     row_problems_reference,
 )
@@ -348,6 +361,29 @@ MUTANTS = {
         "if kinds <= {float, int}:",
         "if all(isinstance(c, (int, float)) for c in row):",
         "row_problems",
+    ),
+    # no item is raised above the row's maximum: an unheld item never
+    # reaches the top of the ranking
+    "no raise above the maximum": (
+        "verify",
+        "        mids.append(above)\n",
+        "",
+        "monotonicity moves",
+    ),
+    # only the gaps' midpoints: no move ties another entry
+    "no tie values": (
+        "verify",
+        "return side + [x for x in mids if x is not None]",
+        "return [x for x in mids if x is not None]",
+        "monotonicity moves",
+    ),
+    # a midpoint that rounds to an end of its gap is kept: it moves nothing,
+    # or ties the neighbour a rank-keeping move must stay clear of
+    "gap test not strict": (
+        "verify",
+        "mids = [x if lo < x < hi else None",
+        "mids = [x if lo <= x <= hi else None",
+        "monotonicity moves",
     ),
     # each block's landings are summed apart and then added to the total
     "enumeration drops the carried total": (
@@ -674,6 +710,37 @@ def row_corpus():
     return tuple(cases)
 
 
+# entries whose gaps hold no float, or one whose midpoint rounds to an end
+MOVE_ENTRIES = (0.0, 0.5, 1.0, 2.0, 3.0, 5e-324, 1e-323) + tuple(
+    math.nextafter(v, v + d) for v in (1.0, 2.0) for d in (-1.0, 1.0)
+)
+
+
+@lru_cache(maxsize=None)
+def move_corpus():
+    """Seeded one-agent rows, the items held and the ranking_preserving
+    flag, with the referee's rankings for each item."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for t in range(400):
+        m = int(rng.integers(1, 7))
+        if t % 2:
+            row = rng.uniform(0.0, 4.0, m).tolist()
+        else:
+            row = [MOVE_ENTRIES[k] for k in rng.integers(0, len(MOVE_ENTRIES), m).tolist()]
+        held = frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist())
+        preserving = t // 2 % 2 == 1
+        cases.append(((row, held, preserving), move_rankings_reference(row, held, preserving)))
+    return tuple(cases)
+
+
+def _moves(verify):
+    """What `verify.monotonicity_check` reaches on a row."""
+    return lambda row, held, preserving: moved_rankings(
+        verify.monotonicity_check, row, held, preserving
+    )
+
+
 # each referee: the function it runs (its name, or what takes the module
 # to it) and the module it lives in, its corpus of (arguments, expected
 # outcome) pairs, and the outcome of the function's result that is compared
@@ -690,6 +757,7 @@ REFEREES = {
     ),
     "sp_check_ordinal": (_sp_check, "verify", sp_check_corpus, _report),
     "row_problems": ("row_problems", "model", row_corpus, lambda problems: problems),
+    "monotonicity moves": (_moves, "verify", move_corpus, lambda reached: reached),
 }
 
 

@@ -14,8 +14,11 @@ one's search, must be the ordinal search's best cost; a grid is refused
 exactly when one of its rows is an invalid report. The exact randdecl
 expectation, which enumerates landings in blocks, must equal a loop over
 the landings bit for bit. Costs are drawn from 0..3 so that ties are
-common.
+common. The rows a monotonicity check runs must reach the rankings a dense
+sweep of values reaches, move by move.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from choremms.verify import (
     algorithm_runner,
     enum_expected_cost,
     mc_expected_cost,
+    monotonicity_check,
     sp_check_ordinal,
 )
 from mutants import argmin_assigner, greedy_worst_seqpick, inverted_gather
@@ -46,6 +50,8 @@ from oracles import (
     enum_expected_cost_reference,
     label_sets_reference,
     mc_expected_cost_reference,
+    move_rankings_reference,
+    moved_rankings,
     randdecl_reference,
     rank_reference,
 )
@@ -507,3 +513,39 @@ def test_a_grid_is_refused_exactly_when_a_row_is_invalid(check, model):
         report.deviation,
         report.profitable,
     ) == expected
+
+
+# entries whose gaps hold no float, or one whose midpoint rounds to an end,
+# and the least subnormals, beside the small integers and uniform floats
+MOVE_ENTRIES = (
+    0.0,
+    0.5,
+    math.nextafter(1.0, 0.0),
+    1.0,
+    math.nextafter(1.0, 2.0),
+    math.nextafter(2.0, 0.0),
+    2.0,
+    math.nextafter(2.0, 3.0),
+    5e-324,
+    1e-323,
+)
+
+
+@st.composite
+def moved_rows(draw):
+    """A row of one to six small tied integers, zeros and floats, and the
+    items the agent holds."""
+    entry = st.integers(0, 3).map(float) | st.sampled_from(MOVE_ENTRIES) | st.floats(0.0, 4.0)
+    row = draw(st.lists(entry, min_size=1, max_size=6))
+    return row, draw(st.sets(st.integers(0, len(row) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=moved_rows(), preserving=st.booleans())
+def test_monotonicity_moves_reach_what_a_dense_sweep_reaches(case, preserving):
+    # for each item, lowered when held and raised otherwise, the check's
+    # rows reach exactly the rankings of the sweep's valid rows: those that
+    # keep the ranking, and put the entry on no other value, when preserving
+    row, held = case
+    reached = moved_rankings(monotonicity_check, row, held, preserving)
+    assert reached == move_rankings_reference(row, held, preserving)
