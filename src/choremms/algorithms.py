@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, compress, groupby
 from numbers import Integral
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -287,8 +288,8 @@ Labels = Sequence[frozenset[int]]
 def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
     """The truthful `label_sets` when `labels` is None, else `labels` after
     checking one set per agent, of the canonical size, naming only integer
-    items 0..m-1 (a bool is no item, a numpy integer is). Every profile
-    is checked this one way, whoever built it."""
+    items 0..m-1 (a bool is no item, a numpy integer is), none twice.
+    Every profile is checked this one way, whoever built it."""
     if labels is None:
         return label_sets(matrix)
     n, m = matrix.n, matrix.m
@@ -301,6 +302,8 @@ def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
         for j in declared:
             if type(j) is not int and (type(j) is bool or not isinstance(j, Integral)):
                 raise ValueError(f"label item {j!r} is not an integer")
+        if len(frozenset(declared)) != k:
+            raise ValueError(f"label set {sorted(declared)} names an item twice")
         if min(declared) < 0 or max(declared) >= m:
             raise ValueError(f"label set {sorted(declared)} names an item outside 0..{m - 1}")
     return labels
@@ -361,18 +364,31 @@ def randdecl_deal(
     agent `starts[t]`, the next to `starts[t] + 1` (mod n), and so on;
     unpooled items are passed over and stay where they landed. Returns
     `owner` of shape (T, m): `owner[t, j]` is the agent that gets item j.
+
+    The trials lie end to end in one flat index, item j of trial t at
+    t * m + j, and every gather and scatter is a flat `take` or `put` on
+    it: `slots` is each trial's order there. One running count over all the trials,
+    in deal order, less each trial's count before it and plus its start,
+    gives a pooled item's place from its trial's start, and a table of
+    `% n` read by `take` turns it into the item's agent. The owners are
+    those of a scan of each trial's order, bit for bit.
     """
     n, m = labels.shape
-    pooled = labels[landings, np.arange(m)]
-    trial = np.arange(len(orders))[:, None]
-    # each pooled item's place (from 1) among the pooled items of its
-    # trial's order, at the item's own column, turned into its agent in place
-    owner = np.empty(pooled.shape, dtype=np.intp)
-    owner[trial, orders] = np.cumsum(pooled[trial, orders], axis=1)
-    owner += starts[:, None] - 1
-    owner %= n
-    np.copyto(owner, landings, where=~pooled)
-    return owner
+    trials = len(orders)
+    # labels[landings[t, j], j]: whether item j is pooled in trial t
+    pooled = labels.take(landings.astype(np.intp) * m + np.arange(m))
+    slots = orders + np.arange(trials).reshape(trials, 1) * m
+    dealt = pooled.take(slots)
+    # each pooled item's place (from 1) among the pooled items of every
+    # trial so far, made its trial's own and offset by the trial's start:
+    # the trial's first count less its first item's own is its count before
+    places = dealt.cumsum().reshape(trials, m)
+    places += starts.reshape(trials, 1) + dealt[:, :1] - places[:, :1]
+    # from start s, place p goes to agent (s + p - 1) % n
+    agents = np.arange(-1, m + n - 1) % n
+    owner = np.empty((trials, m), dtype=np.intp)
+    owner.put(slots, agents.take(places))
+    return np.where(pooled, owner, landings)
 
 
 def randdecl_expected_cost(
@@ -384,13 +400,20 @@ def randdecl_expected_cost(
     Decomposes as the phase-1 keep term (1/n of the agent's non-declared
     costs) plus 1/n of the expected pooled cost, where item j enters the
     pool with probability b_j/n (b_j = how many agents declared j large).
+    The b_j are counted in one pass over the profile's declarations, and
+    both sums add their terms in ascending item order, so the value is
+    the one a membership test per agent and item gives, bit for bit.
     """
     n, m = matrix.n, matrix.m
     labels = check_labels(matrix, labels)
     row = matrix.row(agent)
     mine = labels[agent]
-    phase1 = sum(row[j] for j in range(m) if j not in mine) / n
-    pool_exp = sum(row[j] * sum(j in labels[k] for k in range(n)) for j in range(m)) / n
+    declared = [0] * m
+    for marked in labels:
+        for j in marked:
+            declared[j] += 1
+    phase1 = sum(c for j, c in enumerate(row) if j not in mine) / n
+    pool_exp = sum(map(mul, row, declared)) / n
     return phase1 + pool_exp / n
 
 

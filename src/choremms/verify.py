@@ -426,7 +426,9 @@ def mc_expected_cost(
     them BLOCK trials at a time, so the deal's own arrays stay
     O(BLOCK * m) at any trial count. Each trial's cost adds the agent's
     items in ascending index order, starting from 0.0: the additions of
-    `sum(row[j] for j in sorted(bundle))`, one column at a time.
+    `sum(row[j] for j in sorted(bundle))`, one item at a time, over the
+    contiguous rows of the block's (m, BLOCK) holdings. The estimate is
+    the one a scan per trial gives, bit for bit.
     """
     n, m = matrix.n, matrix.m
     if trials < 1:
@@ -447,9 +449,11 @@ def mc_expected_cost(
         for lo in range(0, rest, BLOCK):
             block = slice(lo, lo + BLOCK)
             owner = randdecl_deal(marks, landings[block], orders[block], starts[block])
+            # held[j, t]: whether the agent gets item j in the block's trial t
+            held = (owner == agent).T.copy()
             acc = np.zeros(len(owner))
             for j in range(m):
-                acc += np.where(owner[:, j] == agent, row[j], 0.0)
+                acc += np.where(held[j], row[j], 0.0)
             costs[1 + lo : 1 + lo + BLOCK] = acc
         # the std of the costs scaled exactly, by a power of two, to below 2:
         # its squares stay finite where the costs' own would overflow
@@ -564,10 +568,11 @@ def _moves(row: tuple[float, ...], j: int, up: bool, preserving: bool) -> list[f
     """The values the check gives row[j], raised (`up`) or lowered, one per
     `model.rank` position the move reaches: each distinct value on that
     side, 0 counted below, as a tie the ranking breaks by index; the
-    midpoint of each gap between consecutive ones, from row[j] on, where a
-    float lies strictly inside; raised, one value above the maximum.
-    `preserving` tries only the first of these gaps, the one to the
-    rank-order neighbour, and nothing when that neighbour is a tie."""
+    midpoint of each gap between consecutive ones, from row[j] on, or the
+    gap's least float where the midpoint's row would sum past the float
+    range, when it lies strictly inside; raised, one value above the
+    maximum. `preserving` tries only the first of these gaps, the one to
+    the rank-order neighbour, and nothing when that neighbour is a tie."""
     c = row[j]
     if up:
         side = sorted({x for x in row if x > c})
@@ -575,15 +580,21 @@ def _moves(row: tuple[float, ...], j: int, up: bool, preserving: bool) -> list[f
     else:
         side = sorted({x for x in (0.0, *row) if x < c}, reverse=True)
         tied = c in row[j + 1 :]
+    # the row's sum without row[j]: a move to x sums to rest + x
+    rest = sum(row) - c
     gaps = [sorted(pair) for pair in zip((c, *side), side)]
     mids = [lo + (hi - lo) / 2 for lo, hi in gaps]
+    mids = [
+        x if math.isfinite(rest + x) else math.nextafter(lo, math.inf)
+        for x, (lo, _) in zip(mids, gaps)
+    ]
     mids = [x if lo < x < hi else None for x, (lo, hi) in zip(mids, gaps)]
     if up:
         # twice the maximum, or the next float above it where the row's sum
         # would leave the float range
         top = max(row)
         above = 2 * top or 1.0
-        if not math.isfinite(sum(row) - c + above):
+        if not math.isfinite(rest + above):
             above = math.nextafter(top, math.inf)
         mids.append(above)
     if preserving:

@@ -1,29 +1,31 @@
 """Independent brute-force oracles used to pin expected values.
 
 These call none of the library's algorithms, searches or helpers; they
-take from it only its data types (`CostMatrix`, `Allocation`, `MmsResult`,
-`Model`), the cap and its error, and the two class ratio pairs behind the
-randomized witness. The maxmin-share oracle enumerates every
-set partition via restricted-growth assignments and takes the min-max
-directly, the serial-pick oracle rescans every remaining item at every
-pick, and the deviation-search oracle builds and validates every reported
-matrix from scratch, with no cache. The randdecl reference is the earlier,
-unhoisted body of the algorithm, which the faster one must match draw for
-draw, the Monte-Carlo reference takes the estimator's batched draws but
-deals each trial with its own scan, the exact randdecl expectation
-reference walks every landing item by item in plain Python, the ranking
-reference sorts on an explicit (-cost, index) key, and the label reference
-takes each agent's top items from it. The mms_exact reference is the search
-as it was before the closed-bundle bound, with its own LPT start and bundle
-order, which the faster one must match in value, witness and method. The
-witness grid minimizes those pairs' mix over a fine grid of p instead of at
-the exact crossing, and strip_runtime drops the eval CSV's one column that
-is not byte-stable. The pick-tree oracle runs the serial-pick oracle once
-per strict ranking the agent can report. The cost-row reference tests each
+take from it only its data types (`CostMatrix`, `Allocation`,
+`MmsResult`, `Model`), the cap and its error, and the two class ratio
+pairs behind the randomized witness. The maxmin-share oracle enumerates
+every set partition via restricted-growth assignments and takes the
+min-max directly, the serial-pick oracle rescans every remaining item at
+every pick, and the deviation-search oracle builds and validates every
+reported matrix from scratch, with no cache. The randdecl reference is
+the earlier, unhoisted body of the algorithm, which the faster one must
+match draw for draw, the Monte-Carlo reference takes the estimator's
+batched draws but deals each trial with its own scan, the closed-form
+reference counts each item's declarations by a membership test per
+agent, the exact randdecl expectation reference walks every landing item
+by item in plain Python, the ranking reference sorts on an explicit
+(-cost, index) key, and the label reference takes each agent's top items
+from it. The mms_exact reference is the search as it was before the
+closed-bundle bound, with its own LPT start and bundle order, which the
+faster one must match in value, witness and method. The witness grid
+minimizes those pairs' mix over a fine grid of p instead of at the exact
+crossing, and strip_runtime drops the eval CSV's one column that is not
+byte-stable. The pick-tree oracle runs the serial-pick oracle once per
+strict ranking the agent can report. The cost-row reference tests each
 entry on its own, as the rule is worded, with no whole-row shortcut. The
 monotonicity move reference moves an entry to every value of a dense
-sweep, and `moved_rankings` reads what a check, passed in, tries from the
-rows it runs, without the check's own move builder.
+sweep, and `moved_rankings` reads what a check, passed in, tries from
+the rows it runs, without the check's own move builder.
 """
 
 from __future__ import annotations
@@ -322,6 +324,18 @@ def mc_expected_cost_reference(
     if trials == 1:
         return float(arr[0]), 0.0  # one trial: no spread to estimate
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
+
+
+def randdecl_expected_cost_reference(matrix: CostMatrix, agent: int, labels) -> float:
+    """randdecl's closed-form expectation as it was first written: item j's
+    declaration count b_j is a membership test in every agent's set, item
+    by item, and both sums add the items in ascending order."""
+    n, m = matrix.n, matrix.m
+    row = matrix.costs[agent]
+    mine = labels[agent]
+    phase1 = sum(row[j] for j in range(m) if j not in mine) / n
+    pool_exp = sum(row[j] * sum(j in labels[k] for k in range(n)) for j in range(m)) / n
+    return phase1 + pool_exp / n
 
 
 def enum_expected_cost_reference(matrix: CostMatrix, agent: int, labels, gather) -> float:

@@ -250,6 +250,22 @@ def test_label_items_outside_the_instance_are_refused(item):
             declare()
 
 
+def test_a_label_set_that_names_an_item_twice_is_refused():
+    # a set of the canonical size counted with a repeat: the closed form
+    # counts declarations, so it would count the repeat twice
+    inst = CostMatrix.from_rows([[3, 1, 2, 5], [1, 2, 3, 4]])
+    labels = ((0, 0), frozenset({1, 2}))
+    message = re.escape("label set [0, 0] names an item twice")
+    for declare in (
+        lambda: randdecl(inst, 0, labels=labels),
+        lambda: randdecl_expected_cost(inst, 0, labels),
+        lambda: enum_expected_cost(inst, 0, labels),
+        lambda: mc_expected_cost(inst, 0, labels),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            declare()
+
+
 def test_a_checked_profile_of_another_instance_is_checked_again():
     # label_sets' profile of a 2x5 instance names item 4, which a 2x4
     # instance does not have: a profile label_sets built is checked like

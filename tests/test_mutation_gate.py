@@ -55,6 +55,13 @@ agent has an item that absorbs each small cost added after it, and on
 300-item matrices, whose item indices do not fit a byte; it catches the
 deal in algorithms.randdecl_deal as well as the estimator's own sums.
 
+oracles.randdecl_expected_cost_reference referees randdecl_expected_cost,
+compared with ==, for every agent of seeded matrices at n 2..4, m 1..9,
+whose rows are tied integers 0..3, zeros, tied integers times 1e300 or
+rows whose first item absorbs each small cost added after it, and in
+whose profiles each agent declares the truth or a seeded set. Its mutant
+counts the declarations without the agent's own set.
+
 oracles.enum_expected_cost_reference referees enum_expected_cost, compared
 with ==, under randdecl's pooling rule and the inverted one, on
 test_referees.py's block-edge rows (n^m >= BLOCK, and an addition order
@@ -139,6 +146,7 @@ from oracles import (
     move_rankings_reference,
     moved_rankings,
     pick_tree_reference,
+    randdecl_expected_cost_reference,
     row_problems_reference,
 )
 
@@ -280,9 +288,16 @@ MUTANTS = {
     # every trial's deal starts at agent 0, not at its drawn start
     "randdecl_deal from agent 0": (
         "algorithms",
-        "owner += starts[:, None] - 1",
-        "owner -= 1",
+        "places += starts.reshape(trials, 1) + dealt[:, :1] - places[:, :1]",
+        "places += dealt[:, :1] - places[:, :1]",
         "mc_expected_cost",
+    ),
+    # the closed form's b_j leaves out the agent's own declarations
+    "declarations counted without the agent's own set": (
+        "algorithms",
+        "    for marked in labels:\n        for j in marked:\n",
+        "    for marked in labels[:agent] + labels[agent + 1 :]:\n        for j in marked:\n",
+        "randdecl_expected_cost",
     ),
     # the cache key drops the order: every ranking of one multiset of costs
     # shares the truthful report's cost
@@ -319,8 +334,8 @@ MUTANTS = {
     # a trial's cost adds the agent's items from the last column down
     "Monte-Carlo columns reversed": (
         "verify",
-        "for j in range(m):\n                acc += np.where(",
-        "for j in reversed(range(m)):\n                acc += np.where(",
+        "for j in range(m):\n                acc += np.where(held[j], row[j], 0.0)",
+        "for j in reversed(range(m)):\n                acc += np.where(held[j], row[j], 0.0)",
         "mc_expected_cost",
     ),
     # the deal's permutation holds item indices in uint8, which wrap past
@@ -335,7 +350,7 @@ MUTANTS = {
     "Monte-Carlo costs by .sum(axis=1)": (
         "verify",
         "            for j in range(m):\n"
-        "                acc += np.where(owner[:, j] == agent, row[j], 0.0)\n",
+        "                acc += np.where(held[j], row[j], 0.0)\n",
         "            acc += np.where(owner == agent, row, 0.0).sum(axis=1)\n",
         "mc_expected_cost",
     ),
@@ -581,6 +596,40 @@ def mc_corpus():
     return tuple(cases)
 
 
+def _closed_form_row(rng, m):
+    # tied integers 0..3, zeros, tied integers times 1e300, or a row whose
+    # first item absorbs each small cost added after it
+    kind = int(rng.integers(4))
+    if kind == 1:
+        return [0.0] * m
+    if kind == 2:
+        return (rng.integers(0, 4, m) * 1e300).tolist()
+    if kind == 3:
+        return [1.0] + [6e-17] * (m - 1)
+    return rng.integers(0, 4, m).tolist()
+
+
+@lru_cache(maxsize=None)
+def closed_form_corpus():
+    """Seeded matrices of `_closed_form_row`s at n 2..4 and m 1..9, each
+    agent declaring the truth or a seeded set of the canonical size, with
+    the referee's expectation for every agent."""
+    rng = np.random.default_rng(2019)
+    cases = []
+    for _ in range(150):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 10))
+        matrix = CostMatrix.from_rows([_closed_form_row(rng, m) for _ in range(n)])
+        k = label_count(n, m)
+        labels = tuple(
+            truthful if rng.random() < 0.5 else frozenset(rng.choice(m, k, replace=False).tolist())
+            for truthful in label_sets(matrix)
+        )
+        for agent in range(n):
+            expected = randdecl_expected_cost_reference(matrix, agent, labels)
+            cases.append(((matrix, agent, labels), expected))
+    return tuple(cases)
+
+
 # every (algorithm, model, grid) kind of check, dc3 under the two models
 # that give it costs
 SP_CHECK_KINDS = [
@@ -749,6 +798,12 @@ REFEREES = {
     "ordinal firewall": (_firewall, "algorithms", firewall_corpus, lambda agree: agree),
     "pick_tree": ("pick_tree", "algorithms", pick_tree_corpus, set),
     "mc_expected_cost": ("mc_expected_cost", "verify", mc_corpus, lambda estimate: estimate),
+    "randdecl_expected_cost": (
+        "randdecl_expected_cost",
+        "algorithms",
+        closed_form_corpus,
+        lambda expectation: expectation,
+    ),
     "enum_expected_cost": (
         "enum_expected_cost",
         "verify",

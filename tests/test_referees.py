@@ -3,26 +3,28 @@ against the references in oracles.py, and randdecl's closed form against
 enumeration.
 
 randdecl must match the earlier, unhoisted randdecl draw for draw, its
-dealing core must place every trial as a per-trial scan of the same draws
-does, its Monte-Carlo estimate must match a reference that takes the same
-draws and deals them with its own code, and sp_check_ordinal, which shares
-every row but the deviating agent's between misreports and enumerates grid
-misreports in blocks, must report exactly what a search that rebuilds every
-reported matrix reports; the pick tree's cheapest leaf, which settles a
-passing serial-pick check before any misreport runs and stops a failing
-one's search, must be the ordinal search's best cost; a grid is refused
-exactly when one of its rows is an invalid report. The exact randdecl
-expectation, which enumerates landings in blocks, must equal a loop over
-the landings bit for bit. Costs are drawn from 0..3 so that ties are
-common. The rows a monotonicity check runs must reach the rankings a dense
-sweep of values reaches, move by move.
+dealing core must place every trial as a per-trial scan of the same
+draws does, its Monte-Carlo estimate must match a reference that takes
+the same draws and deals them with its own code, and sp_check_ordinal,
+which shares every row but the deviating agent's between misreports and
+enumerates grid misreports in blocks, must report exactly what a search
+that rebuilds every reported matrix reports; the pick tree's cheapest
+leaf, which settles a passing serial-pick check before any misreport
+runs and stops a failing one's search, must be the ordinal search's best
+cost; a grid is refused exactly when one of its rows is an invalid
+report. The exact randdecl expectation, which enumerates landings in
+blocks, must equal a loop over the landings bit for bit, and the closed
+form, which counts each item's declarations once, its first form, which
+tests membership per agent. Costs are drawn from 0..3 so that ties are
+common. The rows a monotonicity check runs must reach the rankings a
+dense sweep of values reaches, move by move.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choremms import verify
@@ -52,6 +54,7 @@ from oracles import (
     mc_expected_cost_reference,
     move_rankings_reference,
     moved_rankings,
+    randdecl_expected_cost_reference,
     randdecl_reference,
     rank_reference,
 )
@@ -129,8 +132,18 @@ def test_mc_expected_cost_matches_reference_past_255(n, m):
     trials=st.integers(1, 4),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
+    last_start=st.booleans(),
 )
-def test_randdecl_deal_matches_a_scan_per_trial(n, m, trials, density, seed):
+# one trial at 64x4096, the allocate benchmark's largest size, with about
+# the truthful profile's share of declared items
+@example(n=64, m=4096, trials=1, density=0.04, seed=2019, last_start=False)
+# every item pooled, each trial dealt from agent n - 1: the last pooled
+# item's place reads the last entry of the deal's table of agents
+@example(n=3, m=7, trials=3, density=1.0, seed=7, last_start=True)
+@example(n=2, m=300, trials=2, density=1.0, seed=7, last_start=True)
+# no items: nothing to deal
+@example(n=2, m=0, trials=2, density=1.0, seed=7, last_start=False)
+def test_randdecl_deal_matches_a_scan_per_trial(n, m, trials, density, seed, last_start):
     # the estimator's draw dtypes, past one byte for agents and items alike
     rng = np.random.default_rng(seed)
     labels = rng.random((n, m)) < density
@@ -138,6 +151,8 @@ def test_randdecl_deal_matches_a_scan_per_trial(n, m, trials, density, seed):
     items = np.arange(m, dtype=np.min_scalar_type(m - 1))
     orders = rng.permuted(np.tile(items, (trials, 1)), axis=1)
     starts = rng.integers(0, n, size=trials)
+    if last_start:
+        starts[:] = n - 1
     owner = randdecl_deal(labels, landings, orders, starts)
     assert owner.shape == (trials, m)
     for t in range(trials):
@@ -252,6 +267,38 @@ def test_closed_form_matches_enumeration_when_many_misreport(data):
     agent = data.draw(st.integers(0, matrix.n - 1))
     closed = randdecl_expected_cost(matrix, agent, labels)
     assert abs(closed - enum_expected_cost(matrix, agent, labels)) <= 1e-9
+
+
+@st.composite
+def closed_form_rows(draw, m):
+    """A row of tied integers 0..3, of zeros, of tied integers times 1e300,
+    or one whose first item absorbs each small cost added after it."""
+    ints = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["ints", "zeros", "1e300", "absorbing"]))
+    if kind == "zeros":
+        return [0.0] * m
+    if kind == "1e300":
+        return [c * 1e300 for c in ints]
+    if kind == "absorbing":
+        return [1.0] + [6e-17] * (m - 1)
+    return ints
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_reference(data):
+    # every agent declares the truth or any set of the canonical size; the
+    # declarations are counted once, and every float is the reference's
+    n, m = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 9))
+    matrix = CostMatrix.from_rows([data.draw(closed_form_rows(m)) for _ in range(n)])
+    k = label_count(n, m)
+    items = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+    labels = tuple(
+        data.draw(st.just(truthful) | items.map(frozenset)) for truthful in label_sets(matrix)
+    )
+    agent = data.draw(st.integers(0, n - 1))
+    expected = randdecl_expected_cost_reference(matrix, agent, labels)
+    assert randdecl_expected_cost(matrix, agent, labels) == expected
 
 
 RUNNERS = {
@@ -542,6 +589,9 @@ def moved_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=moved_rows(), preserving=st.booleans())
+# a gap whose midpoint's row sums past the float range
+@example(case=([1e308, 7e307, 1.0], set()), preserving=False)
+@example(case=([1e308, 7e307, 1.0], set()), preserving=True)
 def test_monotonicity_moves_reach_what_a_dense_sweep_reaches(case, preserving):
     # for each item, lowered when held and raised otherwise, the check's
     # rows reach exactly the rankings of the sweep's valid rows: those that

@@ -583,11 +583,15 @@ def test_moves_near_the_float_limit_are_valid_rows():
     assert all(row_problems(row) == [] for run in runs for row in run.costs)
 
 
-@pytest.mark.parametrize("row", [[6e307, 1.0], [1.0, 6e307, 0.0], [1e308, 1e307], [8e307, 8e307]])
+@pytest.mark.parametrize(
+    "row", [[6e307, 1.0], [1.0, 6e307, 0.0], [1e308, 1e307], [8e307, 8e307], [1e308, 7e307, 1.0]]
+)
 @pytest.mark.parametrize("preserving", [False, True])
 def test_a_raise_above_the_maximum_keeps_the_row_sum_finite(row, preserving):
     # twice the maximum leaves the float range here, so the raise above it
-    # takes the next float, where the sum allows one
+    # takes the next float, where the sum allows one. On the last row the
+    # midpoints of the gaps above 1.0 and 7e307 leave it too, so each raise
+    # into those gaps takes the gap's least float, whose row sums to a float
     reached = moved_rankings(monotonicity_check, row, set(), preserving)
     assert reached == move_rankings_reference(row, set(), preserving)
 
