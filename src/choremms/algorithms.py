@@ -304,7 +304,7 @@ def check_labels(matrix: CostMatrix, labels: Optional[Labels] = None) -> Labels:
                 raise ValueError(f"label item {j!r} is not an integer")
         if len(frozenset(declared)) != k:
             raise ValueError(f"label set {sorted(declared)} names an item twice")
-        if min(declared) < 0 or max(declared) >= m:
+        if not all(0 <= j < m for j in declared):
             raise ValueError(f"label set {sorted(declared)} names an item outside 0..{m - 1}")
     return labels
 

@@ -57,6 +57,7 @@ import numpy as np
 from .algorithms import (
     Labels,
     allocate,
+    check_algorithm,
     check_labels,
     dc3_offer,
     label_count,
@@ -82,8 +83,8 @@ PROFIT_TOL = 1e-9
 # sp_check_ordinal enumerates all m! rankings, or all 4^m grid factor rows:
 # 5040 and 16384 at this many items
 MAX_ORDINAL_ITEMS = 7
-# a randomized check searches at most this many label sets, and its exact
-# cross-check enumerates at most this many phase-1 landings
+# a randomized check searches at most this many label sets, and
+# enum_expected_cost enumerates at most this many phase-1 landings
 MAX_ENUMERATION = 200_000
 # the Monte-Carlo trials of a randomized check's cross-check
 MC_TRIALS = 10_000
@@ -210,13 +211,14 @@ def sp_check_ordinal(
     the ordinal report channel is closed; only (ranking-consistent) grid
     misreports remain, and only when the grid is enabled.
 
-    The resulting bundle is always priced with the agent's *true* row.
-    Above MAX_ORDINAL_ITEMS items a search that enumerates ranking or grid
-    misreports is refused. So, before anything runs, is a grid with a row
-    that is no valid cost row (`model.row_problems`): exactly when one of
-    the single-factor rows, a factor times each true cost, is invalid,
-    since each grid row takes every entry from one of them and none has
-    larger entries or a larger float sum than the largest factor's row.
+    The resulting bundle is always priced with the agent's *true* row. A
+    `Runner` of a rule the model refuses (`check_algorithm`) is refused before
+    anything runs. Above MAX_ORDINAL_ITEMS items a search that enumerates
+    ranking or grid misreports is refused. So, before anything runs, is a grid
+    with a row that is no valid cost row (`model.row_problems`): exactly when
+    one of the single-factor rows, a factor times each true cost, is invalid,
+    since each grid row takes every entry from one of them and none has larger
+    entries or a larger float sum than the largest factor's row.
 
     The misreports come as one stream, in enumeration order: the rankings,
     then the grid rows (those that keep the public ranking, under that
@@ -242,6 +244,8 @@ def sp_check_ordinal(
     never made: no later report can be strictly cheaper, so the deviation
     named is the one a full enumeration names.
     """
+    if isinstance(algorithm, Runner):
+        check_algorithm(algorithm.name, model)
     n, m = matrix.n, matrix.m
     grid = tuple(grid_factors)
     grid_on = include_grid and model in (Model.CARDINAL, Model.PUBLIC_RANKING)
@@ -359,6 +363,11 @@ def _standard_gather(item: int, recipient: int, labels: Labels) -> bool:
     return item in labels[recipient]
 
 
+def _check_enumerable(n: int, m: int) -> None:
+    if n**m > MAX_ENUMERATION:
+        raise ValueError(f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo")
+
+
 def enum_expected_cost(
     matrix: CostMatrix,
     agent: int,
@@ -374,9 +383,10 @@ def enum_expected_cost(
     is asked once per (item, recipient) pair. Landings come in blocks of
     digit columns; each landing's pooled and kept sums add the items in
     ascending order, and the total adds the landings in `product` order,
-    as a loop over the landings would.
+    as a loop over the landings would. Past MAX_ENUMERATION it refuses.
     """
     n, m = matrix.n, matrix.m
+    _check_enumerable(n, m)
     labels = check_labels(matrix, labels)
     row = matrix.row(agent)
     # what item j adds to the pooled and to the kept sum when it lands on
@@ -472,22 +482,22 @@ def sp_check_randomized(
     """Compare the agent's truthful expected cost against every alternative
     label set of the canonical size.
 
-    The search itself uses the closed-form expectation (or a caller-supplied
-    one, e.g. for a mutant), called with the whole declared profile: the
-    truthful one, built once, with the agent's set substituted. Each such
-    profile is a plain tuple, which the closed form checks as it checks any
-    caller's profile. `mode` controls the cross-check of the truthful and
-    best-deviation values the search found: "exact" enumerates all phase-1
-    landings, "montecarlo" simulates MC_TRIALS (10^4) trials. A request the
-    cross-check would refuse is refused before the search, and so is a
-    search of more than MAX_ENUMERATION label sets.
+    The search uses the closed-form expectation (or a caller's, e.g. a
+    mutant's) on the whole declared profile: the truthful one, built once,
+    with the agent's set substituted, a plain tuple that the closed form
+    checks as any caller's. One rule cross-checks the closed form on each
+    profile the report's values come from, the truthful one and a cheaper
+    best one, by `mode`'s estimator: "exact" enumerates all phase-1
+    landings, within 1e-9 of the estimate; "montecarlo" simulates MC_TRIALS
+    trials, within 6 standard errors or 1e-12 of the value (shares, or
+    absolute below 1). A non-finite estimate, value or tolerance raises
+    ValueError, a difference past the tolerance AssertionError. A request
+    the cross-check would refuse, or a search of more than MAX_ENUMERATION
+    label sets, is refused before the search.
     """
     n, m = matrix.n, matrix.m
     if mode == "exact":
-        if n**m > MAX_ENUMERATION:
-            raise ValueError(
-                f"exact enumeration of {n}^{m} landings is infeasible; use montecarlo"
-            )
+        _check_enumerable(n, m)
     elif mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     k = label_count(n, m)
@@ -497,7 +507,6 @@ def sp_check_randomized(
             f"deviation search takes at most {MAX_ENUMERATION} of them, so check an "
             "instance with fewer items"
         )
-    default_oracle = expected_cost is None
     oracle = expected_cost or randdecl_expected_cost
     truthful_labels = label_sets(matrix)
     truthful = oracle(matrix, agent, truthful_labels)
@@ -512,36 +521,26 @@ def sp_check_randomized(
             best_labels = labels
             best_desc = f"labels {tuple(j + 1 for j in combo)}"
 
-    if default_oracle and mode == "exact":
-        # when the truth is best (every passing check), one profile
-        checked = [(truthful_labels, truthful)]
-        if best_labels != truthful_labels:
-            checked.append((best_labels, best))
-        for labels, val in checked:
-            ref = enum_expected_cost(matrix, agent, labels)
-            if not (math.isfinite(ref) and math.isfinite(val)):
-                raise ValueError(
-                    f"expected cost is not finite (closed form {val}, enumeration "
-                    f"{ref}); the costs are too large to cross-check"
-                )
-            if abs(ref - val) > 1e-9 * max(1.0, abs(ref)):
-                raise AssertionError(
-                    f"closed form {val} disagrees with enumeration {ref} "
-                    f"for the agent's labels {sorted(labels[agent])}"
-                )
-    elif default_oracle:
-        est, stderr = mc_expected_cost(matrix, agent, truthful_labels, MC_TRIALS)
-        if not (math.isfinite(est) and math.isfinite(stderr)):
+    checked = {truthful_labels: truthful, best_labels: best} if expected_cost is None else {}
+    for labels, value in checked.items():
+        if mode == "exact":
+            estimator = "enumeration"
+            estimate = enum_expected_cost(matrix, agent, labels)
+            tol = 1e-9 * max(1.0, abs(estimate))
+        else:
+            estimator = "Monte-Carlo estimate"
+            estimate, stderr = mc_expected_cost(matrix, agent, labels, MC_TRIALS)
+            # the two differ by rounding, in proportion to the costs, at least
+            tol = max(6.0 * stderr, 1e-12 * max(1.0, abs(value)))
+        if not all(map(math.isfinite, (estimate, value, tol))):
             raise ValueError(
-                f"Monte-Carlo estimate {est} (stderr {stderr}) is not finite; "
-                "the costs are too large to cross-check"
+                f"closed form {value}, {estimator} {estimate} or tolerance {tol} is "
+                "not finite; the costs are too large to cross-check"
             )
-        # the two differ by rounding, in proportion to the costs, at least
-        slack = max(6.0 * stderr, 1e-12 * max(1.0, abs(truthful)))
-        if abs(est - truthful) > slack:
+        if abs(estimate - value) > tol:
             raise AssertionError(
-                f"Monte-Carlo estimate {est} is {abs(est - truthful):.3g} away "
-                f"from the closed form {truthful} (allowed {slack:.3g})"
+                f"closed form {value} disagrees with {estimator} {estimate} (allowed "
+                f"{tol:.3g}) for the agent's labels {sorted(labels[agent])}"
             )
 
     return DeviationReport(

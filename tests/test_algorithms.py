@@ -28,6 +28,7 @@ from choremms.verify import (
     enum_expected_cost,
     mc_expected_cost,
     sp_check_ordinal,
+    sp_check_randomized,
 )
 
 
@@ -275,6 +276,17 @@ def test_a_checked_profile_of_another_instance_is_checked_again():
     message = re.escape("label set [3, 4] names an item outside 0..3")
     with pytest.raises(ValueError, match=f"^{message}$"):
         randdecl_expected_cost(inst, 0, labels)
+
+
+def test_the_zero_item_profile_declares_nothing():
+    # label_count(n, 0) is 0, so the one valid profile is n empty sets
+    inst = CostMatrix(((), ()))
+    empty = (frozenset(), frozenset())
+    assert randdecl(inst, 0, labels=empty).bundles == empty
+    assert mc_expected_cost(inst, 0) == (0.0, 0.0)
+    for mode in ("exact", "montecarlo"):
+        rep = sp_check_randomized(inst, 0, mode=mode)
+        assert (rep.truthful_cost, rep.deviation) == (0.0, "truthful")
 
 
 def test_expected_cost_uniform_example():

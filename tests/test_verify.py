@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from choremms import algorithms, verify
-from choremms.algorithms import allocate, label_count
+from choremms.algorithms import allocate, label_count, label_sets
 from choremms.model import Allocation, CostMatrix, Model, rankings, row_problems
 from choremms.verify import (
     algorithm_runner,
@@ -323,6 +323,16 @@ def test_deviation_report_jsonable_is_one_indexed():
     }
 
 
+def test_a_runner_the_model_refuses_is_refused_before_it_runs(monkeypatch):
+    # dc3 under the ordinal model, refused as allocate and the CLI refuse it
+    run = recording_allocate(monkeypatch, 0)
+    inst = CostMatrix.from_rows([[3, 1, 2], [1, 3, 2], [2, 1, 3]])
+    message = "^dc3 compares bundle costs, which the ordinal model withholds$"
+    with pytest.raises(ValueError, match=message):
+        sp_check_ordinal(algorithm_runner("dc3"), inst, 0, model=Model.ORDINAL)
+    assert run == []
+
+
 # --- randomized deviation search ---------------------------------------------
 
 def test_randdecl_truthful_exact():
@@ -346,6 +356,14 @@ def test_exact_mode_refuses_huge_enumeration():
     inst = uniform_instance(np.random.default_rng(0), 4, 12)
     with pytest.raises(ValueError, match="infeasible"):
         sp_check_randomized(inst, 0, mode="exact")
+
+
+def test_enumeration_past_the_limit_is_refused_at_once(monkeypatch):
+    # a library call on 4^32 landings is refused before any block is made
+    monkeypatch.setattr(verify, "_product_blocks", lambda base, m: pytest.fail("enumerated"))
+    inst = uniform_instance(np.random.default_rng(0), 4, 32)
+    with pytest.raises(ValueError, match="^exact enumeration of 4\\^32 landings is infeasible"):
+        enum_expected_cost(inst, 0)
 
 
 def test_randomized_search_refuses_too_many_label_sets(monkeypatch):
@@ -378,9 +396,9 @@ def test_randdecl_overflow_is_refused_not_passed(recwarn):
     # the sum over trials or landings overflows to inf: no cross-check is
     # possible, so neither mode may report a pass
     inst = CostMatrix.from_rows([[1e308, 1, 1, 1], [1, 2, 3, 4]])
-    with pytest.raises(ValueError, match="^Monte-Carlo estimate inf .* is not finite"):
+    with pytest.raises(ValueError, match="^closed form .*, Monte-Carlo estimate inf .* is not finite"):
         sp_check_randomized(inst, 0, mode="montecarlo")
-    with pytest.raises(ValueError, match="^expected cost is not finite"):
+    with pytest.raises(ValueError, match="^closed form .*, enumeration inf .* is not finite"):
         sp_check_randomized(inst, 0, mode="exact")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -411,30 +429,62 @@ def test_montecarlo_cross_check_disagreement_stays_an_assertion(monkeypatch):
         verify, "randdecl_expected_cost", lambda *a, **kw: closed_form(*a, **kw) + 1.0
     )
     inst = CostMatrix.from_rows([[3, 1, 1, 1], [1, 1, 1, 3]])
-    with pytest.raises(AssertionError, match="Monte-Carlo estimate .* away from the closed form"):
+    with pytest.raises(AssertionError, match="^closed form .* disagrees with Monte-Carlo estimate"):
         sp_check_randomized(inst, 0, mode="montecarlo")
 
 
-def test_exact_cross_check_enumerates_each_distinct_profile_once(monkeypatch):
+@pytest.mark.parametrize("mode", ["exact", "montecarlo"])
+def test_cross_check_confirms_the_reported_deviation(monkeypatch, mode):
+    # a closed form 1 too low off the truthful profile alone: the search
+    # finds labels (3, 5) at 4.75 against the truth's 5.5, and the
+    # cross-check must refuse to report them
+    inst = CostMatrix.from_rows([[3, 1, 2, 1, 5], [1, 1, 1, 3, 2]])
+    closed_form = verify.randdecl_expected_cost
+    truthful_labels = label_sets(inst)
+
+    def wrong_off_the_truth(matrix, agent, labels):
+        return closed_form(matrix, agent, labels) - (labels != truthful_labels)
+
+    monkeypatch.setattr(verify, "randdecl_expected_cost", wrong_off_the_truth)
+    with pytest.raises(AssertionError, match=r"^closed form 4\.75 disagrees .* labels \[2, 4\]$"):
+        sp_check_randomized(inst, 0, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "mode, estimator, as_estimate",
+    [
+        ("exact", "enum_expected_cost", lambda cost: cost),
+        ("montecarlo", "mc_expected_cost", lambda cost: (cost, 0.0)),
+    ],
+    ids=["exact", "montecarlo"],
+)
+def test_cross_check_estimates_each_distinct_profile_once(
+    monkeypatch, mode, estimator, as_estimate
+):
     calls = []
 
-    def counting(enumerate_with):
-        def enum(matrix, agent, labels):
+    def counting(estimate):
+        def counted(matrix, agent, labels, *trials):
             calls.append(labels)
-            return enumerate_with(matrix, agent, labels)
+            return estimate(matrix, agent, labels, *trials)
 
-        return enum
+        return counted
 
     inst = CostMatrix.from_rows([[3, 1, 2, 1, 5], [1, 1, 1, 3, 2]])
     # a passing check: the truthful profile is the best one, cross-checked once
-    monkeypatch.setattr(verify, "enum_expected_cost", counting(enum_expected_cost))
-    assert not sp_check_randomized(inst, 0, mode="exact").profitable
+    monkeypatch.setattr(verify, estimator, counting(getattr(verify, estimator)))
+    assert not sp_check_randomized(inst, 0, mode=mode).profitable
     assert len(calls) == 1
-    # under the inverted-pool rule a lie pays: truth and best are both checked
+    # under the inverted-pool rule, with an estimator that agrees, a lie
+    # pays: truth and best are both checked
     calls.clear()
     monkeypatch.setattr(verify, "randdecl_expected_cost", inverted_pool_expected_cost)
-    monkeypatch.setattr(verify, "enum_expected_cost", counting(inverted_pool_expected_cost))
-    assert sp_check_randomized(inst, 0, mode="exact").profitable
+    monkeypatch.setattr(
+        verify,
+        estimator,
+        counting(lambda *args: as_estimate(inverted_pool_expected_cost(*args[:3]))),
+    )
+    assert sp_check_randomized(inst, 0, mode=mode).profitable
     assert len(calls) == 2 and calls[0] != calls[1]
 
 
