@@ -8,20 +8,18 @@ incumbent the largest load of a longest-processing-time (LPT) greedy or, at
 n >= 3 where it is lower, that of Karmarkar-Karp's largest differencing
 (Korf, IJCAI 2009) slackened against rounding, and at each node the bundles
 tried in index order, each only when the item keeps it below the incumbent
-and no earlier bundle has the same load. It cuts a node with the
-closed-bundle bound of bin completion (Korf, IJCAI 2009): a bundle that not
-even the smallest item fits under the incumbent is closed, and the items
-left must fit in the room the open bundles have below the incumbent. The
-bound runs only where a bundle has closed or the incumbent has dropped, and
-never at the last item's node, where it could cut nothing the admission
-test keeps; that node places the item in a loop of its own. At n = 2 to 4,
-over the last _FILL_ITEMS items, bin completion's fill bound replaces it:
-an open bundle can take no more of the items left than its fit, the largest
-of their subset sums within its room, read from sorted tables built once per
-search, and the fits must add up to the items left. Its rounding slack keeps
-every leaf the search admits, so the value, witness and method are those
-the closed-bundle bound alone gives. At n >= 5 the tables did not pay for
-themselves. Nor does a start below LPT's load change what the search
+and no earlier bundle has the same load. It cuts a node with one bound of
+bin completion (Korf, IJCAI 2009): an open bundle, one the smallest item
+still fits under the incumbent, can take no more of the items left than its
+fit, and the fits must add up to the items left. At n = 2 to 4, over the
+last _FILL_ITEMS items, the fit is the largest subset sum of those items
+within the bundle's room, read from sorted tables built once per search;
+elsewhere it is the room itself, and the bound runs only where a bundle has
+closed or the incumbent has dropped. It never runs at the last item's node,
+where it could cut nothing the admission test keeps; that node places the
+item in a loop of its own. Its rounding slack keeps every leaf the search
+admits, so the bound decides how many nodes are entered, never the value,
+witness or method. Nor does a start below LPT's load change what the search
 returns: from any incumbent above the optimum it admits the same last leaf.
 Exact MMS is NP-hard, so rows of more than CAP items are refused; for them
 only mms_bounds is available: the lower bound and LPT's load, whichever
@@ -54,6 +52,12 @@ from .model import (
 
 # the most items an exact share is computed for
 CAP = 20
+
+# The branch-and-bound's fit tables hold the subset sums of the last
+# _FILL_ITEMS items (2**_FILL_ITEMS sums at most). 8 and 9 measured alike at
+# the eval benchmark's sizes; 6 and 7 left more nodes at (3, 14), and 10
+# cost more to build than it saved at (4, 13).
+_FILL_ITEMS = 8
 
 
 class MmsCapError(ValueError):
@@ -160,7 +164,7 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     best_assign: list[int] | None = None
     if best_val > lower:
         costs = [row[j] for j in items]
-        # KK's start runs at n >= 3 only, as the fill bound at n <= 4 only:
+        # KK's start runs at n >= 3 only, as the fit tables at n <= 4 only:
         # on the eval benchmark's (2, 16) rows it saved 8 % of the nodes,
         # less than KK's own cost, and the rows ran 6-12 % slower.
         start = min(best_val, _kk_start(costs, n)) if n >= 3 else best_val
@@ -191,11 +195,12 @@ def _branch_and_bound(
     admitted when it beats the incumbent or, below a node where a bundle
     already holds exactly the incumbent, ties it.
 
-    Nodes are cut by the closed-bundle bound or, at n <= 4 with at most
-    _FILL_ITEMS items left, by the fill bound, which also counts that an
-    open bundle takes only what a subset of the items left sums to. Neither
-    cuts a node under which a leaf would be admitted, so the bounds decide
-    how many nodes are entered, never which leaves are admitted.
+    Nodes are cut by the fit bound: the open bundles' fits must add up to
+    the items left, where a fit is a bundle's room below the incumbent or,
+    at n <= 4 with at most _FILL_ITEMS items left, the largest subset sum
+    of those items within it. It never cuts a node under which a leaf would
+    be admitted, so it decides how many nodes are entered, never which
+    leaves are admitted.
     """
     last = len(costs) - 1
     smallest = costs[-1]
@@ -205,7 +210,7 @@ def _branch_and_bound(
     # fills[idx]: the sorted subset sums of items[idx:] for the last
     # _FILL_ITEMS items, None above them. Each table is the next one's sorted
     # run merged with that run shifted by the item. Tables are built at n = 2
-    # to 4 only. At n = 5 and 6 the fill bound lost to the closed-bundle bound:
+    # to 4 only. At n = 5 and 6 they lost to the fit of the room alone:
     # (5, 12) eval rows ran at 0.7x the speed and (6, 12) rows at 0.6x, and
     # a correlated 6x20 row went 7.9 -> 11.7 s, while a correlated 5x20 row
     # gained (1.6 -> 0.3 s).
@@ -216,24 +221,22 @@ def _branch_and_bound(
             c = costs[idx]
             sums = sorted(sums + [x + c for x in sums])
             fills[idx] = sums
-    # Rounding margin of both bounds below. Each sum they use (a load,
-    # rest[idx], the room) adds at most m + n floats, with partial sums below
-    # about n * best_val, so it is off its exact value by less than
-    # e = (m + n) * n * best_val * 2**-53. margin * best_val allows sixteen
-    # such errors. The closed-bundle bound weighs a few of them, so it never
-    # cuts a node whose exact room would fit the rest.
-    # The fill bound takes slack = margin * best_val on both of its tests. A
-    # leaf puts a subset S of items[idx:] on an open bundle, summed after the
-    # load in the search's order to below best_val; the table sums S in
-    # another order. Each of the two sums adds the at most m items of S to
-    # partial sums below best_val, so the table's S exceeds the exact room
-    # best_val - load by less than 2 * m * best_val * 2**-53 < 2e, and the
-    # float key best_val + slack - load is off by two roundings: the key
-    # never drops a subset a leaf can hold. The fits, each at least its
-    # table S, fall short of rest[idx]'s exact value by less than e in all,
-    # their n additions and rest[idx] itself are off by at most e each, so
-    # the fits of a node that holds a leaf never add up to less than
-    # rest[idx] minus the slack.
+    # Rounding slack of the bound below, slack = margin * best_val. Each sum
+    # it uses (a load, rest[idx], the fits) adds at most m + n floats, with
+    # partial sums below about n * best_val, so it is off its exact value by
+    # less than e = (m + n) * n * best_val * 2**-53; the slack allows sixteen
+    # such errors. A leaf puts a subset S of items[idx:] on an open bundle,
+    # summed after the load in the search's order to below best_val. Without
+    # a table the fit is the room best_val - load itself, which holds S up to
+    # that sum's rounding. With one, the table sums S in another order. Each
+    # of the two sums adds the at most m items of S to partial sums below
+    # best_val, so the table's S exceeds the exact room by less than
+    # 2 * m * best_val * 2**-53 < 2e, and the float key best_val + slack -
+    # load is off by two roundings: the key never drops a subset a leaf can
+    # hold. Either way the fits fall short of rest[idx]'s exact value by less
+    # than e in all, their n additions and rest[idx] itself are off by at
+    # most e each, so the fits of a node that holds a leaf never add up to
+    # less than rest[idx] minus the slack.
     margin = 8 * (m + n) * n * 2.0**-52
     assign = [0] * len(costs)
     best_assign: list[int] | None = None
@@ -261,41 +264,33 @@ def _branch_and_bound(
                     proven = True
                     return
             return
-        # Neither bound runs at the last item's node: an open bundle alone
-        # has room best_val - load > smallest for the last item, so a bound
-        # there cuts only when every bundle is closed, and then the loop
-        # above admits nothing.
+        # The bound never runs at the last item's node: an open bundle alone
+        # has room best_val - load > smallest for the last item, so it cuts
+        # there only when every bundle is closed, and then the loop above
+        # admits nothing.
         fill = fills[idx]
-        if fill is not None:
-            # Fill bound (bin completion's, Korf 2009): a bundle can take
-            # from items[idx:] no more than its fit, the largest subset sum
-            # that fits its room, and a closed bundle (below) only the empty
-            # sum. A leaf under this node puts all of items[idx:] somewhere,
-            # so the fits must add up to rest[idx]. The slack is inclusive: a
-            # subset the search's own sums admit is never lost to rounding.
+        if fill is not None or checked != best_val:
+            # Fit bound (bin completion's, Korf 2009): a bundle is closed when
+            # even the smallest item lifts it to best_val, so the admission
+            # test below refuses it every item. An open bundle takes from
+            # items[idx:] at most its fit: its room or, from its table, the
+            # largest subset sum within the room. A leaf under this node
+            # places all of items[idx:], so the fits must add up to rest[idx].
+            # Without a table, an item put in a bundle that stays open takes
+            # as much off the fits as off the rest, so the bound runs only
+            # where a bundle has closed or best_val has dropped since it last
+            # ran at `checked` (0.0: run). A node with a table always runs it;
+            # its children have tables too, or are the last item's node.
             slack = margin * best_val
             key = best_val + slack
             fits = 0.0
             for load in loads:
                 if load + smallest < best_val:
-                    fits += fill[bisect_right(fill, key - load) - 1]
+                    if fill is None:
+                        fits += best_val - load
+                    else:
+                        fits += fill[bisect_right(fill, key - load) - 1]
             if fits < rest[idx] - slack:
-                return
-        elif checked != best_val:
-            # Closed-bundle bound: a bundle is closed when even the smallest
-            # item lifts it to best_val, so the admission test below refuses
-            # it every item. A leaf under this node fits items[idx:] into the
-            # open bundles' room; without it, nothing here can become the
-            # incumbent. An item put in a bundle that stays open takes as
-            # much off the room as off the rest, so the bound runs only where
-            # a bundle has closed or best_val has dropped since it last ran
-            # at `checked` (0.0: run).
-            room = 0.0
-            for load in loads:
-                if load + smallest >= best_val:
-                    continue  # closed
-                room += best_val - load
-            if room < rest[idx] - margin * best_val:
                 return
             checked = best_val
         c = costs[idx]
@@ -319,13 +314,6 @@ def _branch_and_bound(
 
     dfs(0, 0.0, 0.0)
     return best_val, best_assign
-
-
-# The branch-and-bound's fill bound tabulates the subset sums of the last
-# _FILL_ITEMS items (2**_FILL_ITEMS sums at most). 8 and 9 measured alike at
-# the eval benchmark's sizes; 6 and 7 left more nodes at (3, 14), and 10
-# cost more to build than it saved at (4, 13).
-_FILL_ITEMS = 8
 
 
 def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:

@@ -465,12 +465,14 @@ def mc_expected_cost(
             for j in range(m):
                 acc += np.where(held[j], row[j], 0.0)
             costs[1 + lo : 1 + lo + BLOCK] = acc
-        # the std of the costs scaled exactly, by a power of two, to below 2:
-        # its squares stay finite where the costs' own would overflow
+        # the mean and std of the costs scaled exactly, by a power of two, to
+        # below 2: their sum and squares stay finite where the costs' own
+        # would overflow
         scale = 2.0 ** (math.frexp(costs.max())[1] - 1)
-        std = (costs / scale).std(ddof=1) * scale if trials > 1 else 0.0
+        scaled = costs / scale
+        std = scaled.std(ddof=1) * scale if trials > 1 else 0.0
         stderr = float(std / np.sqrt(trials))
-        return float(costs.mean()), stderr
+        return float(scaled.mean() * scale), stderr
 
 
 def sp_check_randomized(

@@ -676,17 +676,30 @@ def test_spcheck_public_without_grid_has_no_item_limit(capsys, instance):
     assert all("channel closed" in r["deviation"] for r in doc["reports"])
 
 
-@pytest.mark.parametrize("mode", [[], ["--exact"]])
-def test_spcheck_randdecl_overflow_is_a_clean_error(capsys, instance, mode):
-    # the expected cost sums to inf: one error line, not a pass or a traceback
+def test_spcheck_randdecl_exact_overflow_is_a_clean_error(capsys, instance):
+    # enumeration's running total sums to inf: one error line, not a pass or
+    # a traceback
     path = instance([[1e308, 1, 1, 1], [1, 2, 3, 4]])
     code, out, err = run(
-        capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--agent", "1", *mode]
+        capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--agent", "1", "--exact"]
     )
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+def test_spcheck_randdecl_montecarlo_past_the_float_sum(capsys, instance):
+    # each trial's cost is finite but the trials sum past the float range;
+    # the estimate is scaled, so it cross-checks the closed form
+    path = instance([[1e308, 1, 1, 1], [1, 2, 3, 4]])
+    code, doc, _ = run_json(
+        capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--agent", "1"]
+    )
+    assert code == 0
+    [report] = doc["reports"]
+    assert report["truthful_cost"] == report["best_deviation_cost"] == 2.5e307
+    assert not report["profitable"]
 
 
 def test_spcheck_randdecl_montecarlo_past_1e154(capsys, instance):

@@ -1,13 +1,15 @@
 """Property tests: the exact maxmin-share search against its references.
 
-mms_exact prunes with the closed-bundle bound, which it skips where it
-cannot cut (no bundle closed and no incumbent drop since it last ran, and
-at the last item's node), and at n = 2 to 4 with the fill bound over the
-last _FILL_ITEMS items; it must return exactly what the search with no
-bound returns
-(oracles.mms_exact_reference): the same value, compared with ==, the same
-witness bundles and the same method. Its value must also equal the
-brute-force minimum over every partition (oracles.mms_bruteforce).
+mms_exact prunes with one fit bound: the open bundles' fits must hold the
+items left, where a fit is a bundle's room below the incumbent or, at
+n = 2 to 4 over the last _FILL_ITEMS items, the largest subset sum within
+it read from a table. Without a table the bound is skipped where it cannot
+cut (no bundle closed and no incumbent drop since it last ran), and it
+never runs at the last item's node. mms_exact must return exactly what the
+search with no bound returns (oracles.mms_exact_reference): the same value,
+compared with ==, the same witness bundles and the same method. Its value
+must also equal the brute-force minimum over every partition
+(oracles.mms_bruteforce).
 
 Rows come in five kinds: integers 0..4 (ties and zeros are common),
 half-steps, uniform floats, floats of mixed magnitude (1e-9 to 1e9), and

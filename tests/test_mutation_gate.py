@@ -25,12 +25,12 @@ method, on these rows:
     decide the witness;
   - every agent's row of the four generator families at (n, m) = (3, 14),
     (4, 13) and (5, 12), the sizes the eval benchmark searches at;
-  - three- and four-agent rows of 8 to 12 items, where the fill bound
-    runs: integers 1..4 times 0.1, whose sums round by the order of
-    addition, so the bound's slack decides what it keeps, and integers
-    0..4 times the least subnormal, whose sums are exact and whose slack
-    is zero, so the strictness of its cut decides, and where a relative
-    slack on the Karmarkar-Karp start rounds to nothing.
+  - three- and four-agent rows of 8 to 12 items, where the fit bound
+    reads its tables: integers 1..4 times 0.1, whose sums round by the
+    order of addition, so the bound's slack decides what it keeps, and
+    integers 0..4 times the least subnormal, whose sums are exact and whose
+    slack is zero, so the strictness of its cut decides, and where a
+    relative slack on the Karmarkar-Karp start rounds to nothing.
 
 The ordinal model's firewall referees allocate: on seeded matrices of
 integer costs 0..3 at n 2..4 and m n+1..11, and then m 1..n, where every
@@ -153,17 +153,18 @@ from oracles import (
 SOURCE_DIR = Path(choremms.__file__).parent
 
 MUTANTS = {
-    # the closed-bundle bound cuts a node whose exact room fits the rest
+    # the fit bound cuts a node whose exact fits hold the rest
     "margin sign": (
         "mms",
-        "if room < rest[idx] - margin * best_val:",
-        "if room < rest[idx] + margin * best_val:",
+        "if fits < rest[idx] - slack:",
+        "if fits < rest[idx] + slack:",
         "mms_exact",
     ),
+    # the fit bound counts the closed bundles' room and not the open ones'
     "closed <=": (
         "mms",
-        "if load + smallest >= best_val:",
-        "if load + smallest <= best_val:",
+        "if load + smallest < best_val:",
+        "if load + smallest > best_val:",
         "mms_exact",
     ),
     # a leaf must beat the incumbent; ties below a full bundle are lost
@@ -456,7 +457,7 @@ def _few_item_rows(rng, count):
 
 
 def _fill_rows(rng, count):
-    # three and four agents, m from 8 to 12, where the fill bound runs:
+    # three and four agents, m from 8 to 12, where the fit tables are read:
     # integers 1..4 times 0.1, whose sums tie in exact arithmetic but round
     # by the order of addition, and integers 0..4 times the least subnormal,
     # whose sums are exact and whose slack rounds to zero

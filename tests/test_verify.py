@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from choremms import algorithms, verify
-from choremms.algorithms import allocate, label_count, label_sets
+from choremms.algorithms import allocate, label_count, label_sets, randdecl_expected_cost
 from choremms.model import Allocation, CostMatrix, Model, rankings, row_problems
 from choremms.verify import (
     algorithm_runner,
@@ -393,24 +393,32 @@ def test_randomized_search_refuses_too_many_label_sets(monkeypatch):
 
 
 def test_randdecl_overflow_is_refused_not_passed(recwarn):
-    # the sum over trials or landings overflows to inf: no cross-check is
-    # possible, so neither mode may report a pass
+    # each trial's cost is finite and Monte-Carlo scales their sum, so it
+    # cross-checks the closed form; enumeration's running total over the
+    # landings overflows to inf, so exact mode may not report a pass
     inst = CostMatrix.from_rows([[1e308, 1, 1, 1], [1, 2, 3, 4]])
-    with pytest.raises(ValueError, match="^closed form .*, Monte-Carlo estimate inf .* is not finite"):
-        sp_check_randomized(inst, 0, mode="montecarlo")
+    report = sp_check_randomized(inst, 0, mode="montecarlo")
+    assert report.truthful_cost == randdecl_expected_cost(inst, 0, label_sets(inst))
+    assert not report.profitable
     with pytest.raises(ValueError, match="^closed form .*, enumeration inf .* is not finite"):
         sp_check_randomized(inst, 0, mode="exact")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_mc_stderr_is_exact_past_the_square_root_of_the_float_range():
-    # each trial's cost squared passes 1e308 at these costs; a power-of-two
-    # unit scales every trial and the standard error exactly
-    rows = [[3e160, 1e160, 2e160, 5e159], [1e160, 2e160, 3e160, 4e160]]
-    est, stderr = mc_expected_cost(CostMatrix.from_rows(rows), 0, trials=500)
-    small = CostMatrix.from_rows([[c * 2.0**-600 for c in row] for row in rows])
-    assert math.isfinite(stderr) and stderr > 0
-    assert (est, stderr) == tuple(x * 2.0**600 for x in mc_expected_cost(small, 0, trials=500))
+    # a power-of-two unit scales every trial, the mean and the standard
+    # error exactly
+    for rows in (
+        # each trial's cost squared passes 1e308
+        [[3e160, 1e160, 2e160, 5e159], [1e160, 2e160, 3e160, 4e160]],
+        # each trial's cost is finite, but the 500 trials sum past 1e308
+        [[1e308, 1, 1, 1, 1], [1, 2, 3, 4, 5]],
+    ):
+        est, stderr = mc_expected_cost(CostMatrix.from_rows(rows), 0, trials=500)
+        small = CostMatrix.from_rows([[c * 2.0**-600 for c in row] for row in rows])
+        assert math.isfinite(est) and math.isfinite(stderr) and stderr > 0
+        scaled = mc_expected_cost(small, 0, trials=500)
+        assert (est, stderr) == tuple(x * 2.0**600 for x in scaled)
 
 
 def test_exact_cross_check_disagreement_stays_an_assertion(monkeypatch):
