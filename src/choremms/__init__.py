@@ -20,7 +20,7 @@ from .algorithms import (
     seqpick,
 )
 from .gen import GenSpec, generate, run_batch
-from .mms import CAP, MmsCapError, MmsResult, evaluate, mms_bounds, mms_exact
+from .mms import CAP, MmsCapError, MmsResult, evaluate, mms_bounds, mms_exact, mms_value
 from .model import (
     Allocation,
     CostMatrix,

@@ -403,6 +403,9 @@ def randdecl_expected_cost(
     The b_j are counted in one pass over the profile's declarations, and
     both sums add their terms in ascending item order, so the value is
     the one a membership test per agent and item gives, bit for bit.
+    Where those sums pass the float range, they are taken again on the
+    row scaled exactly, by a power of two, to below 2, as
+    `verify.mc_expected_cost` scales its trials, and the value scaled back.
     """
     n, m = matrix.n, matrix.m
     labels = check_labels(matrix, labels)
@@ -412,9 +415,17 @@ def randdecl_expected_cost(
     for marked in labels:
         for j in marked:
             declared[j] += 1
-    phase1 = sum(c for j, c in enumerate(row) if j not in mine) / n
-    pool_exp = sum(map(mul, row, declared)) / n
-    return phase1 + pool_exp / n
+
+    def expectation(costs) -> float:
+        phase1 = sum(c for j, c in enumerate(costs) if j not in mine) / n
+        pool_exp = sum(map(mul, costs, declared)) / n
+        return phase1 + pool_exp / n
+
+    value = expectation(row)
+    if not math.isfinite(value):
+        scale = 2.0 ** (math.frexp(max(row))[1] - 1)
+        value = expectation([c / scale for c in row]) * scale
+    return value
 
 
 # --- round robin -------------------------------------------------------------

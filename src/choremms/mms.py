@@ -21,14 +21,26 @@ item in a loop of its own. Its rounding slack keeps every leaf the search
 admits, so the bound decides how many nodes are entered, never the value,
 witness or method. Nor does a start below LPT's load change what the search
 returns: from any incumbent above the optimum it admits the same last leaf.
+
+The search runs in one of two modes. mms_exact's default finds the
+witness: the last leaf admitted, ties included, which is the partition
+`choremms mms` prints. mms_value, which mms_table and so evaluate, the
+batch and the allocate report use, asks for the value alone: the same
+search without that bookkeeping, which returns from a node as soon as its
+largest load has reached the incumbent, since every leaf under it then
+ties at best, and settles the last item in closed form. Only the witness
+mode walks those ties, because the leaf it reports may lie among them;
+the value is the same, bit for bit.
+
 Exact MMS is NP-hard, so rows of more than CAP items are refused; for them
 only mms_bounds is available: the lower bound and LPT's load, whichever
-incumbent the search starts from, both floats. Both functions refuse an
-agent count below 1 and then, before the cap, a row that is no valid cost
-row by `model.row_problems`, the rule `model.validate` applies to every
-row of an instance, with its first message. Every step after the refusals
-reads the row's costs as Python floats, so a row of numpy scalars or of
-ints gets the share its float row gets, as the CLI's rows do.
+incumbent the search starts from, both floats. mms_exact, mms_value and
+mms_bounds refuse an agent count below 1 and then, before the cap, a row
+that is no valid cost row by `model.row_problems`, the rule
+`model.validate` applies to every row of an instance, with its first
+message. Every step after the refusals reads the row's costs as Python
+floats, so a row of numpy scalars or of ints gets the share its float row
+gets, as the CLI's rows do.
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ class MmsCapError(ValueError):
 @dataclass(frozen=True)
 class MmsResult:
     value: float
-    witness: Allocation
+    witness: Optional[Allocation]  # None from the search for the value alone
     method: str  # "exact" or "bound-only"
 
 
@@ -131,9 +143,9 @@ def _kk_start(costs: list[float], n: int) -> float:
 
 
 def _refuse_bad_input(row: Sequence[float], n: int) -> None:
-    """The input refusals mms_exact and mms_bounds share: an agent count
-    below 1, then the first of `model.row_problems`, a row's as `validate`
-    words it for row 1."""
+    """The input refusals mms_exact (so mms_value) and mms_bounds share: an
+    agent count below 1, then the first of `model.row_problems`, a row's as
+    `validate` words it for row 1."""
     if n < 1:
         raise ValueError("agent count must be >= 1")
     problems = row_problems(row)
@@ -141,12 +153,15 @@ def _refuse_bad_input(row: Sequence[float], n: int) -> None:
         raise ValueError(problems[0])
 
 
-def mms_exact(row: Sequence[float], n: int) -> MmsResult:
+def mms_exact(row: Sequence[float], n: int, *, witness: bool = True) -> MmsResult:
     """Minimize the maximum bundle cost over all n-partitions of the row.
 
     The search's first incumbent is LPT's largest load or, at n >= 3 where
     it is lower, _kk_start's; the value, witness and method are those of
-    the search started from LPT's load.
+    the search started from LPT's load. With witness=False, as mms_value
+    asks, the search is after the value alone: it skips the subtrees that
+    hold only ties (see _branch_and_bound), the result's witness is None,
+    and the value is the same, bit for bit.
 
     Raises MmsCapError for more than CAP items: use mms_bounds instead.
     """
@@ -158,7 +173,8 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
         )
     row = tuple(map(float, row))
     if n == 1:
-        return MmsResult(float(sum(row)), Allocation.from_lists([set(range(m))]), "exact")
+        whole = Allocation.from_lists([set(range(m))]) if witness else None
+        return MmsResult(float(sum(row)), whole, "exact")
 
     items, lower, (best_val, bundles) = _bracket(row, n)
     best_assign: list[int] | None = None
@@ -168,7 +184,9 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
         # on the eval benchmark's (2, 16) rows it saved 8 % of the nodes,
         # less than KK's own cost, and the rows ran 6-12 % slower.
         start = min(best_val, _kk_start(costs, n)) if n >= 3 else best_val
-        best_val, best_assign = _branch_and_bound(costs, n, m, start, lower)
+        best_val, best_assign = _branch_and_bound(costs, n, m, start, lower, witness)
+    if not witness:
+        return MmsResult(best_val, None, "exact")
 
     if best_assign is not None:
         bundles = [set() for _ in range(n)]
@@ -183,17 +201,34 @@ def mms_exact(row: Sequence[float], n: int) -> MmsResult:
     return MmsResult(best_val, _sorted_bundles(bundles, row), "exact")
 
 
+def mms_value(row: Sequence[float], n: int) -> float:
+    """The exact maxmin share alone: mms_exact's value, bit for bit, with
+    its refusals, from the search without its witness."""
+    return mms_exact(row, n, witness=False).value
+
+
 def _branch_and_bound(
-    costs: list[float], n: int, m: int, best_val: float, lower: float
+    costs: list[float], n: int, m: int, best_val: float, lower: float, witness: bool
 ) -> tuple[float, list[int] | None]:
     """Search assignments of the descending `costs` to n bundles for a
     maximum load below the incumbent `best_val`, stopping at one <= `lower`.
     `best_val` starts at LPT's load or a lower _kk_start.
 
-    Returns the final incumbent and the assignment of the last leaf the
-    search admitted (None when no leaf beat the start incumbent). A leaf is
-    admitted when it beats the incumbent or, below a node where a bundle
-    already holds exactly the incumbent, ties it.
+    Returns the final incumbent and, with `witness`, the assignment of the
+    last leaf the search admitted (None when no leaf beat the start
+    incumbent, and always without `witness`). A leaf is admitted when it
+    beats the incumbent or, below a node where a bundle already holds
+    exactly the incumbent, ties it.
+
+    Without `witness` the search walks no ties. When a leaf lowers the
+    incumbent to B, every node on the path to it has a largest load of at
+    most B, so a node whose largest load has reached the incumbent holds
+    only leaves that tie it at best. The search returns from such a node
+    as soon as a child brings the incumbent down to it (no node is entered
+    with one), and settles the last item in closed form: the leaf of the
+    lightest bundle, whose value the witness search's loop settles on. The
+    incumbent takes the same values in the same order either way, so the
+    value is the same, bit for bit.
 
     Nodes are cut by the fit bound: the open bundles' fits must add up to
     the items left, where a fit is a bundle's room below the incumbent or,
@@ -248,6 +283,15 @@ def _branch_and_bound(
     def dfs(idx: int, cur_max: float, checked: float) -> None:
         nonlocal best_val, best_assign, proven
         if idx == last:
+            if not witness:
+                # the value the loop below settles on: the lightest bundle's leaf
+                leaf = min(loads) + smallest
+                if leaf < cur_max:
+                    leaf = cur_max
+                if leaf < best_val:
+                    best_val = leaf
+                    proven = leaf <= lower
+                return
             # the last item: each admissible bundle ends a leaf, which
             # becomes the incumbent even when it only ties best_val
             for b in bundles:
@@ -309,7 +353,9 @@ def _branch_and_bound(
                 0.0 if new_load + smallest >= best_val else checked,
             )
             loads[b] = load
-            if proven:
+            # without a witness, a node whose largest load the incumbent has
+            # come down to holds no better leaf
+            if proven or not witness and cur_max >= best_val:
                 return
 
     dfs(0, 0.0, 0.0)
@@ -325,22 +371,23 @@ def mms_bounds(row: Sequence[float], n: int) -> tuple[float, float]:
     return lower, max(upper, lower)
 
 
-def mms_table(matrix: CostMatrix) -> list[MmsResult]:
-    """Exact MMS for every agent of the instance."""
-    return [mms_exact(matrix.row(i), matrix.n) for i in range(matrix.n)]
+def mms_table(matrix: CostMatrix) -> list[float]:
+    """Every agent's exact maxmin share, by mms_value: the search for the
+    value alone, which walks no ties."""
+    return [mms_value(matrix.row(i), matrix.n) for i in range(matrix.n)]
 
 
 def evaluate(
     allocation: Allocation,
     matrix: CostMatrix,
-    table: Optional[Sequence[MmsResult]] = None,
+    table: Optional[Sequence[float]] = None,
 ) -> EvalReport:
     """Cost / exact MMS / ratio per agent, plus the max ratio.
 
-    `table` is `mms_table(matrix)` when the caller already has it, so
-    several allocations of one instance share one set of shares; without it
-    the shares are solved here, and a row of more than CAP items raises
-    MmsCapError.
+    `table` is `mms_table(matrix)`, the agents' shares, when the caller
+    already has it, so several allocations of one instance share one set of
+    shares; without it the shares are solved here by mms_value, and a row
+    of more than CAP items raises MmsCapError.
     """
     problems = allocation.check_partition(matrix.m)
     if problems:
@@ -350,6 +397,6 @@ def evaluate(
     per_agent = []
     for i in range(matrix.n):
         cost = matrix.cost_of(i, allocation.bundles[i])
-        mms = table[i].value
+        mms = table[i]
         per_agent.append(AgentEval(cost=cost, mms=mms, ratio=ratio_of(cost, mms)))
     return EvalReport(tuple(per_agent), max(a.ratio for a in per_agent))

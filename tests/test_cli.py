@@ -689,6 +689,19 @@ def test_spcheck_randdecl_exact_overflow_is_a_clean_error(capsys, instance):
     assert "not finite" in err
 
 
+def test_spcheck_randdecl_exact_past_the_float_sum(capsys, instance):
+    # the closed form's pooled sum passes the float range, the expectation
+    # does not: it is scaled, and enumeration confirms it
+    path = instance([[1e308], [2.0]])
+    code, doc, _ = run_json(
+        capsys, ["spcheck", "--instance", path, "--alg", "randdecl", "--agent", "1", "--exact"]
+    )
+    assert code == 0
+    [report] = doc["reports"]
+    assert report["truthful_cost"] == 5e307
+    assert not report["profitable"]
+
+
 def test_spcheck_randdecl_montecarlo_past_the_float_sum(capsys, instance):
     # each trial's cost is finite but the trials sum past the float range;
     # the estimate is scaled, so it cross-checks the closed form

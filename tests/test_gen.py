@@ -107,13 +107,13 @@ def test_run_batch_skips_bad_cells():
 
 def test_run_batch_solves_each_share_once_per_instance(monkeypatch):
     solved = []
-    real = mms.mms_exact
+    real = mms.mms_value
 
     def counting(row, n):
         solved.append((tuple(row), n))
         return real(row, n)
 
-    monkeypatch.setattr(mms, "mms_exact", counting)
+    monkeypatch.setattr(mms, "mms_value", counting)
     specs = [GenSpec("uniform", n=3, m=7, seed=5), GenSpec("exponential", n=2, m=8, seed=6)]
     rows, failures = run_batch(specs, ["seqpick", "randdecl", "roundrobin"], seeds_per_spec=2)
     assert failures == [] and len(rows) == 3 * 2 * 2

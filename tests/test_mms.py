@@ -329,4 +329,5 @@ def test_evaluate_rejects_non_partition():
 def test_mms_table_covers_all_agents():
     matrix = CostMatrix.from_rows([[1, 2, 3], [3, 2, 1]])
     table = mms_table(matrix)
-    assert [r.value for r in table] == [3, 3]
+    assert table == [3.0, 3.0]
+    assert all(type(share) is float for share in table)

@@ -21,6 +21,15 @@ incumbent and the search admits a tie below it, and runs to the cap of 20
 items. The fill-bound property takes tie-heavy rows at the sizes where that
 bound runs.
 
+mms_value runs the same search for the value alone: it returns from a
+node whose largest load has reached the incumbent, where every leaf ties
+at best, and places the last item in closed form. Its value must be
+mms_exact's, compared by `repr`, on rows of the five kinds at n 1 to 6 and
+on the two-agent rows of eighths with absorbed costs up to the cap, where
+a bundle holds exactly the incumbent and the witness search walks the ties
+below it. It must refuse what mms_exact refuses, with the same exception
+and message.
+
 At n >= 3 the search starts from Karmarkar-Karp's slackened value where
 that is below LPT's load. On rows where it is, at n 3 to 6, the search from
 that start must return the value (compared with ==) and the assignment the
@@ -31,7 +40,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from choremms.mms import _FILL_ITEMS, _bracket, _branch_and_bound, _kk_start, mms_exact
+from choremms.mms import (
+    _FILL_ITEMS,
+    _bracket,
+    _branch_and_bound,
+    _kk_start,
+    mms_exact,
+    mms_value,
+)
 from oracles import mms_bruteforce, mms_exact_reference
 
 
@@ -113,6 +129,34 @@ def test_two_agent_share_matches_reference(row):
     assert got.method == expected.method
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.tuples(_rows(14), st.integers(1, 6)) | st.tuples(_absorbed_rows(20), st.just(2))
+)
+# a bundle holds exactly the share and absorbs the tiny item: the witness
+# search walks the ties below it, the value search returns there
+@example(case=([1.0] * 8 + [0.5, 0.75, 0.75, 0.125, 9.826133882900746e-176], 2))
+def test_value_search_matches_the_witness_search(case):
+    row, n = case
+    value = mms_value(row, n)
+    assert type(value) is float
+    assert repr(value) == repr(mms_exact(row, n).value)
+
+
+@pytest.mark.parametrize(
+    "row, n",
+    [((1.0, 2.0), 0), ((1.0, -1.0), 2), ((True, 2.0), 2), ((1.0,) * 21, 2)],
+    ids=["no agents", "negative cost", "bool cost", "21 items"],
+)
+def test_value_search_refuses_what_the_witness_search_refuses(row, n):
+    with pytest.raises(ValueError) as witness:
+        mms_exact(row, n)
+    with pytest.raises(ValueError) as value:
+        mms_value(row, n)
+    assert value.type is witness.type
+    assert str(value.value) == str(witness.value)
+
+
 def _tie_rows():
     # m from _FILL_ITEMS to 12. Integers 0..4 and eighths with costs a
     # bundle absorbs add up exactly, so many leaves tie and a bundle often
@@ -184,7 +228,7 @@ def test_kk_start_admits_what_the_lpt_start_admits(case):
     costs = [row[j] for j in items]
     start = _kk_start(costs, n)
     assume(start < lpt)
-    from_lpt = _branch_and_bound(costs, n, len(row), lpt, lower)
-    from_kk = _branch_and_bound(costs, n, len(row), start, lower)
+    from_lpt = _branch_and_bound(costs, n, len(row), lpt, lower, True)
+    from_kk = _branch_and_bound(costs, n, len(row), start, lower, True)
     assert from_kk[0] == from_lpt[0]
     assert from_kk[1] == from_lpt[1]

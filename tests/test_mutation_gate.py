@@ -32,6 +32,12 @@ method, on these rows:
     slack is zero, so the strictness of its cut decides, and where a
     relative slack on the Karmarkar-Karp start rounds to nothing.
 
+On the same rows oracles.mms_exact_reference referees mms_value, the
+search for the value alone, in the `repr` of the value. Its mutants end
+the tie cut one item early, at a node whose largest load is within the
+smallest item of the incumbent, and settle the last item on the heaviest
+bundle.
+
 The ordinal model's firewall referees allocate: on seeded matrices of
 integer costs 0..3 at n 2..4 and m n+1..11, and then m 1..n, where every
 rule gives each agent at most one item, seqpick, roundrobin and
@@ -249,6 +255,21 @@ MUTANTS = {
         "return math.nextafter(heap[0][2][-1] * (1 + 1e-12), math.inf)",
         "return heap[0][2][-1] * (1 + 1e-12)",
         "mms_exact",
+    ),
+    # the value search's tie cut one item early: a node whose largest load
+    # is within the last item of the incumbent may still hold a better leaf
+    "tie cut one item early": (
+        "mms",
+        "if proven or not witness and cur_max >= best_val:",
+        "if proven or not witness and cur_max + smallest >= best_val:",
+        "mms_value",
+    ),
+    # the value search settles the last item on the heaviest bundle
+    "last item to the heaviest bundle": (
+        "mms",
+        "leaf = min(loads) + smallest",
+        "leaf = max(loads) + smallest",
+        "mms_value",
     ),
     "LPT takes the last least-loaded bundle": (
         "mms",
@@ -497,6 +518,12 @@ def mms_corpus():
         + _fill_rows(rng, 400)
     )
     return tuple(((row, n), _mms_outcome(mms_exact_reference(row, n))) for row, n in rows)
+
+
+@lru_cache(maxsize=None)
+def mms_value_corpus():
+    """mms_corpus's rows with the `repr` of the referee's value on each."""
+    return tuple((args, expected[0]) for args, expected in mms_corpus())
 
 
 @lru_cache(maxsize=None)
@@ -796,6 +823,7 @@ def _moves(verify):
 # outcome) pairs, and the outcome of the function's result that is compared
 REFEREES = {
     "mms_exact": ("mms_exact", "mms", mms_corpus, _mms_outcome),
+    "mms_value": ("mms_value", "mms", mms_value_corpus, repr),
     "ordinal firewall": (_firewall, "algorithms", firewall_corpus, lambda agree: agree),
     "pick_tree": ("pick_tree", "algorithms", pick_tree_corpus, set),
     "mc_expected_cost": ("mc_expected_cost", "verify", mc_corpus, lambda estimate: estimate),

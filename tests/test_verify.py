@@ -405,6 +405,13 @@ def test_randdecl_overflow_is_refused_not_passed(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_closed_form_is_finite_where_its_plain_sums_overflow():
+    # both agents declare the one item, so the pooled sum counts 1e308
+    # twice; the expectation itself, half of it, is finite
+    inst = CostMatrix.from_rows([[1e308], [2.0]])
+    assert randdecl_expected_cost(inst, 0) == enum_expected_cost(inst, 0) == 5e307
+
+
 def test_mc_stderr_is_exact_past_the_square_root_of_the_float_range():
     # a power-of-two unit scales every trial, the mean and the standard
     # error exactly
